@@ -42,18 +42,11 @@ struct item128 {
   friend bool operator==(const item128&, const item128&) = default;
 };
 
-struct item128_hash {
-  std::size_t operator()(const item128& x) const {
-    u64 h = x.a * 0x9e3779b97f4a7c15ULL ^ (x.b + 0x517cc1b727220a95ULL);
-    h ^= h >> 29;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
 /// Flood items within clusters for `rounds` rounds (items never cross
 /// cluster boundaries). Returns everything each node has heard, own items
-/// included. 2β+1 rounds reach the whole cluster.
+/// included, deduplicated in arrival order. 2β+1 rounds reach the whole
+/// cluster. Runs node-parallel (pull over per-cluster item indices);
+/// under local-plane faults it draws no drops (docs/FAULTS.md §3).
 std::vector<std::vector<item128>> cluster_flood(
     hybrid_net& net, const cluster_decomposition& cd,
     std::vector<std::vector<item128>> initial, u32 rounds);

@@ -442,8 +442,10 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
   const graph& g = net.g();
   const u32 n = g.num_nodes();
   std::vector<std::vector<discovered_seed>> known(n);
-  // frontier[v] = seed indices first learned by v in the previous round.
+  // frontier[v] = seed indices first learned by v in the previous round;
+  // next is its double buffer, cleared in place each round.
   std::vector<std::vector<u32>> frontier(n);
+  std::vector<std::vector<u32>> next(n);
   std::vector<std::vector<char>> seen(n);
   for (u32 v = 0; v < n; ++v) seen[v].assign(seeds.size(), 0);
   for (u32 i = 0; i < seeds.size(); ++i) {
@@ -455,8 +457,8 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
     }
   }
   for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
     const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
+      next[v].clear();
       u64 mine = 0;
       for (const edge& e : g.neighbors(v)) {
         const std::vector<u32>& from = frontier[e.to];
@@ -474,7 +476,7 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
     net.charge_local(items);
     net.note_local_delivered(items);
     net.advance_round();
-    frontier = std::move(next);
+    frontier.swap(next);
     const bool any = net.executor().any_node(
         n, [&](u32 v) { return !frontier[v].empty(); });
     if (!any && r < rounds) {

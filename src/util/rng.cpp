@@ -13,7 +13,6 @@ constexpr u64 splitmix64(u64& x) {
   return z ^ (z >> 31);
 }
 
-constexpr u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 void rng::reseed(u64 seed) {
@@ -21,35 +20,6 @@ void rng::reseed(u64 seed) {
   for (auto& s : s_) s = splitmix64(x);
   // xoshiro must not start in the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-u64 rng::next() {
-  const u64 result = rotl(s_[1] * 5, 7) * 9;
-  const u64 t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-u64 rng::next_below(u64 bound) {
-  HYB_REQUIRE(bound > 0, "next_below needs a positive bound");
-  // Lemire's method with rejection for exact uniformity.
-  u64 x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  u64 l = static_cast<u64>(m);
-  if (l < bound) {
-    u64 threshold = (~bound + 1) % bound;
-    while (l < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<u64>(m);
-    }
-  }
-  return static_cast<u64>(m >> 64);
 }
 
 double rng::next_double() {

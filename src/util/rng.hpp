@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/bits.hpp"
 
 namespace hybrid {
@@ -20,10 +21,36 @@ class rng {
 
   void reseed(u64 seed);
 
-  u64 next();
+  // next() and next_below() are defined here so the per-item draw loops
+  // (gossip, sampling, workload generation) inline them.
+  u64 next() {
+    const u64 result = rotl(s_[1] * 5, 7) * 9;
+    const u64 t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) via Lemire's unbiased multiply-shift rejection.
-  u64 next_below(u64 bound);
+  u64 next_below(u64 bound) {
+    HYB_REQUIRE(bound > 0, "next_below needs a positive bound");
+    u64 x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    u64 l = static_cast<u64>(m);
+    if (l < bound) {
+      const u64 threshold = (~bound + 1) % bound;
+      while (l < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<u64>(m);
+      }
+    }
+    return static_cast<u64>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
   double next_double();
@@ -47,6 +74,7 @@ class rng {
   std::vector<u32> sample_without_replacement(u32 n, u32 m);
 
  private:
+  static constexpr u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
   u64 s_[4];
 };
 

@@ -32,6 +32,7 @@
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "proto/aggregation.hpp"
+#include "proto/clustering.hpp"
 #include "proto/dissemination.hpp"
 #include "proto/flood.hpp"
 #include "proto/skeleton.hpp"
@@ -441,6 +442,36 @@ TEST(FaultHealing, TableFloodDeliversEveryTableUnderDrops) {
     EXPECT_EQ(a, b) << v;
   }
   EXPECT_GT(net.raw_metrics().local_dropped, 0u);
+}
+
+TEST(FaultHealing, ClusterFloodDrawsNoLocalDrops) {
+  // cluster_flood has no healed variant (docs/FAULTS.md §3): under
+  // local-plane faults it draws no drops and counts every item delivered,
+  // so heard equals the fault-free result. Pinned so a future healing
+  // change (which would move apsp_lossy's rounds) is a deliberate one.
+  const u32 n = 120;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 1, 17);
+  hybrid_net clean(g, default_cfg(), 6);
+  const cluster_decomposition cd =
+      compute_clusters(clean, compute_ruling_set(clean, 2));
+  auto items = [&] {
+    std::vector<std::vector<item128>> init(n);
+    for (u32 v = 0; v < n; ++v) init[v].push_back({v, 0});
+    return init;
+  };
+  const auto want = cluster_flood(clean, cd, items(), cd.flood_budget());
+  for (u32 threads : {1u, 8u}) {
+    hybrid_net net(g, default_cfg(), 6,
+                   with_faults(drop_local_opts(0.3, 5), threads));
+    const run_metrics m0 = net.raw_metrics();
+    const auto got = cluster_flood(net, cd, items(), cd.flood_budget());
+    const run_metrics& m1 = net.raw_metrics();
+    EXPECT_EQ(got, want) << "threads " << threads;
+    EXPECT_EQ(m1.local_dropped, m0.local_dropped) << "threads " << threads;
+    EXPECT_GT(m1.local_items, m0.local_items);
+    EXPECT_EQ(m1.local_delivered - m0.local_delivered,
+              m1.local_items - m0.local_items);
+  }
 }
 
 TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {

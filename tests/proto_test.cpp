@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <unordered_set>
 
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
@@ -48,6 +50,26 @@ TEST(HopDiscovery, EarlyExitStillChargesBudget) {
   hybrid_net net(g, cfg(), 1);
   hop_discovery(net, {0}, 50);  // graph exhausted after 3 rounds
   EXPECT_EQ(net.round(), 50u);
+  EXPECT_EQ(net.raw_metrics().local_items, 6u);  // 1 + 2 + 2 + 1 crossings
+}
+
+TEST(HopDiscovery, EarlyExitPaysOneAggregation) {
+  // Round 4 is the first silent one; the early exit then pays the
+  // detection aggregation instead of the 46 silent rounds. Pins rounds and
+  // items across the reused frontier buffers at every thread count.
+  const graph g = gen::path(4);
+  for (u32 threads : {1u, 2u, 8u}) {
+    sim_options o;
+    o.threads = threads;
+    hybrid_net net(g, cfg(), 1, o);
+    const auto known = hop_discovery(net, {0}, 50, /*early_exit=*/true);
+    for (u32 v = 0; v < 4; ++v) {
+      ASSERT_EQ(known[v].size(), 1u);
+      EXPECT_EQ(known[v][0].hop, v);
+    }
+    EXPECT_EQ(net.round(), 4u + aggregation_rounds(4)) << threads;
+    EXPECT_EQ(net.raw_metrics().local_items, 6u) << threads;
+  }
 }
 
 TEST(LimitedBellmanFord, MatchesReference) {
@@ -244,6 +266,209 @@ TEST(ClusterFlood, StaysInsideCluster) {
     else
       EXPECT_FALSE(got) << v;
   }
+}
+
+// Differential reference: the sequential push loop (one unordered_set per
+// node, fresh next buffers every round) that cluster_flood's parallel pull
+// kernel replaced. The pull kernel must reproduce it exactly — heard order
+// drives compute_helpers' per-node join draws.
+struct item128_hash {
+  std::size_t operator()(const item128& x) const {
+    u64 h = x.a * 0x9e3779b97f4a7c15ULL ^ (x.b + 0x517cc1b727220a95ULL);
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+
+std::vector<std::vector<item128>> push_cluster_flood(
+    hybrid_net& net, const cluster_decomposition& cd,
+    std::vector<std::vector<item128>> initial, u32 rounds) {
+  const graph& g = net.g();
+  const u32 n = g.num_nodes();
+  std::vector<std::unordered_set<item128, item128_hash>> seen(n);
+  std::vector<std::vector<item128>> known(n);
+  std::vector<std::vector<item128>> frontier(n);
+  for (u32 v = 0; v < n; ++v)
+    for (const item128& it : initial[v])
+      if (seen[v].insert(it).second) {
+        known[v].push_back(it);
+        frontier[v].push_back(it);
+      }
+  for (u32 r = 0; r < rounds; ++r) {
+    std::vector<std::vector<item128>> next(n);
+    u64 items = 0;
+    bool any = false;
+    for (u32 v = 0; v < n; ++v) {
+      if (frontier[v].empty()) continue;
+      for (const edge& e : g.neighbors(v)) {
+        if (cd.cluster_of[e.to] != cd.cluster_of[v]) continue;
+        items += frontier[v].size();
+        for (const item128& it : frontier[v])
+          if (seen[e.to].insert(it).second) {
+            known[e.to].push_back(it);
+            next[e.to].push_back(it);
+            any = true;
+          }
+      }
+    }
+    net.charge_local(items);
+    net.note_local_delivered(items);
+    net.advance_round();
+    frontier = std::move(next);
+    if (!any) {
+      for (u32 extra = aggregation_rounds(n); extra > 0 && r + 1 < rounds;
+           --extra)
+        net.advance_round();
+      break;
+    }
+  }
+  return known;
+}
+
+struct cluster_flood_run {
+  std::vector<std::vector<item128>> heard;
+  u64 rounds = 0;
+  u64 local_items = 0;
+  u64 local_delivered = 0;
+};
+
+/// Every node owns {v, 0}; v % 3 == 1 holds it twice (duplicate on one
+/// node); v % 7 == 0 holds nothing; the first two members of every cluster
+/// both hold a per-cluster item (duplicate across two nodes of a cluster).
+std::vector<std::vector<item128>> mixed_items(const cluster_decomposition& cd) {
+  const u32 n = static_cast<u32>(cd.cluster_of.size());
+  std::vector<std::vector<item128>> init(n);
+  for (u32 v = 0; v < n; ++v) {
+    if (v % 7 == 0) continue;
+    init[v].push_back({v, 0});
+    if (v % 3 == 1) init[v].push_back({v, 0});
+  }
+  for (u32 c = 0; c < cd.members.size(); ++c)
+    for (u32 k = 0; k < std::min<std::size_t>(2, cd.members[c].size()); ++k)
+      init[cd.members[c][k]].push_back({1000 + c, 7});
+  return init;
+}
+
+/// Builds the (deterministic) clustering on a fresh net, then measures one
+/// flood of mixed_items — the reference push loop or the library's pull
+/// kernel.
+template <typename Flood>
+cluster_flood_run run_cluster_flood(
+    const graph& g, u32 mu, u32 threads,
+    const std::function<u32(const cluster_decomposition&)>& budget,
+    Flood flood) {
+  sim_options o;
+  o.threads = threads;
+  hybrid_net net(g, cfg(), 21, o);
+  const cluster_decomposition cd =
+      compute_clusters(net, compute_ruling_set(net, mu));
+  const u64 r0 = net.round();
+  const run_metrics m0 = net.raw_metrics();
+  cluster_flood_run out;
+  out.heard = flood(net, cd, mixed_items(cd), budget(cd));
+  out.rounds = net.round() - r0;
+  out.local_items = net.raw_metrics().local_items - m0.local_items;
+  out.local_delivered =
+      net.raw_metrics().local_delivered - m0.local_delivered;
+  return out;
+}
+
+/// Asserts the pull kernel equals the push reference at threads {1, 2, 8}.
+/// Returns the reference run for scenario-specific checks.
+cluster_flood_run expect_flood_matches_push(
+    const graph& g, u32 mu,
+    const std::function<u32(const cluster_decomposition&)>& budget) {
+  const cluster_flood_run ref =
+      run_cluster_flood(g, mu, 1, budget, push_cluster_flood);
+  for (u32 threads : {1u, 2u, 8u}) {
+    const cluster_flood_run got =
+        run_cluster_flood(g, mu, threads, budget, cluster_flood);
+    EXPECT_EQ(got.heard.size(), ref.heard.size());
+    for (u32 v = 0; v < ref.heard.size() && v < got.heard.size(); ++v)
+      EXPECT_EQ(got.heard[v], ref.heard[v]) << "node " << v
+                                            << " threads " << threads;
+    EXPECT_EQ(got.rounds, ref.rounds) << "threads " << threads;
+    EXPECT_EQ(got.local_items, ref.local_items) << "threads " << threads;
+    EXPECT_EQ(got.local_delivered, ref.local_delivered)
+        << "threads " << threads;
+  }
+  return ref;
+}
+
+u32 full_budget(const cluster_decomposition& cd) { return cd.flood_budget(); }
+
+graph two_components() {
+  // A 30-cycle and a 5x5 grid, no edge between them.
+  const graph a = gen::cycle(30);
+  const graph b = gen::grid(5, 5);
+  std::vector<edge_spec> edges;
+  for (const graph* part : {&a, &b}) {
+    const u32 shift = part == &a ? 0 : a.num_nodes();
+    for (u32 v = 0; v < part->num_nodes(); ++v)
+      for (const edge& e : part->neighbors(v))
+        if (v < e.to) edges.push_back({v + shift, e.to + shift, e.weight});
+  }
+  return graph::from_edges(a.num_nodes() + b.num_nodes(), edges);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceOnEr) {
+  const graph g = gen::erdos_renyi_connected(300, 4.0, 1, 13);
+  const cluster_flood_run ref = expect_flood_matches_push(g, 2, full_budget);
+  EXPECT_GT(ref.local_items, 0u);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceOnGrid) {
+  expect_flood_matches_push(gen::grid(12, 12), 3, full_budget);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceOnPath) {
+  expect_flood_matches_push(gen::path(60), 2, full_budget);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceOnDisconnectedGraph) {
+  expect_flood_matches_push(two_components(), 2, full_budget);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceWhenTruncated) {
+  // One round is shorter than the clusters' diameters: the truncated flood
+  // must leave some node short of the full-budget result.
+  const graph g = gen::grid(12, 12);
+  const cluster_flood_run ref =
+      expect_flood_matches_push(g, 3, [](const cluster_decomposition&) {
+        return 1u;
+      });
+  EXPECT_EQ(ref.rounds, 1u);
+  const cluster_flood_run full =
+      run_cluster_flood(g, 3, 1, full_budget, cluster_flood);
+  EXPECT_NE(ref.heard, full.heard);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceWithZeroRounds) {
+  const cluster_flood_run ref = expect_flood_matches_push(
+      gen::path(60), 2, [](const cluster_decomposition&) { return 0u; });
+  EXPECT_EQ(ref.rounds, 0u);
+  EXPECT_EQ(ref.local_items, 0u);
+}
+
+TEST(ClusterFlood, MatchesPushReferenceOnEarlyExitPadding) {
+  // A budget far past saturation takes the early exit: the silent rounds
+  // are replaced by one detection aggregation.
+  const u32 extra = 200;
+  const graph g = gen::grid(12, 12);
+  const cluster_flood_run ref = expect_flood_matches_push(
+      g, 3, [&](const cluster_decomposition& cd) {
+        return cd.flood_budget() + extra;
+      });
+  EXPECT_LT(ref.rounds, extra);
+  ASSERT_GT(ref.rounds, aggregation_rounds(g.num_nodes()));
+  // A budget whose last round is the first silent one exits without the
+  // aggregation: nothing is left to save.
+  const u32 silent = static_cast<u32>(ref.rounds) -
+                     aggregation_rounds(g.num_nodes());
+  const cluster_flood_run exact = expect_flood_matches_push(
+      g, 3, [&](const cluster_decomposition&) { return silent; });
+  EXPECT_EQ(exact.rounds, silent);
 }
 
 // ---- aggregation (Lemma B.2) ------------------------------------------------
