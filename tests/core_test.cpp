@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/apsp.hpp"
 #include "core/apsp_baseline.hpp"
@@ -99,6 +100,14 @@ struct kssp_case {
   u64 max_w;  // 1 = unweighted
   bool inject;
 };
+
+// CTest names each case by how gtest prints its parameter. Without this,
+// gtest prints the struct's raw bytes, padding included, and the padding can
+// hold address bits that change from one test-discovery run to the next.
+void PrintTo(const kssp_case& c, std::ostream* os) {
+  static const char* const kinds[] = {"er", "grid", "path"};
+  *os << kinds[c.graph_kind] << "_w" << c.max_w << (c.inject ? "_inject" : "");
+}
 
 class KsspApprox : public ::testing::TestWithParam<kssp_case> {};
 

@@ -193,8 +193,11 @@ TEST(Integration, DiameterBranchSwitchesWithEta) {
 
 // ---- exactness across the full family matrix ---------------------------------
 
+// CTest names a case by the raw bytes of its parameter, so the struct must
+// have no padding: a padding byte holds stack garbage that can change with
+// the address-space layout of each test-discovery run.
 struct family_case {
-  int kind;
+  u64 kind;
   u64 max_w;
 };
 
