@@ -17,6 +17,14 @@ namespace hybrid {
 /// Distance infinity; chosen so that INF + any edge weight cannot overflow.
 inline constexpr u64 kInfDist = ~u64{0} / 4;
 
+/// Largest edge weight an n-node graph accepts: (n-1)·w < kInfDist/8, so a
+/// shortest-path sum (at most n-1 edges) plus one more edge, and label
+/// compositions of up to five such sums, can never reach or wrap past
+/// kInfDist. Weights are polynomial in n in the paper, far below this.
+constexpr u64 max_edge_weight(u32 n) {
+  return n <= 1 ? kInfDist / 8 - 1 : (kInfDist / 8 - 1) / (n - 1);
+}
+
 struct edge {
   u32 to;
   u64 weight;
@@ -33,7 +41,8 @@ class graph {
   graph() = default;
 
   /// Build from an undirected edge list. Parallel edges are collapsed to the
-  /// lightest; self-loops are rejected.
+  /// lightest; self-loops and weights outside [1, max_edge_weight(n)] are
+  /// rejected.
   static graph from_edges(u32 n, std::span<const edge_spec> edges);
 
   u32 num_nodes() const { return n_; }

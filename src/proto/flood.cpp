@@ -6,6 +6,9 @@
 // bit-for-bit (same known/next orderings, same tie-breaks). The
 // frontier-emptiness checks that drive early exit are any_node reductions —
 // order-insensitive, so thread-count-invariant like every other observable.
+// limited_bellman_ford and full_local_exploration are dense-row
+// instantiations of the relaxation kernel (proto/relax_kernel.hpp); the
+// hop and table floods below keep their own seen-set loops.
 // Fault healing (docs/FAULTS.md): under local-plane faults each primitive
 // that can self-heal switches to a re-offer variant — every round every node
 // offers its whole held set to its neighbors (not just the last round's
@@ -34,6 +37,7 @@
 #include <tuple>
 
 #include "proto/aggregation.hpp"
+#include "proto/relax_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
 
@@ -211,6 +215,32 @@ void pareto_insert(std::vector<pareto_entry>& set, u64 dist, u32 hops,
   set.insert(pos, {dist, hops, via});
 }
 
+/// limited_bellman_ford's rows: one |sources|-wide dense row per node,
+/// keyed by source position (duplicate sources get identical columns).
+template <class Hook>
+std::vector<relax::dense_row> bellman_ford_rows(
+    round_executor& ex, const graph& g, const std::vector<u32>& sources,
+    u32 h, const Hook& hook) {
+  std::vector<relax::dense_row> rows = relax::dense_rows(
+      ex, g.num_nodes(), static_cast<u32>(sources.size()), /*vias=*/true);
+  relax::run(ex, rows, {&sources, /*by_index=*/true}, h,
+             relax::graph_edges{g}, hook);
+  return rows;
+}
+
+/// Per node, the reached sources in index order with their vias.
+std::vector<std::vector<source_distance>> by_source_index(
+    round_executor& ex, const std::vector<relax::dense_row>& rows) {
+  std::vector<std::vector<source_distance>> out(rows.size());
+  ex.for_nodes(static_cast<u32>(rows.size()), [&](u32 v) {
+    const relax::dense_row& row = rows[v];
+    for (u32 i = 0; i < row.dist.size(); ++i)
+      if (row.dist[i] != kInfDist)
+        out[v].push_back({i, row.dist[i], row.via[i]});
+  });
+  return out;
+}
+
 std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h) {
   const graph& g = net.g();
@@ -285,62 +315,26 @@ std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
     });
     quiet = heal_next_quiet(net, exec, n, quiet, changed);
   }
-  // Referee: replay the reliable relaxation sequentially, in memory — no
-  // simulated traffic — including its via tie-breaking (first neighbor in
-  // adjacency order that strictly improves, per round), and require the
-  // healed distance fronts to match exactly. Healed entries are always
-  // realized by ≤h-hop walks, so any divergence means the stability
-  // heuristic fired before convergence. The referee's result is what gets
-  // returned: healed vias depend on which copy survived the drop pattern,
-  // while the callers' determinism contract promises labels bit-identical
-  // to the fault-free run.
-  std::vector<std::vector<u64>> ref(n, std::vector<u64>(s_count, kInfDist));
-  std::vector<std::vector<u32>> ref_via(n, std::vector<u32>(s_count, ~u32{0}));
-  {
-    std::vector<std::vector<source_distance>> frontier(n);
-    for (u32 i = 0; i < s_count; ++i)
-      if (ref[sources[i]][i] > 0) {
-        ref[sources[i]][i] = 0;
-        ref_via[sources[i]][i] = sources[i];
-        frontier[sources[i]].push_back({i, 0, sources[i]});
-      }
-    for (u32 r = 0; r < h; ++r) {
-      std::vector<std::vector<source_distance>> next(n);
-      bool any = false;
-      for (u32 v = 0; v < n; ++v) {
-        for (const edge& e : g.neighbors(v))
-          for (const source_distance& f : frontier[e.to]) {
-            const u64 nd = f.dist + e.weight;
-            if (nd < ref[v][f.source]) {
-              ref[v][f.source] = nd;
-              ref_via[v][f.source] = e.to;
-              next[v].push_back({f.source, nd, e.to});
-            }
-          }
-        next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                     [&](const source_distance& sd) {
-                                       return sd.dist != ref[v][sd.source];
-                                     }),
-                      next[v].end());
-        any = any || !next[v].empty();
-      }
-      frontier = std::move(next);
-      if (!any) break;
-    }
-    for (u32 v = 0; v < n; ++v)
-      for (u32 i = 0; i < s_count; ++i)
-        if ((cur[v][i].empty() ? kInfDist : cur[v][i].front().dist) !=
-            ref[v][i])
-          throw fault_failure(
-              "limited_bellman_ford healing stabilized before convergence");
-  }
-  for (; used < h; ++used) net.advance_round();
-  if (used > h) net.note_extra_rounds(used - h);
-  std::vector<std::vector<source_distance>> out(n);
+  // Referee: rerun the reliable relaxation kernel as free local
+  // computation — no simulated traffic — including its via tie-breaking
+  // (first neighbor in adjacency order that strictly improves, per round),
+  // and require the healed distance fronts to match exactly. Healed
+  // entries are always realized by ≤h-hop walks, so any divergence means
+  // the stability heuristic fired before convergence. The referee's result
+  // is what gets returned: healed vias depend on which copy survived the
+  // drop pattern, while the callers' determinism contract promises labels
+  // bit-identical to the fault-free run.
+  const std::vector<relax::dense_row> ref =
+      bellman_ford_rows(exec, g, sources, h, relax::no_hook{});
   for (u32 v = 0; v < n; ++v)
     for (u32 i = 0; i < s_count; ++i)
-      if (ref[v][i] != kInfDist) out[v].push_back({i, ref[v][i], ref_via[v][i]});
-  return out;
+      if ((cur[v][i].empty() ? kInfDist : cur[v][i].front().dist) !=
+          ref[v].dist[i])
+        throw fault_failure(
+            "limited_bellman_ford healing stabilized before convergence");
+  for (; used < h; ++used) net.advance_round();
+  if (used > h) net.note_extra_rounds(used - h);
+  return by_source_index(exec, ref);
 }
 
 std::vector<std::vector<u32>> healed_table_flood(
@@ -518,73 +512,10 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
     }
     return healed_limited_bellman_ford(net, sources, h);
   }
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const u32 s_count = static_cast<u32>(sources.size());
-  // dist[v] is v's current vector of limited distances (kInfDist = unknown);
-  // via[v] the neighbor the best value arrived through.
-  std::vector<std::vector<u64>> dist(n);
-  std::vector<std::vector<u32>> via(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].assign(s_count, kInfDist);
-    via[v].assign(s_count, ~u32{0});
-  }
-  // Frontier entries carry the value as of the round they were produced, so
-  // one synchronous round advances a value exactly one hop (the hop budget
-  // is what makes d_h well-defined).
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 i = 0; i < s_count; ++i) {
-    HYB_REQUIRE(sources[i] < n, "source out of range");
-    if (dist[sources[i]][i] != 0) {
-      dist[sources[i]][i] = 0;
-      via[sources[i]][i] = sources[i];
-      frontier[sources[i]].push_back({i, 0, sources[i]});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from) {
-          const u64 nd = f.dist + e.weight;
-          if (nd < dist[v][f.source]) {
-            dist[v][f.source] = nd;
-            via[v][f.source] = e.to;
-            next[v].push_back({f.source, nd, e.to});
-          }
-        }
-      }
-      // Drop superseded entries (a later, smaller update for the same
-      // source makes earlier queued ones redundant). dist[v] is final for
-      // the round once this step ends — only v's own step writes it.
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dist[v][sd.source];
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  std::vector<std::vector<source_distance>> out(n);
-  for (u32 v = 0; v < n; ++v)
-    for (u32 i = 0; i < s_count; ++i)
-      if (dist[v][i] != kInfDist)
-        out[v].push_back({i, dist[v][i], via[v][i]});
-  return out;
+  return by_source_index(
+      net.executor(),
+      bellman_ford_rows(net.executor(), net.g(), sources, h,
+                        relax::net_hook{net, advance_rounds}));
 }
 
 std::vector<std::vector<u64>> full_local_exploration(
@@ -608,53 +539,16 @@ std::vector<std::vector<u64>> full_local_exploration(
       }
     return dist;
   }
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
+  std::vector<relax::dense_row> rows =
+      relax::dense_rows(net.executor(), n, n, first_hop != nullptr);
+  relax::run(net.executor(), rows, {}, h, relax::graph_edges{net.g()},
+             relax::net_hook{net, advance_rounds});
   std::vector<std::vector<u64>> dist(n);
-  if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-  // As in limited_bellman_ford, frontier entries carry the value of the
-  // producing round so information moves one hop per round.
-  std::vector<std::vector<source_distance>> frontier(n);
+  if (first_hop) first_hop->assign(n, {});
   for (u32 v = 0; v < n; ++v) {
-    dist[v].assign(n, kInfDist);
-    dist[v][v] = 0;
-    if (first_hop) (*first_hop)[v][v] = v;
-    frontier[v].push_back({v, 0, v});
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from) {
-          const u64 nd = f.dist + e.weight;
-          if (nd < dist[v][f.source]) {
-            dist[v][f.source] = nd;
-            if (first_hop) (*first_hop)[v][f.source] = e.to;
-            next[v].push_back({f.source, nd, e.to});
-          }
-        }
-      }
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dist[v][sd.source];
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
+    dist[v] = std::move(rows[v].dist);
+    if (first_hop) (*first_hop)[v] = std::move(rows[v].via);
   }
   return dist;
 }
@@ -670,7 +564,10 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
   const graph& g = net.g();
   const u32 n = g.num_nodes();
   std::vector<std::vector<u32>> holds(n);
+  // frontier[v] = tables first received by v in the previous round; next
+  // is its double buffer, cleared in place each round.
   std::vector<std::vector<u32>> frontier(n);
+  std::vector<std::vector<u32>> next(n);
   std::vector<std::vector<char>> seen(n);
   for (u32 v = 0; v < n; ++v) seen[v].assign(publishers.size(), 0);
   for (u32 i = 0; i < publishers.size(); ++i) {
@@ -683,8 +580,8 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
     }
   }
   for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
     const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
+      next[v].clear();
       u64 mine = 0;
       for (const edge& e : g.neighbors(v)) {
         for (u32 i : frontier[e.to]) {
@@ -701,7 +598,7 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
     net.charge_local(items);
     net.note_local_delivered(items);
     net.advance_round();
-    frontier = std::move(next);
+    frontier.swap(next);
     const bool any = net.executor().any_node(
         n, [&](u32 v) { return !frontier[v].empty(); });
     if (!any && r < rounds) {
@@ -738,14 +635,15 @@ std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds) {
   const u32 words = (n + 63) / 64;
   std::vector<std::vector<u64>> seen(n, std::vector<u64>(words, 0));
   std::vector<std::vector<u32>> frontier(n);
+  std::vector<std::vector<u32>> next(n);  // double buffer, cleared in place
   std::vector<u32> ecc(n, 0);
   for (u32 v = 0; v < n; ++v) {
     seen[v][v / 64] |= u64{1} << (v % 64);
     frontier[v].push_back(v);
   }
   for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
     const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
+      next[v].clear();
       u64 mine = 0;
       for (const edge& e : g.neighbors(v)) {
         const std::vector<u32>& from = frontier[e.to];
@@ -765,7 +663,7 @@ std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds) {
     net.charge_local(items);
     net.note_local_delivered(items);
     net.advance_round();
-    frontier = std::move(next);
+    frontier.swap(next);
     const bool any = net.executor().any_node(
         n, [&](u32 v) { return !frontier[v].empty(); });
     if (!any && r < rounds) {

@@ -80,7 +80,9 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
 /// (3) Full h-hop-limited APSP: matrix[u][v] = d_h(u, v) (kInfDist when v is
 /// outside u's h-hop horizon). Quadratic memory — callers bound n; for the
 /// neighborhood-bounded O(Σ|ball_h(v)|) variant the cores use, see
-/// proto/sparse_exploration.hpp (bit-identical triples and charging).
+/// proto/sparse_exploration.hpp. (2) and (3) run the relaxation kernel of
+/// proto/relax_kernel.hpp, as do the exploration entry points there, so
+/// triples and charging agree by construction.
 /// When `first_hop` is non-null it receives an n×n matrix with each node's
 /// first hop on a d_h-realizing path to the target (self on the diagonal,
 /// ~0u when unreachable).

@@ -58,9 +58,9 @@ skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
     // Memory-sparse path: the dense limited Bellman–Ford keeps an n_s-wide
     // row per node — O(n·n_s) words, which at n = 10⁵ with p ≈ 0.05 is the
     // multi-GB blowup the two-level bench exposed. run_local_exploration
-    // produces the same triples with the same round/message charging (the
-    // exploration equivalence contract; below the dense cutoff it literally
-    // wraps limited_bellman_ford), bounded by O(Σ|ball_h|) instead.
+    // produces the same triples with the same round/message charging (both
+    // run the relaxation kernel of proto/relax_kernel.hpp, below the dense
+    // cutoff even with the same dense rows), bounded by O(Σ|ball_h|) instead.
     const sparse_exploration_result res = run_local_exploration(
         net, sk.h, /*advance_rounds=*/true, &sk.nodes, /*first_hops=*/true);
     sk.near.assign(n, {});

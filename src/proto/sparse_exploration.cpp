@@ -1,15 +1,17 @@
-// Sparse h-hop exploration: the dense pull loops of proto/flood.cpp with
-// the n-wide per-node distance vectors replaced by sparse_dist_maps. The
-// round structure, pull order, relaxation condition, frontier filtering,
-// charging, and early-exit round accounting are kept line-for-line
-// equivalent, which is what makes the sparse path bit-identical to the
-// dense one (the differential suite asserts it, triples and metrics both).
+// h-hop exploration entry points and the healed exploration engine. Every
+// reliable loop here — sparse, dense, explore_adjacency and the healed
+// engine's referee — is an instantiation of the one relaxation kernel in
+// proto/relax_kernel.hpp; the sparse path differs from the dense one only
+// in its row type (sparse_dist_map instead of an n-wide row), which is
+// what makes the two bit-identical (the differential suite asserts it,
+// triples and metrics both).
 #include "proto/sparse_exploration.hpp"
 
 #include <algorithm>
 #include <tuple>
 
 #include "proto/flood.hpp"
+#include "proto/relax_kernel.hpp"
 #include "util/assert.hpp"
 
 namespace hybrid {
@@ -30,68 +32,21 @@ void require_distinct(const std::vector<u32>& sources, u32 n) {
   HYB_REQUIRE(sorted.empty() || sorted.back() < n, "source out of range");
 }
 
-/// Sequential reliable replica of sparse_local_exploration's round loop —
-/// the healed engine's referee. Pure function of the graph (no simulated
-/// traffic, no randomness): per-node relaxation order, frontier filtering,
-/// and the final source-sorted flatten match the executor path line for
-/// line, so the result is the bit-identical canonical fixed point the
-/// fault-free run would return. `weight_of` abstracts the unit-weight mode
-/// (truncated_eccentricity floods hop counts, not weighted distances).
+/// The healed engine's referee: the reliable kernel run as free local
+/// computation (no simulated traffic, no randomness), so its flattened
+/// result is the canonical fixed point the fault-free run returns, vias
+/// included. `unit_weights` floods hop counts instead of weighted distances
+/// (truncated_eccentricity).
 sparse_exploration_result reliable_exploration_reference(
-    const graph& g, u32 h, const std::vector<u32>* sources, bool first_hops,
-    bool unit_weights) {
-  const u32 n = g.num_nodes();
-  std::vector<sparse_dist_map> dist(n);
-  std::vector<std::vector<source_distance>> frontier(n);
-  if (sources) {
-    for (u32 s : *sources) {
-      dist[s].relax(s, 0, s);
-      frontier[s].push_back({s, 0, s});
-    }
-  } else {
-    for (u32 v = 0; v < n; ++v) {
-      dist[v].relax(v, 0, v);
-      frontier[v].push_back({v, 0, v});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    bool any = false;
-    for (u32 v = 0; v < n; ++v) {
-      sparse_dist_map& dv = dist[v];
-      for (const edge& e : g.neighbors(v)) {
-        const u64 w = unit_weights ? 1 : e.weight;
-        for (const source_distance& f : frontier[e.to])
-          if (dv.relax(f.source, f.dist + w, e.to))
-            next[v].push_back({f.source, f.dist + w, e.to});
-      }
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-      any = any || !next[v].empty();
-    }
-    frontier = std::move(next);
-    if (!any) break;
-  }
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  for (u32 v = 0; v < n; ++v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    if (!first_hops)
-      for (u32 k = 0; k < src.size(); ++k) at[k].first_hop = ~u32{0};
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  }
-  return out;
+    round_executor& ex, const graph& g, u32 h,
+    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
+  std::vector<sparse_dist_map> rows(g.num_nodes());
+  const relax::sources src{sources};
+  if (unit_weights)
+    relax::run(ex, rows, src, h, relax::unit_edges{g}, relax::no_hook{});
+  else
+    relax::run(ex, rows, src, h, relax::graph_edges{g}, relax::no_hook{});
+  return relax::flatten(ex, rows, src, first_hops);
 }
 
 /// One Pareto-minimal (dist, hops) pair the healed engine holds for a
@@ -324,7 +279,7 @@ sparse_exploration_result healed_local_exploration(
   // The referee fixed point is computed once — it is a pure function of the
   // graph, so retries only redraw the fault schedule, never the target.
   const sparse_exploration_result ref = reliable_exploration_reference(
-      net.g(), h, sources, first_hops, unit_weights);
+      net.executor(), net.g(), h, sources, first_hops, unit_weights);
   const u64 nominal = advance_rounds ? h : 0;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
@@ -359,77 +314,13 @@ sparse_exploration_result sparse_local_exploration(
   if (net.local_faults_active())
     return healed_local_exploration(net, h, advance_rounds, sources,
                                     first_hops);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<sparse_dist_map> dist(n);
-  // As in the dense loops, frontier entries carry the value of the round
-  // that produced them, so information moves exactly one hop per round;
-  // source_distance::source holds the source NODE id here.
-  std::vector<std::vector<source_distance>> frontier(n);
-  if (sources) {
-    require_distinct(*sources, n);
-    for (u32 s : *sources) {
-      dist[s].relax(s, 0, s);
-      frontier[s].push_back({s, 0, s});
-    }
-  } else {
-    for (u32 v = 0; v < n; ++v) {
-      dist[v].relax(v, 0, v);
-      frontier[v].push_back({v, 0, v});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      sparse_dist_map& dv = dist[v];
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from)
-          if (dv.relax(f.source, f.dist + e.weight, e.to))
-            next[v].push_back({f.source, f.dist + e.weight, e.to});
-      }
-      // Drop superseded entries — a later, smaller update for the same
-      // source makes earlier queued ones redundant (same filter as the
-      // dense loops; dv is final for the round once this step ends).
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  // Flatten the per-node maps into the CSR arena, each node's triples
-  // sorted by source id (canonical order, thread-count-invariant).
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v) out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    if (!first_hops)
-      for (u32 k = 0; k < src.size(); ++k) at[k].first_hop = ~u32{0};
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  const u32 n = net.n();
+  if (sources) require_distinct(*sources, n);
+  std::vector<sparse_dist_map> rows(n);
+  const relax::sources src{sources};
+  relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
+             relax::net_hook{net, advance_rounds});
+  return relax::flatten(net.executor(), rows, src, first_hops);
 }
 
 sparse_exploration_result dense_local_exploration(
@@ -439,92 +330,24 @@ sparse_exploration_result dense_local_exploration(
     return healed_local_exploration(net, h, advance_rounds, sources,
                                     first_hops);
   const u32 n = net.n();
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  if (!sources) {
-    // The n² u32 first-hop matrix is only materialized when asked for.
-    std::vector<std::vector<u32>> first_hop;
-    const std::vector<std::vector<u64>> dist = full_local_exploration(
-        net, h, advance_rounds, first_hops ? &first_hop : nullptr);
-    for (u32 v = 0; v < n; ++v) {
-      u64 reached = 0;
-      for (u32 s = 0; s < n; ++s) reached += dist[v][s] != kInfDist;
-      out.offsets[v + 1] = out.offsets[v] + reached;
-    }
-    out.entries.resize(out.offsets[n]);
-    net.executor().for_nodes(n, [&](u32 v) {
-      exploration_entry* at = out.entries.data() + out.offsets[v];
-      for (u32 s = 0; s < n; ++s)
-        if (dist[v][s] != kInfDist)
-          *at++ = {dist[v][s], s, first_hops ? first_hop[v][s] : ~u32{0}};
-    });
-    return out;
-  }
-  require_distinct(*sources, n);
-  const std::vector<std::vector<source_distance>> got =
-      limited_bellman_ford(net, *sources, h, advance_rounds);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + got[v].size();
-  out.entries.resize(out.offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    for (const source_distance& sd : got[v])
-      *at++ = {sd.dist, (*sources)[sd.source],
-               first_hops ? sd.via : ~u32{0}};
-    std::sort(out.entries.data() + out.offsets[v], at,
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  if (sources) require_distinct(*sources, n);
+  // n-wide rows for all sources, |sources|-wide rows keyed by position for
+  // a subset; vias are only stored when asked for.
+  std::vector<relax::dense_row> rows = relax::dense_rows(
+      net.executor(), n, sources ? static_cast<u32>(sources->size()) : n,
+      first_hops);
+  const relax::sources src{sources, /*by_index=*/sources != nullptr};
+  relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
+             relax::net_hook{net, advance_rounds});
+  return relax::flatten(net.executor(), rows, src, first_hops);
 }
 
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex) {
-  const u32 n = static_cast<u32>(adj.size());
-  std::vector<sparse_dist_map> dist(n);
-  // Same pull-based frontier as sparse_local_exploration, minus the net:
-  // frontier entries carry the value of the iteration that produced them,
-  // so information moves one hop per iteration; `source` is the vertex
-  // index of `adj` (its own id space).
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].relax(v, 0, v);
-    frontier[v].push_back({v, 0, v});
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    ex.for_nodes(n, [&](u32 v) {
-      sparse_dist_map& dv = dist[v];
-      for (const auto& [to, w] : adj[v])
-        for (const source_distance& f : frontier[to])
-          if (dv.relax(f.source, f.dist + w, to))
-            next[v].push_back({f.source, f.dist + w, to});
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-    });
-    frontier = std::move(next);
-    if (!ex.any_node(n, [&](u32 v) { return !frontier[v].empty(); })) break;
-  }
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  ex.for_nodes(n, [&](u32 v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  std::vector<sparse_dist_map> rows(adj.size());
+  relax::run(ex, rows, {}, h, relax::adjacency_edges{adj}, relax::no_hook{});
+  return relax::flatten(ex, rows, {}, /*first_hops=*/true);
 }
 
 sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,

@@ -12,15 +12,13 @@
 // "run local exploration in parallel" step only ever needs the h-ball.
 //
 // Equivalence contract (differentially tested in
-// tests/sparse_exploration_test.cpp, gated in CI):
-//   * the sparse path produces the same (source, dist, first_hop) triples
-//     as the dense path, bit for bit, at every thread count;
-//   * it charges the same local traffic and advances the same rounds —
-//     the round loop is structurally identical, only the per-node distance
-//     storage differs;
-//   * tie-breaks are identical: the first neighbor in sorted adjacency
-//     order that strictly improves a source's distance becomes the first
-//     hop, exactly as in the dense pull loops (docs/CONCURRENCY.md §3).
+// tests/sparse_exploration_test.cpp, gated in CI): the sparse and dense
+// paths are two instantiations of one round loop, the relaxation kernel in
+// proto/relax_kernel.hpp, that differ only in their per-node row type. So
+// they produce the same (source, dist, first_hop) triples, bit for bit, at
+// every thread count, and charge the same traffic and rounds; first hops
+// tie-break the same way (the first neighbor in sorted adjacency order
+// that strictly improves a source's distance, docs/CONCURRENCY.md §3).
 #pragma once
 
 #include <span>
@@ -53,7 +51,7 @@ class sparse_dist_map {
 
   /// The relaxation primitive: adopt (nd, via) iff nd strictly improves on
   /// the current distance (absent counts as kInfDist). Returns true when it
-  /// did — the exact condition the dense loops use to extend the frontier.
+  /// did — the condition the relaxation kernel extends the frontier on.
   bool relax(u32 source, u64 nd, u32 via);
 
   /// Reached sources in insertion (discovery) order.
@@ -103,11 +101,10 @@ sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
 
-/// The dense reference path behind the same interface: runs
-/// full_local_exploration (or limited_bellman_ford for a source subset)
-/// and flattens the n-wide rows into the sparse triple format. O(n²)
-/// memory — callers bound n; kept for small instances and for
-/// differentially testing the sparse path.
+/// The dense path behind the same interface: the relaxation kernel over
+/// n-wide rows (|sources|-wide for a subset), flattened into the sparse
+/// triple format. O(n²) memory — callers bound n; it wins on small
+/// instances whose balls saturate (docs/ARCHITECTURE.md §6.2).
 sparse_exploration_result dense_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
@@ -129,8 +126,8 @@ sparse_exploration_result run_local_exploration(
 /// weight) pairs; entries come back sorted by source INDEX (the vertices of
 /// `adj` are their own id space), first_hop = the producing neighbor index
 /// (self at the source). Deterministic and bit-identical at every thread
-/// count of `ex` — the relaxation loop is the pull-based frontier of
-/// limited_bellman_ford with per-node state private to each for_nodes item.
+/// count of `ex` — it is the relaxation kernel (proto/relax_kernel.hpp)
+/// with sparse rows and no round or traffic accounting.
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex);
@@ -143,8 +140,9 @@ sparse_exploration_result explore_adjacency(
 /// (dist, hops) sets per source with per-entry epoch stamps, re-offers every
 /// extendable entry each round (stamped re-offers count as retransmitted)
 /// until a crash-aware quiet window, then validates the converged state
-/// against a sequential reliable recomputation of the ball-triple fixed
-/// point Σ|ball_h(v)| and throws fault_failure on premature stability —
+/// against a reliable recomputation of the ball-triple fixed point
+/// Σ|ball_h(v)| (the relaxation kernel as free local computation) and
+/// throws fault_failure on premature stability —
 /// retrying up to four times with fresh fault draws (the round counter
 /// moved) before giving up. On success it returns the referee's canonical
 /// triples, so the result is bit-identical to the fault-free run, vias and

@@ -382,20 +382,26 @@ TEST(FaultHealing, FloodMatchesFaultFreeReachabilityAndBoundsHops) {
 }
 
 TEST(FaultHealing, BellmanFordExactDistancesUnderDrops) {
-  const u32 n = 24;
-  const graph g = gen::erdos_renyi_connected(n, 3.0, 9, 21);  // weighted
+  // Vias too: the unweighted grid is full of equal-distance ties, which
+  // the drop pattern would break differently from the fault-free run.
+  const graph graphs[] = {gen::erdos_renyi_connected(24, 3.0, 9, 21),
+                          gen::grid(5, 5)};
   const std::vector<u32> sources = {0, 7};
-  hybrid_net clean(g, default_cfg(), 3);
-  const auto want = limited_bellman_ford(clean, sources, n);
-  for (u64 fs = 0; fs < 10; ++fs) {
-    hybrid_net net(g, default_cfg(), 3,
-                   with_faults(drop_local_opts(0.3, fs), 2));
-    const auto got = limited_bellman_ford(net, sources, n);
-    for (u32 v = 0; v < n; ++v) {
-      ASSERT_EQ(got[v].size(), want[v].size()) << v << " fs=" << fs;
-      for (u32 i = 0; i < got[v].size(); ++i) {
-        EXPECT_EQ(got[v][i].source, want[v][i].source) << v;
-        EXPECT_EQ(got[v][i].dist, want[v][i].dist) << v << " fs=" << fs;
+  for (const graph& g : graphs) {
+    const u32 n = g.num_nodes();
+    hybrid_net clean(g, default_cfg(), 3);
+    const auto want = limited_bellman_ford(clean, sources, n);
+    for (u64 fs = 0; fs < 10; ++fs) {
+      hybrid_net net(g, default_cfg(), 3,
+                     with_faults(drop_local_opts(0.3, fs), 2));
+      const auto got = limited_bellman_ford(net, sources, n);
+      for (u32 v = 0; v < n; ++v) {
+        ASSERT_EQ(got[v].size(), want[v].size()) << v << " fs=" << fs;
+        for (u32 i = 0; i < got[v].size(); ++i) {
+          EXPECT_EQ(got[v][i].source, want[v][i].source) << v;
+          EXPECT_EQ(got[v][i].dist, want[v][i].dist) << v << " fs=" << fs;
+          EXPECT_EQ(got[v][i].via, want[v][i].via) << v << " fs=" << fs;
+        }
       }
     }
   }

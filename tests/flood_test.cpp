@@ -113,6 +113,34 @@ TEST(LimitedBellmanFord, ManySourcesMatchReference) {
   }
 }
 
+TEST(LimitedBellmanFord, DuplicateSourceGetsIdenticalRows) {
+  // Sources are indices: a node listed twice is explored once per index,
+  // and both indices come back with identical (dist, via) entries.
+  const graph g = gen::erdos_renyi_connected(30, 3.0, 7, 5);
+  const std::vector<u32> sources = {3, 3, 5};
+  const u32 h = 4;
+  for (u32 threads : {1u, 2u, 8u}) {
+    sim_options so;
+    so.threads = threads;
+    hybrid_net net(g, cfg(), 1, so);
+    const auto got = limited_bellman_ford(net, sources, h);
+    const auto ref = limited_distance(g, 3, h);
+    for (u32 v = 0; v < 30; ++v) {
+      std::vector<source_distance> first;
+      std::vector<source_distance> second;
+      for (const source_distance& sd : got[v]) {
+        if (sd.source == 0) first.push_back(sd);
+        if (sd.source == 1) second.push_back({0, sd.dist, sd.via});
+      }
+      EXPECT_EQ(first, second) << "node " << v << " threads " << threads;
+      EXPECT_EQ(first.size(), ref[v] < kInfDist ? 1u : 0u) << v;
+      if (!first.empty()) {
+        EXPECT_EQ(first[0].dist, ref[v]) << v;
+      }
+    }
+  }
+}
+
 TEST(LimitedBellmanFord, ChargesTrafficInParallelMode) {
   const graph g = gen::grid(8, 8);
   hybrid_net net(g, cfg(), 1);

@@ -42,6 +42,25 @@ TEST(Graph, RejectsBadEdges) {
                std::invalid_argument);
 }
 
+TEST(Graph, WeightBoundKeepsPathSumsBelowInfinity) {
+  // Accept exactly the weights with (n-1)·w < kInfDist/8.
+  for (const u32 n : {2u, 3u, 1000u}) {
+    const u64 w = max_edge_weight(n);
+    EXPECT_LT(u64{n - 1} * w, kInfDist / 8) << n;
+    EXPECT_GE(u64{n - 1} * (w + 1), kInfDist / 8) << n;
+    const graph g = graph::from_edges(n, std::vector<edge_spec>{{0, 1, w}});
+    EXPECT_EQ(g.max_weight(), w) << n;
+    EXPECT_THROW(
+        graph::from_edges(n, std::vector<edge_spec>{{0, 1, w + 1}}),
+        std::invalid_argument)
+        << n;
+  }
+  // A heavy parallel edge is rejected even when a lighter one exists.
+  EXPECT_THROW(graph::from_edges(2, std::vector<edge_spec>{{0, 1, 1},
+                                                           {1, 0, kInfDist}}),
+               std::invalid_argument);
+}
+
 TEST(Graph, DisconnectedDetected) {
   const graph g = graph::from_edges(4, std::vector<edge_spec>{{0, 1, 1}, {2, 3, 1}});
   EXPECT_FALSE(g.is_connected());

@@ -195,6 +195,29 @@ TEST(ExploreAdjacency, MatchesBruteForceAtEveryThreadCount) {
   }
 }
 
+TEST(ExploreAdjacency, GraphAdjacencyMatchesNetExplorations) {
+  // Over a graph's own (sorted) adjacency, the pure explicit-list
+  // instantiation must return exactly what both net-charged exploration
+  // paths return on that graph: same triples, first hops included.
+  const graph g = gen::erdos_renyi_connected(60, 3.5, 9, 12);
+  std::vector<std::vector<std::pair<u32, u64>>> adj(g.num_nodes());
+  for (u32 v = 0; v < g.num_nodes(); ++v)
+    for (const edge& e : g.neighbors(v)) adj[v].push_back({e.to, e.weight});
+  const u32 h = 4;
+  for (u32 threads : {1u, 2u, 8u}) {
+    sim_options so;
+    so.threads = threads;
+    round_executor ex(so);
+    const sparse_exploration_result res = explore_adjacency(adj, h, ex);
+    hybrid_net sparse_net(g, cfg(), 12, so);
+    EXPECT_EQ(res, sparse_local_exploration(sparse_net, h, true))
+        << "threads " << threads;
+    hybrid_net dense_net(g, cfg(), 12, so);
+    EXPECT_EQ(res, dense_local_exploration(dense_net, h, true))
+        << "threads " << threads;
+  }
+}
+
 // ---- super-skeleton (the two-level hierarchy's level 2) ---------------------
 
 TEST(SuperSkeleton, TablesMatchSkeletonGraphReferences) {
