@@ -28,6 +28,10 @@
 //
 // All primitives run over the whole graph; restricting propagation to a
 // cluster is done by the clustering utilities (proto/clustering.hpp).
+//
+// Under local-plane faults (1), (2), (4) and every exploration heal through
+// the one re-offer loop of proto/heal_kernel.hpp and return the fault-free
+// result or throw fault_failure (docs/FAULTS.md §3).
 #pragma once
 
 #include <memory>
@@ -70,9 +74,9 @@ struct source_distance {
 /// local exploration in parallel with the rest of the algorithm" trick
 /// (Lemma 4.3's final paragraph): traffic is charged but rounds are not.
 /// Under local-plane faults the frozen-round trick is unavailable (healing
-/// needs fresh fault draws, so the counter must move): the call falls back
-/// to the healed advancing path automatically, with every consumed round
-/// surfaced as extra_rounds (docs/FAULTS.md §3).
+/// needs fresh fault draws, so the counter must move): the healed path
+/// advances real rounds against a nominal budget of 0, so every consumed
+/// round surfaces as extra_rounds (docs/FAULTS.md §3).
 std::vector<std::vector<source_distance>> limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h,
     bool advance_rounds = true);
@@ -102,16 +106,8 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
 /// returns per node the largest hop at which it heard a new ID, i.e.
 /// h_v = max_{u in N_rounds(v)} hop(v, u) truncated at `rounds`
 /// (Algorithm 9's h_v). Under local-plane faults the flood self-heals
-/// through the healed exploration engine (proto/sparse_exploration.hpp) and
+/// through the healed exploration engine (proto/heal_kernel.hpp) and
 /// returns the identical h_v vector.
 std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds);
-
-/// Quiet-window update shared by the self-healing re-offer loops
-/// (docs/FAULTS.md §3). Progress this round resets the counter; so does any
-/// node still being down — a paused node has pulls pending that only run
-/// after recovery, so its silence is not convergence (a never-recovering
-/// node pushes the loop into its budget and an explicit fault_failure).
-u32 heal_next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
-                    const std::vector<u8>& changed);
 
 }  // namespace hybrid

@@ -6,10 +6,13 @@
 // Internal header. Its instantiations are
 //   * sparse_local_exploration / dense_local_exploration  (net, graph edges)
 //   * limited_bellman_ford / full_local_exploration       (net, graph edges)
-//   * the healed engines' referees                        (pure, graph or
-//                                                          unit edges)
+//   * the referees of the healed limited_bellman_ford and (pure, graph or
+//     exploration engine                                   unit edges)
 //   * explore_adjacency                                   (pure, explicit
 //                                                          (to, w) lists)
+// The healed loops themselves are not among them: re-offering the whole
+// held set, the staged merge and the quiet window live in the re-offer
+// kernel of proto/heal_kernel.hpp.
 // and they differ only in three parameters:
 //   * the row type — sparse_dist_map (memory O(|ball_h(v)|)) or dense_row
 //     (K distances per node: K = n for all sources, or K = |sources| keyed

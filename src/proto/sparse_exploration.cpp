@@ -4,13 +4,14 @@
 // proto/relax_kernel.hpp; the sparse path differs from the dense one only
 // in its row type (sparse_dist_map instead of an n-wide row), which is
 // what makes the two bit-identical (the differential suite asserts it,
-// triples and metrics both).
+// triples and metrics both). The healed engine's rounds are the re-offer
+// kernel of proto/heal_kernel.hpp over Pareto rows keyed in discovery
+// order.
 #include "proto/sparse_exploration.hpp"
 
 #include <algorithm>
-#include <tuple>
 
-#include "proto/flood.hpp"
+#include "proto/heal_kernel.hpp"
 #include "proto/relax_kernel.hpp"
 #include "util/assert.hpp"
 
@@ -49,59 +50,6 @@ sparse_exploration_result reliable_exploration_reference(
   return relax::flatten(ex, rows, src, first_hops);
 }
 
-/// One Pareto-minimal (dist, hops) pair the healed engine holds for a
-/// source, stamped with the merge iteration that accepted it — offering a
-/// pair in any later iteration than stamp + 1 is a retransmission
-/// (docs/FAULTS.md §3's `retransmitted` counter).
-struct healed_pareto_entry {
-  u64 dist;
-  u32 hops;
-  u32 stamp;
-};
-
-/// Per-node healed state: sources in insertion (discovery) order, each with
-/// its dist-ascending / hops-strictly-descending Pareto set. Insertion
-/// order is a pure function of the merge history, which is deterministic
-/// and thread-count-invariant, so the per-edge offer enumeration (and with
-/// it every fault draw index) is too. Lookup is a linear scan — healed runs
-/// are test/bench sized, and the referee bounds the held set by the h-ball.
-struct healed_source_sets {
-  std::vector<u32> sources;
-  std::vector<std::vector<healed_pareto_entry>> sets;
-
-  u32 find(u32 source) const {
-    for (u32 k = 0; k < sources.size(); ++k)
-      if (sources[k] == source) return k;
-    return ~u32{0};
-  }
-  bool dominated(u32 source, u64 dist, u32 hops) const {
-    const u32 k = find(source);
-    if (k == ~u32{0}) return false;
-    for (const healed_pareto_entry& e : sets[k])
-      if (e.dist <= dist && e.hops <= hops) return true;
-    return false;
-  }
-  void insert(u32 source, u64 dist, u32 hops, u32 stamp) {
-    u32 k = find(source);
-    if (k == ~u32{0}) {
-      k = static_cast<u32>(sources.size());
-      sources.push_back(source);
-      sets.emplace_back();
-    }
-    std::vector<healed_pareto_entry>& set = sets[k];
-    set.erase(std::remove_if(set.begin(), set.end(),
-                             [&](const healed_pareto_entry& e) {
-                               return e.dist >= dist && e.hops >= hops;
-                             }),
-              set.end());
-    auto pos = std::lower_bound(set.begin(), set.end(), dist,
-                                [](const healed_pareto_entry& e, u64 d) {
-                                  return e.dist < d;
-                                });
-    set.insert(pos, {dist, hops, stamp});
-  }
-};
-
 /// One self-healing attempt: re-offer rounds until a crash-aware quiet
 /// window, then validate against the referee's fixed point. Returns normally
 /// on success; throws fault_failure on budget exhaustion or premature
@@ -113,104 +61,27 @@ void healed_exploration_attempt(hybrid_net& net, u32 h,
                                 bool unit_weights,
                                 const sparse_exploration_result& ref,
                                 u64& rounds_spent) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const fault_options& fo = net.faults();
-  round_executor& exec = net.executor();
-  std::vector<healed_source_sets> cur(n);
+  const u32 n = net.n();
+  heal::pareto_rows<heal::by_discovery> rows(n, h, unit_weights);
   if (sources) {
-    for (u32 s : *sources) cur[s].insert(s, 0, 0, 0);
+    for (u32 s : *sources) rows.seed(s, s);
   } else {
-    for (u32 v = 0; v < n; ++v) cur[v].insert(v, 0, 0, 0);
+    for (u32 v = 0; v < n; ++v) rows.seed(v, v);
   }
-  // (source, dist, hops) acceptances staged per round, merged after the
-  // barrier (steps read other nodes' cur, docs/CONCURRENCY.md).
-  std::vector<std::vector<std::tuple<u32, u64, u32>>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  std::vector<u64> retx(n, 0);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(h, 1) +
-                     fo.heal_stability_rounds;
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("local exploration healing budget exhausted");
-    const u32 it = static_cast<u32>(++used);
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      retx[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        // Offered set: every held pair that can still be extended within
-        // the hop budget. Enumerate once for the count (the adversarial
-        // mode needs it), once for the pulls.
-        const healed_source_sets& from = cur[e.to];
-        u32 count = 0;
-        for (const std::vector<healed_pareto_entry>& set : from.sets)
-          for (const healed_pareto_entry& pe : set)
-            if (pe.hops < h) ++count;
-        mine += count;
-        const u64 w = unit_weights ? 1 : e.weight;
-        u32 idx = 0;
-        for (u32 k = 0; k < from.sources.size(); ++k)
-          for (const healed_pareto_entry& pe : from.sets[k]) {
-            if (pe.hops >= h) continue;
-            // A pair first crosses edges in the iteration after its merge;
-            // any later crossing is a retransmission (counted whether or
-            // not this copy is then dropped — it did cross the edge).
-            if (pe.stamp + 1 < it) ++retx[v];
-            if (net.local_drop(e.to, v, idx++, count)) {
-              ++dropped[v];
-              continue;
-            }
-            const u64 nd = pe.dist + w;
-            const u32 nh = pe.hops + 1;
-            if (!cur[v].dominated(from.sources[k], nd, nh))
-              add[v].push_back({from.sources[k], nd, nh});
-          }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    u64 re = 0;
-    for (u32 v = 0; v < n; ++v) {
-      lost += dropped[v];
-      re += retx[v];
-    }
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.note_retransmitted(re);
-    // Rounds always advance, even for advance_rounds=false callers: a
-    // frozen counter would re-roll the same drops forever, so healing needs
-    // real rounds (the caller surfaces them all via note_extra_rounds).
-    net.advance_round();
-    ++rounds_spent;
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (const auto& [s, nd, nh] : add[v]) {
-        if (cur[v].dominated(s, nd, nh)) continue;
-        cur[v].insert(s, nd, nh, it);
-        changed[v] = 1;
-      }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
-  }
+  heal::run(net, rows, h, "local exploration", rounds_spent);
   // Referee check: the healed support is a subset of the reliable one
   // (every held pair is realized by a ≤h-hop walk), so matching reached
   // counts plus matching front distances on every referee entry means the
   // healed state IS the fixed point. Anything less is premature stability.
   for (u32 v = 0; v < n; ++v) {
+    const heal::by_discovery& row = rows.rows[v];
     const std::span<const exploration_entry> want = ref.reached(v);
-    if (cur[v].sources.size() != want.size())
+    if (row.keys.size() != want.size())
       throw fault_failure(
           "local exploration healing stabilized before reaching the h-ball");
     for (const exploration_entry& e : want) {
-      const u32 k = cur[v].find(e.source);
-      if (k == ~u32{0} || cur[v].sets[k].front().dist != e.dist)
+      const u32 k = row.find(e.source);
+      if (k == ~u32{0} || row.sets[k].front_dist() != e.dist)
         throw fault_failure(
             "local exploration healing stabilized before convergence");
     }
@@ -280,7 +151,6 @@ sparse_exploration_result healed_local_exploration(
   // graph, so retries only redraw the fault schedule, never the target.
   const sparse_exploration_result ref = reliable_exploration_reference(
       net.executor(), net.g(), h, sources, first_hops, unit_weights);
-  const u64 nominal = advance_rounds ? h : 0;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
     try {
@@ -296,12 +166,10 @@ sparse_exploration_result healed_local_exploration(
       }
     }
   }
-  // Round-accounting parity with the reliable path: pad up to the nominal
-  // budget and surface everything beyond it as healing overhead. With
-  // advance_rounds=false the nominal budget is zero — the run-in-parallel
-  // trick is unavailable under faults, so every round spent is overhead.
-  for (; spent < nominal; ++spent) net.advance_round();
-  if (spent > nominal) net.note_extra_rounds(spent - nominal);
+  // With advance_rounds=false the nominal budget is zero — the
+  // run-in-parallel trick is unavailable under faults, so every round spent
+  // is overhead.
+  heal::pad(net, spent, advance_rounds ? h : 0);
   // Return the referee's canonical triples: bit-identical to the fault-free
   // run (the healed state was just validated to be the same fixed point,
   // but its first hops depend on the drop pattern; the referee's do not).

@@ -112,8 +112,12 @@ sparse_exploration_result dense_local_exploration(
 /// What the cores call: dispatches on resolve_exploration(net.options(),
 /// net.n()). Both paths return identical triples and charge identical
 /// rounds/messages, so the choice is a memory/speed trade only. Under
-/// local-plane faults every entry point routes to healed_local_exploration
-/// below, so the choice of path never changes fault behavior either.
+/// local-plane faults every entry point routes to the healed exploration
+/// engine instead (proto/heal_kernel.hpp, docs/FAULTS.md §3): Pareto
+/// (dist, hops) sets re-offered until quiet, refereed against this kernel's
+/// fixed point and retried with fresh draws; it returns the fault-free
+/// triples or throws fault_failure. So the choice of path never changes
+/// fault behavior either.
 sparse_exploration_result run_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
@@ -131,33 +135,5 @@ sparse_exploration_result run_local_exploration(
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex);
-
-/// Self-healing h-hop exploration for a faulty local plane (docs/FAULTS.md
-/// §3) — the engine behind every exploration entry point (sparse, dense,
-/// full_local_exploration, truncated_eccentricity) once
-/// hybrid_net::local_faults_active(). Same correct-or-explicitly-failed
-/// contract as the healed floods: per node it keeps Pareto-minimal
-/// (dist, hops) sets per source with per-entry epoch stamps, re-offers every
-/// extendable entry each round (stamped re-offers count as retransmitted)
-/// until a crash-aware quiet window, then validates the converged state
-/// against a reliable recomputation of the ball-triple fixed point
-/// Σ|ball_h(v)| (the relaxation kernel as free local computation) and
-/// throws fault_failure on premature stability —
-/// retrying up to four times with fresh fault draws (the round counter
-/// moved) before giving up. On success it returns the referee's canonical
-/// triples, so the result is bit-identical to the fault-free run, vias and
-/// all.
-///
-/// Healing needs real rounds (a frozen round counter re-rolls the same
-/// drops forever), so with `advance_rounds` false the paper's
-/// run-in-parallel trick is unavailable: rounds advance anyway and every
-/// one of them is surfaced through note_extra_rounds (the nominal budget is
-/// h when advancing, 0 when not). With `unit_weights` every edge counts 1
-/// (the truncated_eccentricity workload, which floods hop counts, not
-/// weighted distances).
-sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources = nullptr, bool first_hops = true,
-    bool unit_weights = false);
 
 }  // namespace hybrid

@@ -14,7 +14,8 @@
 // passes once passes forever, so the multi-seed loops are real coverage,
 // not flake lotteries. Carries the `faults` ctest label (the CI fault
 // matrix runs exactly this suite over global p ∈ {0, 0.1, 0.3} and local
-// p ∈ {0, 0.1, 0.3} cells × threads {1, 8}).
+// p ∈ {0, 0.1, 0.3} cells × threads {1, 8}, plus one cell dropping on both
+// planes at p = 0.1 with 2 threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -354,6 +355,9 @@ TEST(FaultHealing, FloodReachesAllNodesOnFiftySeeds) {
       ASSERT_EQ(known[v].size(), 1u) << "node " << v << " fault_seed " << fs;
     ASSERT_GT(net.raw_metrics().extra_rounds, 0u) << fs;
     ASSERT_GT(net.raw_metrics().local_dropped, 0u) << fs;
+    // Every re-offer of an item held since before the previous round is a
+    // retransmission, in the floods as in the exploration engine.
+    ASSERT_GT(net.raw_metrics().retransmitted, 0u) << fs;
   }
 }
 
@@ -395,6 +399,7 @@ TEST(FaultHealing, BellmanFordExactDistancesUnderDrops) {
       hybrid_net net(g, default_cfg(), 3,
                      with_faults(drop_local_opts(0.3, fs), 2));
       const auto got = limited_bellman_ford(net, sources, n);
+      EXPECT_GT(net.raw_metrics().retransmitted, 0u) << fs;
       for (u32 v = 0; v < n; ++v) {
         ASSERT_EQ(got[v].size(), want[v].size()) << v << " fs=" << fs;
         for (u32 i = 0; i < got[v].size(); ++i) {
@@ -448,6 +453,30 @@ TEST(FaultHealing, TableFloodDeliversEveryTableUnderDrops) {
     EXPECT_EQ(a, b) << v;
   }
   EXPECT_GT(net.raw_metrics().local_dropped, 0u);
+  EXPECT_GT(net.raw_metrics().retransmitted, 0u);
+}
+
+TEST(FaultHealing, TableFloodDropsCountedInWords) {
+  // A table crosses an edge whole, so a dropped one loses its whole word
+  // count: the ledger charges, delivers and drops in the same unit. The
+  // offer order — hence every draw and round — ignores table sizes, so
+  // 7-word tables cost exactly 7× the 1-word run on every counter.
+  const u32 n = 24;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 1, 13);
+  const std::vector<u32> publishers = {1, 9, 17};
+  auto run = [&](u64 words) {
+    hybrid_net net(g, default_cfg(), 2,
+                   with_faults(drop_local_opts(0.3, 5), 2));
+    table_flood(net, publishers, {words, words, words}, n);
+    return net.raw_metrics();
+  };
+  const run_metrics one = run(1);
+  const run_metrics seven = run(7);
+  EXPECT_EQ(seven.rounds, one.rounds);
+  EXPECT_GT(one.local_dropped, 0u);
+  EXPECT_EQ(seven.local_items, 7 * one.local_items);
+  EXPECT_EQ(seven.local_dropped, 7 * one.local_dropped);
+  EXPECT_EQ(seven.local_items, seven.local_delivered + seven.local_dropped);
 }
 
 TEST(FaultHealing, ClusterFloodDrawsNoLocalDrops) {
@@ -501,6 +530,94 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
   const auto base = run(1);
   EXPECT_EQ(run(2), base);
   EXPECT_EQ(run(8), base);
+}
+
+// Observable draws of each healed primitive, recorded before the four
+// re-offer loops became one kernel (proto/heal_kernel.hpp). Every field is
+// a function of the per-edge offer order, which fixes each fault draw's
+// index — so any reordering, extra or missing draw, or changed padding
+// shows up here, not only as thread-count variance.
+struct heal_fingerprint {
+  u64 rounds, local_items, extra_rounds, digest, local_dropped;
+  friend bool operator==(const heal_fingerprint&,
+                         const heal_fingerprint&) = default;
+};
+
+heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
+                                    u32 threads) {
+  const u32 n = 24;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 9, 37);  // weighted
+  hybrid_net net(g, default_cfg(), 11,
+                 with_faults(drop_local_opts(0.3, fs), threads));
+  u64 digest = 1469598103934665603ull;
+  const auto mix = [&](u64 x) {
+    digest ^= x;
+    digest *= 1099511628211ull;
+  };
+  if (what == "hop_discovery") {
+    const auto got = hop_discovery(net, {0, 5, 13}, n, /*early_exit=*/true);
+    for (u32 v = 0; v < n; ++v)
+      for (const discovered_seed& d : got[v])
+        mix(u64{v} << 40 | u64{d.seed} << 20 | d.hop);
+  } else if (what == "table_flood") {
+    const auto got = table_flood(net, {1, 9, 17}, {4, 2, 7}, n);
+    for (u32 v = 0; v < n; ++v)
+      for (const u32 i : got[v]) mix(u64{v} << 32 | i);
+  } else if (what == "limited_bellman_ford") {
+    const auto got = limited_bellman_ford(net, {0, 7, 7}, 6);
+    for (u32 v = 0; v < n; ++v)
+      for (const source_distance& sd : got[v]) {
+        mix(u64{v} << 40 | u64{sd.source} << 32 | sd.via);
+        mix(sd.dist);
+      }
+  } else if (what == "run_local_exploration") {
+    const std::vector<u32> sources = {2, 11, 19};
+    for (const sparse_exploration_result& got :
+         {run_local_exploration(net, 5, true, nullptr, true),
+          run_local_exploration(net, 4, false, &sources, true)})
+      for (const exploration_entry& e : got.entries) {
+        mix(u64{e.source} << 32 | e.first_hop);
+        mix(e.dist);
+      }
+  } else {
+    for (const u32 h : truncated_eccentricity(net, 5)) mix(h);
+  }
+  const run_metrics& m = net.raw_metrics();
+  return {m.rounds, m.local_items, m.extra_rounds, digest, m.local_dropped};
+}
+
+TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
+  // {rounds, local_items, extra_rounds, digest, local_dropped}. table_flood
+  // leaves local_dropped out: it now counts each dropped table at its word
+  // cost (TableFloodDropsCountedInWords).
+  struct pinned {
+    const char* what;
+    u64 fs;
+    heal_fingerprint want;
+  };
+  const pinned table[] = {
+      {"hop_discovery", 3, {24, 2691, 0, 0x250f8c2f9093e8bfull, 846}},
+      {"hop_discovery", 8, {23, 2456, 0, 0x1ef782f4cd4ac42bull, 742}},
+      {"table_flood", 3, {24, 13211, 0, 0x17b700a7155b0397ull, 0}},
+      {"table_flood", 8, {24, 12484, 0, 0xf813337aa8a0c211ull, 0}},
+      {"limited_bellman_ford", 3, {19, 4023, 13, 0x25358521948a53dull, 1255}},
+      {"limited_bellman_ford", 8, {16, 3340, 10, 0x25358521948a53dull, 1006}},
+      {"run_local_exploration", 3,
+       {36, 36365, 31, 0x7f9fb9809e54baa7ull, 10985}},
+      {"run_local_exploration", 8,
+       {36, 36288, 31, 0x7f9fb9809e54baa7ull, 10881}},
+      {"truncated_eccentricity", 3,
+       {19, 26792, 14, 0x7965c4130d0f64e9ull, 8117}},
+      {"truncated_eccentricity", 8,
+       {22, 31681, 17, 0x7965c4130d0f64e9ull, 9493}},
+  };
+  for (const pinned& p : table)
+    for (const u32 threads : {1u, 2u, 8u}) {
+      heal_fingerprint got = healed_fingerprint(p.what, p.fs, threads);
+      if (std::string(p.what) == "table_flood") got.local_dropped = 0;
+      EXPECT_EQ(got, p.want) << p.what << " fs=" << p.fs
+                             << " threads=" << threads;
+    }
 }
 
 TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
