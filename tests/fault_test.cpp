@@ -536,7 +536,12 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
 // re-offer loops became one kernel (proto/heal_kernel.hpp). Every field is
 // a function of the per-edge offer order, which fixes each fault draw's
 // index — so any reordering, extra or missing draw, or changed padding
-// shows up here, not only as thread-count variance.
+// shows up here, not only as thread-count variance. The "_dense" cases were
+// recorded before the Pareto rows moved into per-node arenas: a weighted
+// ER graph (n = 96, average degree 6) whose exploration rows hold ≥ 64
+// sources and whose Pareto sets hold several pairs
+// (ParetoRowsTallyMatchesRecount asserts both), and a ten-source
+// Bellman–Ford row with a duplicate source.
 struct heal_fingerprint {
   u64 rounds, local_items, extra_rounds, digest, local_dropped;
   friend bool operator==(const heal_fingerprint&,
@@ -545,8 +550,10 @@ struct heal_fingerprint {
 
 heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
                                     u32 threads) {
-  const u32 n = 24;
-  const graph g = gen::erdos_renyi_connected(n, 3.0, 9, 37);  // weighted
+  const bool dense = what.ends_with("_dense");
+  const u32 n = dense ? 96 : 24;
+  const graph g = dense ? gen::erdos_renyi_connected(n, 6.0, 9, 41)
+                        : gen::erdos_renyi_connected(n, 3.0, 9, 37);
   hybrid_net net(g, default_cfg(), 11,
                  with_faults(drop_local_opts(0.3, fs), threads));
   u64 digest = 1469598103934665603ull;
@@ -563,13 +570,23 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
     const auto got = table_flood(net, {1, 9, 17}, {4, 2, 7}, n);
     for (u32 v = 0; v < n; ++v)
       for (const u32 i : got[v]) mix(u64{v} << 32 | i);
-  } else if (what == "limited_bellman_ford") {
-    const auto got = limited_bellman_ford(net, {0, 7, 7}, 6);
+  } else if (what == "limited_bellman_ford" ||
+             what == "limited_bellman_ford_dense") {
+    const auto got =
+        dense ? limited_bellman_ford(net, {0, 5, 11, 17, 23, 42, 42, 60, 77, 95},
+                                     4)
+              : limited_bellman_ford(net, {0, 7, 7}, 6);
     for (u32 v = 0; v < n; ++v)
       for (const source_distance& sd : got[v]) {
         mix(u64{v} << 40 | u64{sd.source} << 32 | sd.via);
         mix(sd.dist);
       }
+  } else if (what == "run_local_exploration_dense") {
+    for (const exploration_entry& e :
+         run_local_exploration(net, 4, true, nullptr, true).entries) {
+      mix(u64{e.source} << 32 | e.first_hop);
+      mix(e.dist);
+    }
   } else if (what == "run_local_exploration") {
     const std::vector<u32> sources = {2, 11, 19};
     for (const sparse_exploration_result& got :
@@ -610,13 +627,25 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
        {19, 26792, 14, 0x7965c4130d0f64e9ull, 8117}},
       {"truncated_eccentricity", 8,
        {22, 31681, 17, 0x7965c4130d0f64e9ull, 9493}},
+      {"limited_bellman_ford_dense", 3,
+       {20, 105836, 16, 0xafd51c235cf4a83full, 31703}},
+      {"limited_bellman_ford_dense", 8,
+       {20, 106648, 16, 0xafd51c235cf4a83full, 32316}},
+      {"run_local_exploration_dense", 3,
+       {22, 1036968, 18, 0x192ab0adb522866full, 310415}},
+      {"run_local_exploration_dense", 8,
+       {27, 1308775, 23, 0x192ab0adb522866full, 392789}},
   };
   for (const pinned& p : table)
     for (const u32 threads : {1u, 2u, 8u}) {
       heal_fingerprint got = healed_fingerprint(p.what, p.fs, threads);
       if (std::string(p.what) == "table_flood") got.local_dropped = 0;
       EXPECT_EQ(got, p.want) << p.what << " fs=" << p.fs
-                             << " threads=" << threads;
+                             << " threads=" << threads << " got {"
+                             << got.rounds << ", " << got.local_items << ", "
+                             << got.extra_rounds << ", 0x" << std::hex
+                             << got.digest << std::dec << ", "
+                             << got.local_dropped << "}";
     }
 }
 
