@@ -541,7 +541,9 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
 // ER graph (n = 96, average degree 6) whose exploration rows hold ≥ 64
 // sources and whose Pareto sets hold several pairs
 // (ParetoRowsTallyMatchesRecount asserts both), and a ten-source
-// Bellman–Ford row with a duplicate source.
+// Bellman–Ford row with a duplicate source. The "_crash" cases add three
+// crash windows inside the healing rounds, where a down node skips its
+// pulls.
 struct heal_fingerprint {
   u64 rounds, local_items, extra_rounds, digest, local_dropped;
   friend bool operator==(const heal_fingerprint&,
@@ -550,12 +552,18 @@ struct heal_fingerprint {
 
 heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
                                     u32 threads) {
-  const bool dense = what.ends_with("_dense");
+  const bool crash = what.ends_with("_crash");
+  const bool dense = crash || what.ends_with("_dense");
   const u32 n = dense ? 96 : 24;
   const graph g = dense ? gen::erdos_renyi_connected(n, 6.0, 9, 41)
                         : gen::erdos_renyi_connected(n, 3.0, 9, 37);
-  hybrid_net net(g, default_cfg(), 11,
-                 with_faults(drop_local_opts(0.3, fs), threads));
+  fault_options f = drop_local_opts(0.3, fs);
+  if (crash) {
+    f.crashes.push_back({5, 3, 9});
+    f.crashes.push_back({40, 6, 12});
+    f.crashes.push_back({77, 2, 4});
+  }
+  hybrid_net net(g, default_cfg(), 11, with_faults(f, threads));
   u64 digest = 1469598103934665603ull;
   const auto mix = [&](u64 x) {
     digest ^= x;
@@ -570,8 +578,7 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
     const auto got = table_flood(net, {1, 9, 17}, {4, 2, 7}, n);
     for (u32 v = 0; v < n; ++v)
       for (const u32 i : got[v]) mix(u64{v} << 32 | i);
-  } else if (what == "limited_bellman_ford" ||
-             what == "limited_bellman_ford_dense") {
+  } else if (what.starts_with("limited_bellman_ford")) {
     const auto got =
         dense ? limited_bellman_ford(net, {0, 5, 11, 17, 23, 42, 42, 60, 77, 95},
                                      4)
@@ -581,7 +588,7 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
         mix(u64{v} << 40 | u64{sd.source} << 32 | sd.via);
         mix(sd.dist);
       }
-  } else if (what == "run_local_exploration_dense") {
+  } else if (dense) {
     for (const exploration_entry& e :
          run_local_exploration(net, 4, true, nullptr, true).entries) {
       mix(u64{e.source} << 32 | e.first_hop);
@@ -635,6 +642,10 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
        {22, 1036968, 18, 0x192ab0adb522866full, 310415}},
       {"run_local_exploration_dense", 8,
        {27, 1308775, 23, 0x192ab0adb522866full, 392789}},
+      {"limited_bellman_ford_crash", 3,
+       {21, 110889, 17, 0xafd51c235cf4a83full, 33739}},
+      {"run_local_exploration_crash", 3,
+       {26, 1244031, 22, 0x192ab0adb522866full, 376624}},
   };
   for (const pinned& p : table)
     for (const u32 threads : {1u, 2u, 8u}) {
