@@ -543,7 +543,8 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
 // (ParetoRowsTallyMatchesRecount asserts both), and a ten-source
 // Bellman–Ford row with a duplicate source. The "_crash" cases add three
 // crash windows inside the healing rounds, where a down node skips its
-// pulls.
+// pulls; the "_adversarial" case drops adversarial prefixes, whose length
+// is read off the sender's offer count, until the referee gives up.
 struct heal_fingerprint {
   u64 rounds, local_items, extra_rounds, digest, local_dropped;
   friend bool operator==(const heal_fingerprint&,
@@ -553,11 +554,14 @@ struct heal_fingerprint {
 heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
                                     u32 threads) {
   const bool crash = what.ends_with("_crash");
-  const bool dense = crash || what.ends_with("_dense");
+  const bool adversarial = what.ends_with("_adversarial");
+  const bool dense = crash || adversarial || what.ends_with("_dense");
   const u32 n = dense ? 96 : 24;
   const graph g = dense ? gen::erdos_renyi_connected(n, 6.0, 9, 41)
                         : gen::erdos_renyi_connected(n, 3.0, 9, 37);
-  fault_options f = drop_local_opts(0.3, fs);
+  fault_options f = drop_local_opts(adversarial ? 0.05 : 0.3, fs);
+  // The one mode that reads a row's offer count before it draws.
+  if (adversarial) f.mode = fault_mode::kAdversarialPrefix;
   if (crash) {
     f.crashes.push_back({5, 3, 9});
     f.crashes.push_back({40, 6, 12});
@@ -579,15 +583,24 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
     for (u32 v = 0; v < n; ++v)
       for (const u32 i : got[v]) mix(u64{v} << 32 | i);
   } else if (what.starts_with("limited_bellman_ford")) {
-    const auto got =
-        dense ? limited_bellman_ford(net, {0, 5, 11, 17, 23, 42, 42, 60, 77, 95},
-                                     4)
-              : limited_bellman_ford(net, {0, 7, 7}, 6);
-    for (u32 v = 0; v < n; ++v)
-      for (const source_distance& sd : got[v]) {
-        mix(u64{v} << 40 | u64{sd.source} << 32 | sd.via);
-        mix(sd.dist);
-      }
+    try {
+      // Adversarial prefixes silence a node with one offer for good, so
+      // that case stacks sources on three nodes.
+      const auto got =
+          adversarial
+              ? limited_bellman_ford(
+                    net, {42, 42, 42, 42, 42, 7, 7, 7, 60, 60, 60, 60}, 4)
+          : dense ? limited_bellman_ford(
+                        net, {0, 5, 11, 17, 23, 42, 42, 60, 77, 95}, 4)
+                  : limited_bellman_ford(net, {0, 7, 7}, 6);
+      for (u32 v = 0; v < n; ++v)
+        for (const source_distance& sd : got[v]) {
+          mix(u64{v} << 40 | u64{sd.source} << 32 | sd.via);
+          mix(sd.dist);
+        }
+    } catch (const fault_failure&) {
+      mix(~u64{0});  // an adversary that wins is pinned by its metrics
+    }
   } else if (dense) {
     for (const exploration_entry& e :
          run_local_exploration(net, 4, true, nullptr, true).entries) {
@@ -646,6 +659,8 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
        {21, 110889, 17, 0xafd51c235cf4a83full, 33739}},
       {"run_local_exploration_crash", 3,
        {26, 1244031, 22, 0x192ab0adb522866full, 376624}},
+      {"limited_bellman_ford_adversarial", 0,
+       {15, 70013, 0, 0xbb42d32b8c3306b4ull, 7560}},
   };
   for (const pinned& p : table)
     for (const u32 threads : {1u, 2u, 8u}) {
