@@ -4,10 +4,13 @@
 // protocol-level retransmissions for the healed local flood
 // (limited_bellman_ford under local-plane drops), token dissemination and
 // token routing (both under global-plane drops), plus the end-to-end
-// APSP/SSSP/diameter pipelines under drops on each plane separately. Every
-// quantity except wall time and the pipelines' extra_rounds (healing
-// overhead — a perf trajectory that moves with the healing engine) is
-// deterministic per (seed, fault_seed), so the curves are gated against
+// APSP/SSSP/diameter pipelines under drops on each plane separately. The
+// healed exploration engine also runs alone (the all-sources exploration
+// of the APSP label phase, p ∈ {0.02, 0.1}) with its heap allocations per
+// round (bench/alloc_counter.hpp). Every quantity except wall time,
+// allocations and the pipelines' extra_rounds (healing overhead — a perf
+// trajectory that moves with the healing engine) is deterministic per
+// (seed, fault_seed), so the curves are gated against
 // bench/baseline/BENCH_faults.json like the other deterministic
 // trajectories. A protocol that aborts (fault_failure) records success = 0
 // — the curve stays honest instead of silently dropping the row. Usage:
@@ -18,12 +21,14 @@
 #include <string>
 #include <utility>
 
+#include "alloc_counter.hpp"
 #include "core/apsp.hpp"
 #include "core/diameter.hpp"
 #include "core/sssp.hpp"
 #include "graph/generators.hpp"
 #include "proto/dissemination.hpp"
 #include "proto/flood.hpp"
+#include "proto/sparse_exploration.hpp"
 #include "proto/token_routing.hpp"
 #include "sim/hybrid_net.hpp"
 #include "util/bench_io.hpp"
@@ -93,6 +98,59 @@ void bench_flood(bench_recorder& rec) {
                                   {"local_dropped", dropped},
                                   {"success", success},
                                   {"wall_ms", ms}});
+  }
+  t.print();
+  std::cout << "\n";
+}
+
+// The healed exploration engine on its own: the all-sources, frozen-round
+// exploration the APSP label phase runs (so every healing round is
+// overhead), under local drops. allocs_per_round is the call's heap
+// allocations — setup, referee and result included — per simulated round.
+void bench_exploration(bench_recorder& rec) {
+  const u32 n = 256;
+  const graph g = gen::erdos_renyi_connected(n, 6.0, 16, 13);
+  const u32 h = 16;
+  print_section("Healed exploration (all sources) — local drops");
+  table t({"p", "sim rounds", "retransmitted", "local dropped", "success",
+           "allocs/round", "wall ms"});
+  for (const double p : {0.02, 0.1}) {
+    u64 rounds = 0, extra = 0, retx = 0, dropped = 0;
+    u32 success = 1;
+    double allocs_per_round = 0;
+    const double ms = best_ms([&] {
+      hybrid_net net(g, model_config{}, 5, faulty_local(p));
+      const unsigned long long before = benchalloc::allocations();
+      try {
+        run_local_exploration(net, h, /*advance_rounds=*/false, nullptr,
+                              /*first_hops=*/false);
+      } catch (const fault_failure&) {
+        success = 0;
+      }
+      const unsigned long long allocs = benchalloc::allocations() - before;
+      rounds = net.round();
+      extra = net.raw_metrics().extra_rounds;
+      retx = net.raw_metrics().retransmitted;
+      dropped = net.raw_metrics().local_dropped;
+      allocs_per_round =
+          rounds > 0 ? static_cast<double>(allocs) / static_cast<double>(rounds)
+                     : 0.0;
+    });
+    t.add_row({table::num(p, 2),
+               table::integer(static_cast<long long>(rounds)),
+               table::integer(static_cast<long long>(retx)),
+               table::integer(static_cast<long long>(dropped)),
+               table::integer(success), table::num(allocs_per_round, 1),
+               table::num(ms, 2)});
+    rec.add("healed_exploration", {{"p_x100", p * 100},
+                                   {"n", n},
+                                   {"sim_rounds", rounds},
+                                   {"extra_rounds", extra},
+                                   {"retransmitted", retx},
+                                   {"local_dropped", dropped},
+                                   {"success", success},
+                                   {"allocs_per_round", allocs_per_round},
+                                   {"wall_ms", ms}});
   }
   t.print();
   std::cout << "\n";
@@ -268,6 +326,7 @@ void bench_pipelines(bench_recorder& rec) {
 int main(int argc, char** argv) {
   bench_recorder rec(argc, argv, "bench_faults");
   bench_flood(rec);
+  bench_exploration(rec);
   bench_dissemination(rec);
   bench_token_routing(rec);
   bench_pipelines(rec);

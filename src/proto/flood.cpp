@@ -117,8 +117,9 @@ std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h,
     bool advance_rounds) {
   const u32 n = net.n();
-  heal::pareto_rows<heal::by_position> rows(n, h, /*unit_weights=*/false);
-  for (heal::by_position& row : rows.rows) row.sets.resize(sources.size());
+  heal::pareto_rows<heal::by_position> rows(net.g(), h,
+                                            /*unit_weights=*/false);
+  for (heal::by_position& row : rows.rows) row.open_slots(sources.size());
   for (u32 i = 0; i < sources.size(); ++i) {
     HYB_REQUIRE(sources[i] < n, "source out of range");
     rows.seed(sources[i], i);
@@ -137,7 +138,7 @@ std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
       bellman_ford_rows(net.executor(), net.g(), sources, h, relax::no_hook{});
   for (u32 v = 0; v < n; ++v)
     for (u32 i = 0; i < sources.size(); ++i)
-      if (rows.rows[v].sets[i].front_dist() != ref[v].dist[i])
+      if (rows.rows[v].front_dist(i) != ref[v].dist[i])
         throw fault_failure(
             "limited_bellman_ford healing stabilized before convergence");
   // A frozen-round caller's nominal budget is zero rounds: healing needs

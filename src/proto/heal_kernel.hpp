@@ -30,21 +30,32 @@
 //     table floods; each offer costs 1 or the table's word count);
 //   * pareto_rows<by_position> — Pareto (dist, hops) sets keyed by source
 //     position (limited_bellman_ford);
-//   * pareto_rows<by_discovery> — the same sets keyed in discovery order
-//     (the exploration engine).
-// A row type provides `staged`, count(u) — the offers node u makes on each
-// edge, which the adversarial mode needs before it draws — pull(v, e, add,
-// deliver), which enumerates e.to's offers in order through `deliver(stamp,
-// cost)` and stages what v accepts, and merge(v, add, round).
+//   * pareto_rows<by_discovery> — the same sets keyed in discovery order,
+//     a held source's slot found through a flat_u64_map index (the
+//     exploration engine).
+// A row type provides `staged`; count(u), the offers node u makes on each
+// edge — O(1), and read before the first draw because the adversarial mode
+// needs it; pull(v, j, e, round, add, deliver), which enumerates v's j-th
+// neighbour e.to's offers in order through `deliver(stamp, cost)` and
+// stages what v accepts; and merge(v, add, round), which may reorder add.
+//
+// A round costs O(offers) and reads contiguous memory: each Pareto row
+// keeps its sets in one arena whose array of extendable pairs IS the offer
+// sequence (pareto_arena), so count(u) is its size, and pull skips the
+// accept check for every offer a copy of which already got through
+// (pareto_rows::link). No buffer of the round is allocated per round.
 #pragma once
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "proto/flood.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 
 namespace hybrid {
 
@@ -67,75 +78,106 @@ namespace heal {
 /// any node still being down — a paused node has pulls pending that only
 /// run after recovery, so its silence is not convergence (a never-recovering
 /// node pushes the loop into its budget and an explicit fault_failure).
-inline u32 next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
+inline u32 next_quiet(const hybrid_net& net, u32 n, u32 quiet,
                       const std::vector<u8>& changed) {
-  if (exec.any_node(n, [&](u32 v) { return changed[v] != 0; })) return 0;
-  if (!net.faults().crashes.empty() &&
-      exec.any_node(n, [&](u32 v) { return !net.is_up(v); }))
-    return 0;
+  for (u32 v = 0; v < n; ++v)
+    if (changed[v] != 0) return 0;
+  if (!net.faults().crashes.empty())
+    for (u32 v = 0; v < n; ++v)
+      if (!net.is_up(v)) return 0;
   return quiet + 1;
 }
+
+/// heal::run's per-node round buffers. A caller that retries (the
+/// exploration engine's ≤ 4 attempts) hands every attempt the same
+/// workspace, so the buffers keep their capacity.
+template <class Staged>
+struct workspace {
+  /// What a node offered, lost to drops and re-offered in one round.
+  struct traffic {
+    u64 offered, dropped, retx;
+  };
+  std::vector<std::vector<Staged>> add;
+  std::vector<u8> changed;
+  std::vector<traffic> sent;
+
+  void reset(u32 n) {
+    add.resize(n);
+    changed.assign(n, 0);
+    sent.assign(n, {});
+  }
+};
 
 /// Re-offer rounds until the quiet window closes. `nominal` is the
 /// fault-free round budget the healing budget scales. Every round advanced
 /// is added to `rounds`, also when the budget runs out and this throws.
+/// The round itself allocates nothing of its own: buffers live in `ws`, and
+/// the executor gets its steps by reference.
 template <class Rows>
 void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
-         u64& rounds) {
+         u64& rounds, workspace<typename Rows::staged>& ws) {
   const graph& g = net.g();
   const u32 n = g.num_nodes();
   const fault_options& fo = net.faults();
   round_executor& exec = net.executor();
-  std::vector<std::vector<typename Rows::staged>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  std::vector<u64> retx(n, 0);
+  ws.reset(n);
   const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(nominal, 1) +
                      fo.heal_stability_rounds;
-  u32 quiet = 0;
-  for (u32 it = 1; quiet < fo.heal_stability_rounds; ++it) {
-    if (it > budget)
-      throw fault_failure(std::string(what) + " healing budget exhausted");
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      retx[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
+  u32 it = 0;
+  const auto offer = [&](u32 v) {
+    ws.add[v].clear();
+    u64 offered = 0, dropped = 0, retx = 0;
+    const std::span<const edge> nbrs = g.neighbors(v);
+    if (net.is_up(v))
+      for (u32 j = 0; j < nbrs.size(); ++j) {
+        const edge& e = nbrs[j];
         const u32 count = rows.count(e.to);
         u32 idx = 0;
-        rows.pull(v, e, add[v], [&](u32 stamp, u64 cost) {
-          mine += cost;
+        rows.pull(v, j, e, it, ws.add[v], [&](u32 stamp, u64 cost) {
+          offered += cost;
           // An item first crosses edges in the round after its merge; any
           // later crossing is a retransmission (counted whether or not this
           // copy is then dropped — it did cross the edge).
-          if (stamp + 1 < it) ++retx[v];
+          if (stamp + 1 < it) ++retx;
           if (net.local_drop(e.to, v, idx++, count)) {
-            dropped[v] += cost;
+            dropped += cost;
             return false;
           }
           return true;
         });
       }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    u64 re = 0;
-    for (u32 v = 0; v < n; ++v) {
-      lost += dropped[v];
-      re += retx[v];
+    ws.sent[v] = {offered, dropped, retx};
+  };
+  const auto merge = [&](u32 v) {
+    ws.changed[v] = rows.merge(v, ws.add[v], it);
+  };
+  for (u32 quiet = 0; quiet < fo.heal_stability_rounds;) {
+    if (++it > budget)
+      throw fault_failure(std::string(what) + " healing budget exhausted");
+    exec.for_nodes(n, std::cref(offer));
+    u64 items = 0, lost = 0, re = 0;
+    for (const auto& t : ws.sent) {
+      items += t.offered;
+      lost += t.dropped;
+      re += t.retx;
     }
+    net.charge_local(items);
     net.note_local_delivered(items - lost);
     net.note_local_dropped(lost);
     net.note_retransmitted(re);
     net.advance_round();
     ++rounds;
-    exec.for_nodes(n,
-                   [&](u32 v) { changed[v] = rows.merge(v, add[v], it); });
-    quiet = next_quiet(net, exec, n, quiet, changed);
+    exec.for_nodes(n, std::cref(merge));
+    quiet = next_quiet(net, n, quiet, ws.changed);
   }
+}
+
+/// heal::run with a workspace of its own (callers that do not retry).
+template <class Rows>
+void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
+         u64& rounds) {
+  workspace<typename Rows::staged> ws;
+  run(net, rows, nominal, what, rounds, ws);
 }
 
 /// Round-accounting parity with the reliable path: elapse the silent rounds
@@ -171,8 +213,8 @@ struct seen_rows {
   u32 count(u32 u) const { return static_cast<u32>(held[u].size()); }
 
   template <class Deliver>
-  void pull(u32 v, const edge& e, std::vector<u32>& add,
-            Deliver&& deliver) const {
+  void pull(u32 v, u32 /*j*/, const edge& e, u32 /*round*/,
+            std::vector<u32>& add, Deliver&& deliver) const {
     for (const discovered_seed& d : held[e.to])
       if (deliver(d.hop, words ? (*words)[d.seed] : 1) && !seen[v][d.seed])
         add.push_back(d.seed);
@@ -190,73 +232,201 @@ struct seen_rows {
   }
 };
 
-/// One Pareto-minimal (dist, hops) pair held for a source, stamped with the
-/// round that accepted it (0 at the source).
+/// One held Pareto pair that can still be extended (hops < h), and so one
+/// offer: its (dist, hops) and the round that accepted it (0 at the
+/// source). Its key is its slot's.
 struct pareto_entry {
   u64 dist;
   u32 hops;
   u32 stamp;
 };
 
-/// Pareto-minimal (dist, hops) pairs for one source. Under drops a
+/// A candidate pair for source `key`, staged by a pull. Once merge has
+/// found the receiver's slot for it, `key` holds that slot instead.
+struct pareto_candidate {
+  u64 dist;
+  u32 key;
+  u32 hops;
+};
+
+/// No slot: the key is not held (by_discovery::find).
+inline constexpr u32 kNoSlot = ~u32{0};
+
+/// One node's Pareto (dist, hops) sets in one flat arena. Under drops a
 /// smaller-dist/more-hops value can arrive before (or instead of) a
 /// fewer-hops one, and downstream nodes may only extend pairs with
 /// hops < h — keeping just the best dist would silently lose valid ≤h-hop
 /// distances. Every held pair is realized by some ≤h-hop walk, so at
-/// convergence the front pair's dist is d_h. Sorted by dist ascending
-/// (hence hops strictly descending).
-struct pareto_set {
-  std::vector<pareto_entry> entries;
+/// convergence a set's front dist is d_h. Pairs never have hops > h.
+///
+/// Layout: slot k's pairs with hops < h are offers[begin[k], begin[k+1]),
+/// dist ascending (hence hops strictly descending), and slots sit in the
+/// row's key order. A set holds at most one pair with hops == h, its front
+/// (smallest dist); capped[k] keeps that dist (kInfDist for none). Walking
+/// `offers` front to back is therefore the per-set enumeration the
+/// re-offer loop has always used — keys in order, dist ascending within a
+/// key, hops == h pairs skipped — which fixes every fault draw's index;
+/// and its size is the tally of offers the node makes on each edge. The
+/// vectors grow by a quarter at a time: rows stop growing at convergence,
+/// so growth slack is resident memory.
+struct pareto_arena {
+  std::vector<pareto_entry> offers;
+  std::vector<u32> begin{0};
+  std::vector<u64> capped;
 
-  bool dominated(u64 dist, u32 hops) const {
-    for (const pareto_entry& e : entries)
-      if (e.dist <= dist && e.hops <= hops) return true;
+  u32 slots() const { return static_cast<u32>(capped.size()); }
+  u32 count() const { return static_cast<u32>(offers.size()); }
+  std::span<const pareto_entry> set(u32 slot) const {
+    return {offers.data() + begin[slot], offers.data() + begin[slot + 1]};
+  }
+  /// The slot of offer i, searching forward from slot k ≤ it.
+  u32 slot_at(u32 i, u32 k) const {
+    while (begin[k + 1] <= i) ++k;
+    return k;
+  }
+  u64 front_dist(u32 slot) const {
+    return begin[slot] == begin[slot + 1]
+               ? capped[slot]
+               : std::min(capped[slot], offers[begin[slot]].dist);
+  }
+  bool dominated(u32 slot, u64 dist, u32 hops, u32 h) const {
+    if (capped[slot] <= dist && h <= hops) return true;
+    for (const pareto_entry& e : set(slot)) {
+      if (e.dist > dist) break;
+      if (e.hops <= hops) return true;
+    }
     return false;
   }
-  void insert(u64 dist, u32 hops, u32 stamp) {
-    std::erase_if(entries, [&](const pareto_entry& e) {
-      return e.dist >= dist && e.hops >= hops;
-    });
-    const auto pos = std::lower_bound(
-        entries.begin(), entries.end(), dist,
-        [](const pareto_entry& e, u64 d) { return e.dist < d; });
-    entries.insert(pos, {dist, hops, stamp});
+  void add_slot() {
+    if (capped.size() == capped.capacity()) {
+      capped.reserve(capped.size() + capped.size() / 4 + 4);
+      begin.reserve(capped.capacity() + 1);
+    }
+    begin.push_back(begin.back());
+    capped.push_back(kInfDist);
   }
-  u64 front_dist() const {
-    return entries.empty() ? kInfDist : entries.front().dist;
+
+  /// Merge `add` — candidate pairs whose `key` holds their slot, sorted by
+  /// (slot, dist, hops) — stamping the ones that stay with `round`. Each
+  /// set becomes the Pareto front of held ∪ candidates, which is what
+  /// inserting the candidates one by one (skip a dominated one, evict what
+  /// it dominates) leaves in any order; a candidate equal to a held pair
+  /// loses to it, so held pairs keep their stamps. The arena is rebuilt in
+  /// place: the slots from the first to the last touched one go through a
+  /// per-thread buffer (untouched ones as blocks), the rest move as
+  /// one block. Returns whether any candidate stayed.
+  bool merge_sorted(std::span<const pareto_candidate> add, u32 round, u32 h) {
+    thread_local std::vector<pareto_entry> run;
+    run.clear();
+    const u32 first = add.front().key;
+    const u32 last = add.back().key;
+    const u32 base = begin[first];
+    const u32 old_end = begin[last + 1];
+    bool changed = false;
+    std::size_t j = 0;
+    for (u32 k = first, ob = base; k <= last;) {
+      if (add[j].key != k) {
+        // Untouched slots up to the next touched one: one block.
+        const u32 next = add[j].key;
+        const u32 oe = begin[next];
+        const u32 shift = base + static_cast<u32>(run.size()) - ob;
+        run.insert(run.end(), offers.begin() + ob, offers.begin() + oe);
+        for (u32 q = k + 1; q <= next; ++q) begin[q] += shift;  // mod 2^32
+        ob = oe;
+        k = next;
+        continue;
+      }
+      const u32 oe = begin[k + 1];
+      const u64 held_cap = capped[k];
+      capped[k] = kInfDist;
+      bool cap_next = held_cap != kInfDist;  // the capped pair leads its set
+      u32 best = ~u32{0};  // fewest hops kept so far in this set
+      for (u32 i = ob;;) {
+        const bool has_held = cap_next || i < oe;
+        const bool has_new = j < add.size() && add[j].key == k;
+        if (!has_held && !has_new) break;
+        pareto_entry e = cap_next   ? pareto_entry{held_cap, h, 0}
+                         : has_held ? offers[i]
+                                    : pareto_entry{};
+        const bool held =
+            has_held && (!has_new || e.dist < add[j].dist ||
+                         (e.dist == add[j].dist && e.hops <= add[j].hops));
+        if (!held) {
+          e = {add[j].dist, add[j].hops, round};
+          ++j;
+        } else if (cap_next) {
+          cap_next = false;
+        } else {
+          ++i;
+        }
+        if (e.hops >= best) continue;
+        best = e.hops;
+        changed |= !held;
+        if (e.hops < h)
+          run.push_back(e);
+        else
+          capped[k] = e.dist;
+      }
+      ob = oe;
+      begin[++k] = base + static_cast<u32>(run.size());
+    }
+    // Move the suffix behind the last touched slot, then drop the run in.
+    const u32 new_end = begin[last + 1];
+    const auto suffix = offers.size() - old_end;
+    if (new_end > old_end) {
+      if (new_end + suffix > offers.capacity())
+        offers.reserve((new_end + suffix) * 5 / 4);
+      offers.resize(new_end + suffix);
+      std::copy_backward(offers.begin() + old_end,
+                         offers.begin() + old_end + suffix, offers.end());
+    } else if (new_end < old_end) {
+      std::copy(offers.begin() + old_end, offers.end(),
+                offers.begin() + new_end);
+      offers.resize(new_end + suffix);
+    }
+    std::copy(run.begin(), run.end(), offers.begin() + base);
+    for (u32 q = last + 2; q <= slots(); ++q) begin[q] += new_end - old_end;
+    return changed;
   }
 };
 
 /// A node's sets keyed by source position, offered in position order —
 /// limited_bellman_ford's index semantics (duplicate sources get their own
-/// keys).
-struct by_position {
-  std::vector<pareto_set> sets;
-
-  u32 key(u32 k) const { return k; }
+/// keys). Every position's slot exists from the start (open_slots).
+struct by_position : pareto_arena {
+  void open_slots(u32 keys) {
+    begin.assign(keys + 1, 0);
+    capped.assign(keys, kInfDist);
+  }
   u32 find(u32 key) const { return key; }
-  pareto_set& at(u32 key) { return sets[key]; }
+  u32 slot_of(u32 key) { return key; }
+  u32 key_of(u32 slot) const { return slot; }
 };
 
 /// A node's sets keyed by source node id, offered in discovery order — a
 /// pure function of the merge history, so deterministic and
-/// thread-count-invariant. Lookup is a linear scan.
-struct by_discovery {
+/// thread-count-invariant. `index` maps a held key to its slot, `keys`
+/// back.
+struct by_discovery : pareto_arena {
+  flat_u64_map<u32> index;
   std::vector<u32> keys;
-  std::vector<pareto_set> sets;
 
-  u32 key(u32 k) const { return keys[k]; }
   u32 find(u32 key) const {
-    for (u32 k = 0; k < keys.size(); ++k)
-      if (keys[k] == key) return k;
-    return ~u32{0};
+    const u32* slot = index.find(key);
+    return slot ? *slot : kNoSlot;
   }
-  pareto_set& at(u32 key) {
-    const u32 k = find(key);
-    if (k != ~u32{0}) return sets[k];
+  /// The key's slot, appended (empty) on first sight.
+  u32 slot_of(u32 key) {
+    if (const u32* slot = index.find(key)) return *slot;
+    const u32 slot = slots();
+    index[key] = slot;
+    if (keys.size() == keys.capacity())
+      keys.reserve(keys.size() + keys.size() / 4 + 4);
     keys.push_back(key);
-    return sets.emplace_back();
+    add_slot();
+    return slot;
   }
+  u32 key_of(u32 slot) const { return keys[slot]; }
 };
 
 /// The Bellman–Ford-shaped rows: every held pair that can still be
@@ -264,56 +434,110 @@ struct by_discovery {
 /// (1 with `unit_weights`).
 template <class Row>
 struct pareto_rows {
-  struct staged {
-    u32 key;
+  using staged = pareto_candidate;
+
+  /// An offer that crossed a link only as dropped copies so far. Its
+  /// sender slot, dist and hops name it for good: slots never move, and an
+  /// evicted pair is dominated, so it never comes back.
+  struct undelivered {
     u64 dist;
+    u32 slot;
     u32 hops;
   };
 
+  /// What a node knows of one in-edge's offers: the round it last pulled
+  /// them, and — in arena order — the ones offered by then that no copy of
+  /// has got through.
+  struct link {
+    u32 last = 0;
+    std::vector<undelivered> pending;
+  };
+
   std::vector<Row> rows;
+  /// Per node, per adjacency position: its in-edges' links.
+  std::vector<std::vector<link>> links;
   u32 h;
   bool unit_weights;
 
-  pareto_rows(u32 n, u32 h_, bool unit_weights_)
-      : rows(n), h(h_), unit_weights(unit_weights_) {}
+  pareto_rows(const graph& g, u32 h_, bool unit_weights_)
+      : rows(g.num_nodes()),
+        links(g.num_nodes()),
+        h(h_),
+        unit_weights(unit_weights_) {
+    for (u32 v = 0; v < g.num_nodes(); ++v)
+      links[v].resize(g.neighbors(v).size());
+  }
 
   /// `key` held at distance 0 by `node`.
-  void seed(u32 node, u32 key) { rows[node].at(key).insert(0, 0, 0); }
-
-  bool dominated(u32 v, u32 key, u64 dist, u32 hops) const {
-    const u32 k = rows[v].find(key);
-    return k != ~u32{0} && rows[v].sets[k].dominated(dist, hops);
+  void seed(u32 node, u32 key) {
+    const staged s{0, rows[node].slot_of(key), 0};
+    rows[node].merge_sorted({&s, 1}, 0, h);
   }
 
-  u32 count(u32 u) const {
-    u32 c = 0;
-    for (const pareto_set& set : rows[u].sets)
-      for (const pareto_entry& pe : set.entries)
-        if (pe.hops < h) ++c;
-    return c;
-  }
+  /// O(1): the arena holds exactly the offers.
+  u32 count(u32 u) const { return rows[u].count(); }
 
+  /// Node v pulls the offers of its j-th neighbour e.to in round `round`.
+  /// Every offer is drawn, but only the ones no copy of which has reached
+  /// v yet are checked against v's row — once a copy got through, v's row
+  /// dominates it for good. Those are the pairs stamped at or after the
+  /// link's last pull (never offered on it) and the link's pending ones.
   template <class Deliver>
-  void pull(u32 v, const edge& e, std::vector<staged>& add,
-            Deliver&& deliver) const {
+  void pull(u32 v, u32 j, const edge& e, u32 round, std::vector<staged>& add,
+            Deliver&& deliver) {
+    thread_local std::vector<u32> pending_at;
+    thread_local std::vector<undelivered> still;
     const Row& from = rows[e.to];
+    const Row& to = rows[v];
+    link& in = links[v][j];
+    // Where the pending offers sit in the sender's arena now, ascending.
+    pending_at.clear();
+    for (const undelivered& p : in.pending)
+      for (u32 i = from.begin[p.slot]; i < from.begin[p.slot + 1]; ++i)
+        if (from.offers[i].dist == p.dist && from.offers[i].hops == p.hops)
+          pending_at.push_back(i);
+    still.clear();
     const u64 w = unit_weights ? 1 : e.weight;
-    for (u32 k = 0; k < from.sets.size(); ++k)
-      for (const pareto_entry& pe : from.sets[k].entries) {
-        if (pe.hops >= h || !deliver(pe.stamp, 1)) continue;
-        const staged s{from.key(k), pe.dist + w, pe.hops + 1};
-        if (!dominated(v, s.key, s.dist, s.hops)) add.push_back(s);
+    std::size_t next = 0;
+    u32 k = 0;  // the slot of the last fresh offer
+    for (u32 i = 0; i < from.count(); ++i) {
+      const pareto_entry& pe = from.offers[i];
+      bool fresh = pe.stamp >= in.last;
+      if (next < pending_at.size() && pending_at[next] == i) {
+        fresh = true;
+        ++next;
       }
+      if (!deliver(pe.stamp, 1)) {
+        if (fresh) {
+          k = from.slot_at(i, k);
+          still.push_back({pe.dist, k, pe.hops});
+        }
+        continue;
+      }
+      if (!fresh) continue;
+      k = from.slot_at(i, k);
+      const staged s{pe.dist + w, from.key_of(k), pe.hops + 1};
+      const u32 slot = to.find(s.key);
+      if (slot == kNoSlot || !to.dominated(slot, s.dist, s.hops, h))
+        add.push_back(s);
+    }
+    in.pending.assign(still.begin(), still.end());
+    in.last = round;
   }
 
-  bool merge(u32 v, const std::vector<staged>& add, u32 round) {
-    bool changed = false;
-    for (const staged& s : add) {
-      if (dominated(v, s.key, s.dist, s.hops)) continue;
-      rows[v].at(s.key).insert(s.dist, s.hops, round);
-      changed = true;
-    }
-    return changed;
+  /// New keys take slots in first-arrival order — the discovery order
+  /// one-by-one inserts would give them — then the candidates, keyed by
+  /// slot, are sorted into arena order and merged. Rewrites `add`.
+  bool merge(u32 v, std::vector<staged>& add, u32 round) {
+    if (add.empty()) return false;
+    Row& row = rows[v];
+    for (staged& s : add) s.key = row.slot_of(s.key);
+    std::sort(add.begin(), add.end(), [](const staged& a, const staged& b) {
+      if (a.key != b.key) return a.key < b.key;
+      if (a.dist != b.dist) return a.dist < b.dist;
+      return a.hops < b.hops;
+    });
+    return row.merge_sorted(add, round, h);
   }
 };
 

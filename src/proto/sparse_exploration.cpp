@@ -33,16 +33,12 @@ void require_distinct(const std::vector<u32>& sources, u32 n) {
   HYB_REQUIRE(sorted.empty() || sorted.back() < n, "source out of range");
 }
 
-/// The healed engine's referee: the reliable kernel run as free local
-/// computation (no simulated traffic, no randomness), so its flattened
-/// result is the canonical fixed point the fault-free run returns, vias
-/// included. `unit_weights` floods hop counts instead of weighted distances
-/// (truncated_eccentricity).
-sparse_exploration_result reliable_exploration_reference(
-    round_executor& ex, const graph& g, u32 h,
-    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
-  std::vector<sparse_dist_map> rows(g.num_nodes());
-  const relax::sources src{sources};
+/// The reliable kernel as free local computation over `rows`.
+template <class Row>
+sparse_exploration_result reference_on(round_executor& ex, const graph& g,
+                                       std::vector<Row>& rows,
+                                       const relax::sources& src, u32 h,
+                                       bool first_hops, bool unit_weights) {
   if (unit_weights)
     relax::run(ex, rows, src, h, relax::unit_edges{g}, relax::no_hook{});
   else
@@ -50,25 +46,48 @@ sparse_exploration_result reliable_exploration_reference(
   return relax::flatten(ex, rows, src, first_hops);
 }
 
+/// The healed engine's referee: the reliable kernel run as free local
+/// computation (no simulated traffic, no randomness), so its flattened
+/// result is the canonical fixed point the fault-free run returns, vias
+/// included. `unit_weights` floods hop counts instead of weighted distances
+/// (truncated_eccentricity). The rows follow the fault-free run's choice
+/// (`path`); both give identical triples.
+sparse_exploration_result reliable_exploration_reference(
+    round_executor& ex, const graph& g, u32 h,
+    const std::vector<u32>* sources, bool first_hops, bool unit_weights,
+    exploration_path path) {
+  const u32 n = g.num_nodes();
+  if (path == exploration_path::kDense) {
+    std::vector<relax::dense_row> rows = relax::dense_rows(
+        ex, n, sources ? static_cast<u32>(sources->size()) : n, first_hops);
+    return reference_on(ex, g, rows, {sources, /*by_index=*/sources != nullptr},
+                        h, first_hops, unit_weights);
+  }
+  std::vector<sparse_dist_map> rows(n);
+  return reference_on(ex, g, rows, {sources}, h, first_hops, unit_weights);
+}
+
+using exploration_rows = heal::pareto_rows<heal::by_discovery>;
+
 /// One self-healing attempt: re-offer rounds until a crash-aware quiet
 /// window, then validate against the referee's fixed point. Returns normally
 /// on success; throws fault_failure on budget exhaustion or premature
 /// stability (the caller retries with fresh fault draws — the round counter
 /// moved). `rounds_spent` accumulates even on throw so the caller can
-/// account every burned round as healing overhead.
-void healed_exploration_attempt(hybrid_net& net, u32 h,
-                                const std::vector<u32>* sources,
-                                bool unit_weights,
-                                const sparse_exploration_result& ref,
-                                u64& rounds_spent) {
+/// account every burned round as healing overhead. `ws` is the re-offer
+/// loop's buffers, shared by every attempt.
+void healed_exploration_attempt(
+    hybrid_net& net, u32 h, const std::vector<u32>* sources,
+    bool unit_weights, const sparse_exploration_result& ref,
+    heal::workspace<exploration_rows::staged>& ws, u64& rounds_spent) {
   const u32 n = net.n();
-  heal::pareto_rows<heal::by_discovery> rows(n, h, unit_weights);
+  exploration_rows rows(net.g(), h, unit_weights);
   if (sources) {
     for (u32 s : *sources) rows.seed(s, s);
   } else {
     for (u32 v = 0; v < n; ++v) rows.seed(v, v);
   }
-  heal::run(net, rows, h, "local exploration", rounds_spent);
+  heal::run(net, rows, h, "local exploration", rounds_spent, ws);
   // Referee check: the healed support is a subset of the reliable one
   // (every held pair is realized by a ≤h-hop walk), so matching reached
   // counts plus matching front distances on every referee entry means the
@@ -76,12 +95,12 @@ void healed_exploration_attempt(hybrid_net& net, u32 h,
   for (u32 v = 0; v < n; ++v) {
     const heal::by_discovery& row = rows.rows[v];
     const std::span<const exploration_entry> want = ref.reached(v);
-    if (row.keys.size() != want.size())
+    if (row.slots() != want.size())
       throw fault_failure(
           "local exploration healing stabilized before reaching the h-ball");
     for (const exploration_entry& e : want) {
       const u32 k = row.find(e.source);
-      if (k == ~u32{0} || row.sets[k].front_dist() != e.dist)
+      if (k == heal::kNoSlot || row.front_dist(k) != e.dist)
         throw fault_failure(
             "local exploration healing stabilized before convergence");
     }
@@ -150,11 +169,13 @@ sparse_exploration_result healed_local_exploration(
   // The referee fixed point is computed once — it is a pure function of the
   // graph, so retries only redraw the fault schedule, never the target.
   const sparse_exploration_result ref = reliable_exploration_reference(
-      net.executor(), net.g(), h, sources, first_hops, unit_weights);
+      net.executor(), net.g(), h, sources, first_hops, unit_weights,
+      resolve_exploration(net.options(), n));
+  heal::workspace<exploration_rows::staged> ws;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
     try {
-      healed_exploration_attempt(net, h, sources, unit_weights, ref, spent);
+      healed_exploration_attempt(net, h, sources, unit_weights, ref, ws, spent);
       break;
     } catch (const fault_failure&) {
       // Each retry sees fresh fault draws (the round counter moved), so

@@ -36,11 +36,13 @@
 #include "proto/clustering.hpp"
 #include "proto/dissemination.hpp"
 #include "proto/flood.hpp"
+#include "proto/heal_kernel.hpp"
 #include "proto/skeleton.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "proto/token_routing.hpp"
 #include "sim/clique_net.hpp"
 #include "sim/hybrid_net.hpp"
+#include "util/rng.hpp"
 
 namespace hybrid {
 namespace {
@@ -673,6 +675,243 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
                              << got.digest << std::dec << ", "
                              << got.local_dropped << "}";
     }
+}
+
+// ---- Pareto rows: the offer tally and the arena's order --------------------
+
+// The Pareto rows as they were before the arenas: one vector per set, kept
+// by one-by-one inserts (skip a dominated candidate, evict what it
+// dominates), sets in key order — discovery order, or position order when
+// `positional`.
+struct reference_pair {
+  u64 dist;
+  u32 key;
+  u32 hops;
+  u32 stamp;
+};
+
+struct reference_sets {
+  bool positional = false;
+  std::vector<u32> keys;
+  std::vector<std::vector<reference_pair>> sets;
+
+  u32 find(u32 key) const {
+    if (positional) return key;
+    for (u32 k = 0; k < keys.size(); ++k)
+      if (keys[k] == key) return k;
+    return heal::kNoSlot;
+  }
+  bool dominated(u32 key, u64 dist, u32 hops) const {
+    const u32 k = find(key);
+    if (k == heal::kNoSlot) return false;
+    for (const reference_pair& e : sets[k])
+      if (e.dist <= dist && e.hops <= hops) return true;
+    return false;
+  }
+  void insert(u32 key, u64 dist, u32 hops, u32 stamp) {
+    u32 k = find(key);
+    if (k == heal::kNoSlot) {
+      k = static_cast<u32>(keys.size());
+      keys.push_back(key);
+      sets.emplace_back();
+    }
+    std::vector<reference_pair>& set = sets[k];
+    std::erase_if(set, [&](const reference_pair& e) {
+      return e.dist >= dist && e.hops >= hops;
+    });
+    const auto pos = std::lower_bound(
+        set.begin(), set.end(), dist,
+        [](const reference_pair& e, u64 d) { return e.dist < d; });
+    set.insert(pos, {dist, key, hops, stamp});
+  }
+  template <class Staged>
+  bool merge(const std::vector<Staged>& add, u32 round) {
+    bool changed = false;
+    for (const Staged& c : add) {
+      if (dominated(c.key, c.dist, c.hops)) continue;
+      insert(c.key, c.dist, c.hops, round);
+      changed = true;
+    }
+    return changed;
+  }
+};
+
+// The arena against the reference: the offer count against a brute-force
+// recount, the offers against the old per-set enumeration (keys in order,
+// dist ascending, hops == h pairs skipped), and every set's front.
+template <class Row>
+::testing::AssertionResult same_sets(const Row& row, const reference_sets& ref,
+                                     u32 h) {
+  std::vector<reference_pair> want;
+  for (const auto& set : ref.sets)
+    for (const reference_pair& e : set)
+      if (e.hops < h) want.push_back(e);
+  if (row.count() != want.size())
+    return ::testing::AssertionFailure()
+           << "count " << row.count() << " vs recount " << want.size();
+  std::vector<reference_pair> got;
+  for (u32 k = 0; k < row.slots(); ++k)
+    for (const heal::pareto_entry& e : row.set(k))
+      got.push_back({e.dist, row.key_of(k), e.hops, e.stamp});
+  for (u32 i = 0; i < want.size(); ++i) {
+    const reference_pair& a = got[i];
+    const reference_pair& b = want[i];
+    if (a.key != b.key || a.dist != b.dist || a.hops != b.hops ||
+        a.stamp != b.stamp)
+      return ::testing::AssertionFailure()
+             << "offer " << i << ": (" << a.key << ", " << a.dist << ", "
+             << a.hops << ", " << a.stamp << ") vs (" << b.key << ", "
+             << b.dist << ", " << b.hops << ", " << b.stamp << ")";
+  }
+  if (row.slots() != ref.sets.size())
+    return ::testing::AssertionFailure()
+           << row.slots() << " slots vs " << ref.sets.size();
+  for (u32 k = 0; k < ref.sets.size(); ++k) {
+    const u64 front =
+        ref.sets[k].empty() ? kInfDist : ref.sets[k].front().dist;
+    if (row.front_dist(k) != front)
+      return ::testing::AssertionFailure()
+             << "slot " << k << " front " << row.front_dist(k) << " vs "
+             << front;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// heal::run's rows with every merge checked against the reference, in a
+// real healed run (drops, the redelivery filter, parallel merges).
+template <class Row>
+struct checked_rows : heal::pareto_rows<Row> {
+  using base = heal::pareto_rows<Row>;
+  std::vector<reference_sets> ref;
+  std::vector<u8> bad;
+
+  checked_rows(const graph& g, u32 h, bool positional, u32 keys)
+      : base(g, h, false), ref(g.num_nodes()), bad(g.num_nodes(), 0) {
+    for (u32 v = 0; v < g.num_nodes(); ++v) {
+      ref[v].positional = positional;
+      if (positional) ref[v].sets.resize(keys);
+    }
+  }
+  void seed(u32 node, u32 key) {
+    base::seed(node, key);
+    ref[node].insert(key, 0, 0, 0);
+  }
+  bool merge(u32 v, std::vector<typename base::staged>& add, u32 round) {
+    const bool want = ref[v].merge(add, round);  // before merge reorders add
+    const bool got = base::merge(v, add, round);
+    if (got != want || !same_sets(this->rows[v], ref[v], this->h)) bad[v] = 1;
+    return got;
+  }
+};
+
+TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
+  const u32 h = 4;
+  const graph g = gen::path(4);  // four nodes; no edge is pulled here
+  rng r(2024);
+  // Random staged merges into both row types, checked after each one.
+  const auto drive = [&](auto& rows, std::vector<reference_sets>& ref,
+                         u32 keys, const char* what) {
+    using staged = typename std::decay_t<decltype(rows)>::staged;
+    std::vector<staged> add;
+    for (u32 round = 1; round <= 1500; ++round) {
+      const u32 v = static_cast<u32>(r.next_below(4));
+      add.clear();
+      for (u64 m = r.next_below(12) + 1; m > 0; --m) {
+        const u32 key = static_cast<u32>(r.next_below(keys));
+        add.push_back(
+            {r.next_below(40), key, static_cast<u32>(r.next_below(h + 1))});
+      }
+      const bool want = ref[v].merge(add, round);
+      ASSERT_EQ(rows.merge(v, add, round), want) << what << " round " << round;
+      ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h))
+          << what << " round " << round;
+      ASSERT_EQ(rows.count(v), rows.rows[v].count());
+    }
+  };
+  {
+    heal::pareto_rows<heal::by_discovery> rows(g, h, false);
+    std::vector<reference_sets> ref(4);
+    for (u32 v = 0; v < 4; ++v) {
+      rows.seed(v, v);
+      ref[v].insert(v, 0, 0, 0);
+      ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h));
+    }
+    drive(rows, ref, 10, "by_discovery");
+  }
+  {
+    const u32 keys = 6;
+    heal::pareto_rows<heal::by_position> rows(g, h, false);
+    std::vector<reference_sets> ref(4);
+    for (u32 v = 0; v < 4; ++v) {
+      rows.rows[v].open_slots(keys);
+      ref[v].positional = true;
+      ref[v].sets.resize(keys);
+    }
+    rows.seed(2, 0);
+    rows.seed(2, 3);  // a duplicate source: two positions at one node
+    ref[2].insert(0, 0, 0, 0);
+    ref[2].insert(3, 0, 0, 0);
+    ASSERT_TRUE(same_sets(rows.rows[2], ref[2], h));
+    drive(rows, ref, keys, "by_position");
+  }
+  // The evictions that move the tally. A hops == h pair is never offered,
+  // and it can only evict pairs with hops ≥ h — i.e. another capped pair.
+  heal::pareto_rows<heal::by_discovery> rows(g, h, false);
+  std::vector<reference_sets> ref(4);
+  using staged = heal::pareto_rows<heal::by_discovery>::staged;
+  const auto merge = [&](std::vector<staged> add, u32 round) {
+    const bool want = ref[0].merge(add, round);
+    EXPECT_EQ(rows.merge(0, add, round), want) << "round " << round;
+    EXPECT_TRUE(same_sets(rows.rows[0], ref[0], h)) << "round " << round;
+  };
+  // A capped pair beside three extendable ones: three offers.
+  merge({{10, 7, 4}, {12, 7, 3}, {14, 7, 2}, {20, 7, 1}}, 1);
+  EXPECT_EQ(rows.count(0), 3u);
+  // One pair evicts all three extendable pairs: one offer.
+  merge({{12, 7, 1}}, 2);
+  EXPECT_EQ(rows.count(0), 1u);
+  // A smaller capped pair evicts the capped front only: still one.
+  merge({{9, 7, 4}}, 3);
+  EXPECT_EQ(rows.count(0), 1u);
+  EXPECT_EQ(rows.rows[0].front_dist(0), 9u);
+  // An extendable pair evicts the capped front: two offers.
+  merge({{8, 7, 3}}, 4);
+  EXPECT_EQ(rows.count(0), 2u);
+  // A new key whose capped pair its own next candidate evicts, and a
+  // candidate a held pair already dominates: three offers.
+  merge({{30, 2, 4}, {5, 2, 2}, {13, 7, 3}}, 5);
+  EXPECT_EQ(rows.count(0), 3u);
+
+  // A real healed run on the fingerprints' denser instance: rows past
+  // flat_u64_map's rehash points and sets of several pairs, checked after
+  // every merge at 1, 2 and 8 threads.
+  const u32 n = 96;
+  const graph dense = gen::erdos_renyi_connected(n, 6.0, 9, 41);
+  for (const u32 threads : {1u, 2u, 8u}) {
+    hybrid_net net(dense, default_cfg(), 11,
+                   with_faults(drop_local_opts(0.3, 3), threads));
+    checked_rows<heal::by_discovery> explore(dense, h, false, 0);
+    for (u32 v = 0; v < n; ++v) explore.seed(v, v);
+    u64 rounds = 0;
+    heal::run(net, explore, h, "checked exploration", rounds);
+    u32 widest = 0, deepest = 0;
+    for (u32 v = 0; v < n; ++v) {
+      EXPECT_EQ(explore.bad[v], 0) << "node " << v << " threads=" << threads;
+      widest = std::max(widest, explore.rows[v].slots());
+      for (u32 k = 0; k < explore.rows[v].slots(); ++k)
+        deepest = std::max<u32>(deepest, explore.ref[v].sets[k].size());
+    }
+    EXPECT_GE(widest, 64u);
+    EXPECT_GE(deepest, 2u);
+
+    const std::vector<u32> sources = {0, 5, 11, 17, 23, 42, 42, 60, 77, 95};
+    checked_rows<heal::by_position> bf(dense, h, true, sources.size());
+    for (heal::by_position& row : bf.rows) row.open_slots(sources.size());
+    for (u32 i = 0; i < sources.size(); ++i) bf.seed(sources[i], i);
+    heal::run(net, bf, h, "checked limited_bellman_ford", rounds);
+    for (u32 v = 0; v < n; ++v)
+      EXPECT_EQ(bf.bad[v], 0) << "node " << v << " threads=" << threads;
+  }
 }
 
 TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
