@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "proto/aggregation.hpp"
+#include "proto/clustering.hpp"
 #include "proto/flood.hpp"
+#include "proto/ruling_set.hpp"
 
 namespace hybrid {
 namespace {
@@ -209,6 +212,106 @@ TEST(TruncatedEccentricity, RoundsChargedFully) {
   hybrid_net net(g, cfg(), 1);
   truncated_eccentricity(net, 9);
   EXPECT_EQ(net.round(), 9u);  // fixed budget, no early exit in Algorithm 9
+}
+
+// ---- Reliable floods pinned at their pre-kernel values ----------------------
+
+struct flood_fingerprint {
+  u64 rounds, local_items, local_delivered, digest;
+  friend bool operator==(const flood_fingerprint&,
+                         const flood_fingerprint&) = default;
+};
+
+// One reliable flood on a weighted ER graph (n = 96, average degree 6); the
+// digest folds the returned lists in order, so learn order, hop stamps and
+// duplicate handling are all pinned, not just the sets.
+flood_fingerprint reliable_fingerprint(const std::string& what, u32 budget,
+                                       bool early_exit, u32 threads) {
+  const u32 n = 96;
+  const graph g = gen::erdos_renyi_connected(n, 6.0, 9, 41);
+  sim_options so;
+  so.threads = threads;
+  hybrid_net net(g, cfg(), 11, so);
+  u64 digest = 1469598103934665603ull;
+  const auto mix = [&](u64 x) {
+    digest ^= x;
+    digest *= 1099511628211ull;
+  };
+  if (what == "hop_discovery") {
+    const std::vector<u32> seeds = {0, 5, 13, 21, 34, 42, 42, 60, 77, 95};
+    const auto got = hop_discovery(net, seeds, budget, early_exit);
+    for (u32 v = 0; v < n; ++v) {
+      mix(got[v].size());
+      for (const discovered_seed& d : got[v]) mix(u64{d.seed} << 32 | d.hop);
+    }
+  } else if (what == "table_flood") {
+    const auto got = table_flood(net, {1, 9, 9, 17, 50, 88},
+                                 {4, 2, 7, 1, 30, 3}, budget);
+    for (u32 v = 0; v < n; ++v) {
+      mix(got[v].size());
+      for (const u32 i : got[v]) mix(i);
+    }
+  } else if (what == "truncated_eccentricity") {
+    for (const u32 h : truncated_eccentricity(net, budget)) mix(h);
+  } else {
+    const cluster_decomposition cd =
+        compute_clusters(net, compute_ruling_set(net, 1));
+    // Every cluster shares items across its members (v % 5), and one node
+    // lists an item twice.
+    std::vector<std::vector<item128>> init(n);
+    for (u32 v = 0; v < n; ++v) {
+      init[v].push_back({cd.cluster_of[v], v % 5});
+      init[v].push_back({u64{1} << 40 | v, 0});
+    }
+    init[7].push_back(init[7][0]);
+    const auto got = cluster_flood(net, cd, std::move(init),
+                                   budget == 0 ? cd.flood_budget() : budget);
+    for (u32 v = 0; v < n; ++v) {
+      mix(got[v].size());
+      for (const item128& it : got[v]) {
+        mix(it.a);
+        mix(it.b);
+      }
+    }
+  }
+  const run_metrics& m = net.raw_metrics();
+  return {m.rounds, m.local_items, m.local_delivered, digest};
+}
+
+TEST(ReliableFloods, MatchParentFingerprints) {
+  // {rounds, local_items, local_delivered, digest}, recorded before the four
+  // reliable flood loops became instantiations of one kernel. A cluster_flood
+  // budget of 0 stands for the decomposition's flood_budget().
+  struct pinned {
+    const char* what;
+    u32 budget;
+    bool early_exit;
+    flood_fingerprint want;
+  };
+  const pinned table[] = {
+      {"hop_discovery", 3, false, {3, 2522, 2522, 0x296df5fb977a4ccbull}},
+      {"hop_discovery", 3, true, {3, 2522, 2522, 0x296df5fb977a4ccbull}},
+      {"hop_discovery", 50, false, {50, 5760, 5760, 0x5ed879e833c25b68ull}},
+      {"hop_discovery", 50, true, {19, 5760, 5760, 0x5ed879e833c25b68ull}},
+      {"table_flood", 3, false, {3, 9197, 9197, 0x5376fc52aff5f29cull}},
+      {"table_flood", 50, false, {50, 27072, 27072, 0x86e84821e16d3b9full}},
+      {"truncated_eccentricity", 2, false,
+       {2, 4558, 4558, 0xd2e7363b38b72783ull}},
+      {"truncated_eccentricity", 50, false,
+       {50, 55296, 55296, 0x84aef02f95ba3acfull}},
+      {"cluster_flood", 0, false, {53, 28159, 28159, 0x8373a52dc47c1cc1ull}},
+      {"cluster_flood", 1, false, {47, 18571, 18571, 0x1d251823238dbc2aull}},
+  };
+  for (const pinned& p : table)
+    for (const u32 threads : {1u, 2u, 8u}) {
+      const flood_fingerprint got =
+          reliable_fingerprint(p.what, p.budget, p.early_exit, threads);
+      EXPECT_EQ(got, p.want)
+          << p.what << " budget=" << p.budget << " early_exit=" << p.early_exit
+          << " threads=" << threads << " got {" << got.rounds << ", "
+          << got.local_items << ", " << got.local_delivered << ", 0x"
+          << std::hex << got.digest << std::dec << "}";
+    }
 }
 
 }  // namespace
