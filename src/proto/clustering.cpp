@@ -1,11 +1,11 @@
 #include "proto/clustering.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <tuple>
 
 #include "proto/aggregation.hpp"
 #include "proto/flood.hpp"
+#include "proto/flood_kernel.hpp"
 #include "util/assert.hpp"
 
 namespace hybrid {
@@ -54,8 +54,7 @@ cluster_decomposition compute_clusters(hybrid_net& net,
 std::vector<std::vector<item128>> cluster_flood(
     hybrid_net& net, const cluster_decomposition& cd,
     std::vector<std::vector<item128>> initial, u32 rounds) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
   HYB_REQUIRE(initial.size() == n, "initial items must cover every node");
   HYB_REQUIRE(cd.cluster_of.size() == n, "clustering must cover every node");
 
@@ -93,75 +92,26 @@ std::vector<std::vector<item128>> cluster_flood(
     index_at[x.pos] = base[x.cluster + 1] - 1;
   }
   for (u32 c = 0; c < clusters; ++c) base[c + 1] += base[c];
-  std::vector<u64> seen_at(n + 1, 0);  // node v's bitset words start here
-  for (u32 v = 0; v < n; ++v) {
-    const u32 c = cd.cluster_of[v];
-    seen_at[v + 1] = seen_at[v] + ceil_div(base[c + 1] - base[c], 64);
-  }
-  std::vector<u64> seen(seen_at[n], 0);
-  const auto learn = [](u64* bits, u32 i) {
-    u64& word = bits[i >> 6];
-    const u64 bit = u64{1} << (i & 63);
-    if (word & bit) return false;
-    word |= bit;
-    return true;
-  };
 
-  // known[v] grows in arrival order; frontier[v] holds the local indices v
-  // first learned last round. frontier/next are double-buffered and
-  // cleared in place, so the loop allocates only when a buffer outgrows
-  // its high-water mark.
+  // known[v] grows in arrival order. Each node's seen-set is a bitset over
+  // its own cluster's items, and v pulls only from same-cluster neighbours.
   std::vector<std::vector<item128>> known(n);
-  std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<u32>> next(n);
-  u32 pos = 0;
-  for (u32 v = 0; v < n; ++v)
-    for (const item128& it : initial[v]) {
-      const u32 i = index_at[pos++];
-      if (learn(seen.data() + seen_at[v], i)) {
-        known[v].push_back(it);
-        frontier[v].push_back(i);
-      }
-    }
-  // Pull from same-cluster neighbors in sorted adjacency order — the
-  // arrival order of the sequential push loop (docs/CONCURRENCY.md §3).
-  // Both callbacks are wrapped once, so no round builds a std::function.
-  const std::function<u64(u32)> pull = [&](u32 v) -> u64 {
-    next[v].clear();
-    const u32 c = cd.cluster_of[v];
-    u64* const bits = seen.data() + seen_at[v];
-    const item128* const items = table.data() + base[c];
-    u64 mine = 0;
-    for (const edge& e : g.neighbors(v)) {
-      if (cd.cluster_of[e.to] != c) continue;
-      const std::vector<u32>& from = frontier[e.to];
-      mine += from.size();
-      for (const u32 i : from)
-        if (learn(bits, i)) {
-          known[v].push_back(items[i]);
-          next[v].push_back(i);
-        }
-    }
-    return mine;
+  const auto learn = [&](u32 v, u32 i, u32) {
+    known[v].push_back(table[base[cd.cluster_of[v]] + i]);
   };
-  const std::function<bool(u32)> active = [&](u32 v) {
-    return !frontier[v].empty();
-  };
-  round_executor& exec = net.executor();
-  for (u32 r = 0; r < rounds; ++r) {
-    const u64 items = exec.sum_nodes(n, pull);
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier.swap(next);
-    if (!exec.any_node(n, active)) {
-      // Saturated early: detecting that globally costs one aggregation.
-      if (r + 1 < rounds)
-        for (u32 extra = aggregation_rounds(n); extra > 0; --extra)
-          net.advance_round();
-      break;
-    }
-  }
+  flood::state st(n, flood::seen_bits(n, [&](u32 v) {
+                    const u32 c = cd.cluster_of[v];
+                    return u64{base[c + 1] - base[c]};
+                  }));
+  for (u32 v = 0, pos = 0; v < n; ++v)
+    for (const u32 end = pos + static_cast<u32>(initial[v].size()); pos < end;
+         ++pos)
+      if (st.seed(v, index_at[pos])) learn(v, index_at[pos], 0);
+  // Saturating early pays one aggregation to detect it.
+  flood::run(
+      net, st, rounds, /*early_exit=*/true,
+      [&](u32 v, u32 u) { return cd.cluster_of[u] == cd.cluster_of[v]; },
+      flood::unit_cost{}, learn);
   return known;
 }
 

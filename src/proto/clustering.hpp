@@ -45,7 +45,8 @@ struct item128 {
 /// Flood items within clusters for `rounds` rounds (items never cross
 /// cluster boundaries). Returns everything each node has heard, own items
 /// included, deduplicated in arrival order. 2β+1 rounds reach the whole
-/// cluster. Runs node-parallel (pull over per-cluster item indices);
+/// cluster. Runs the seen-set flood kernel (proto/flood_kernel.hpp) over
+/// per-cluster item indices, pulling from same-cluster neighbours only;
 /// under local-plane faults it draws no drops (docs/FAULTS.md §3).
 std::vector<std::vector<item128>> cluster_flood(
     hybrid_net& net, const cluster_decomposition& cd,

@@ -7,8 +7,9 @@
 // frontier-emptiness checks that drive early exit are any_node reductions —
 // order-insensitive, so thread-count-invariant like every other observable.
 // limited_bellman_ford and full_local_exploration are dense-row
-// instantiations of the relaxation kernel (proto/relax_kernel.hpp); the
-// hop and table floods below keep their own seen-set loops.
+// instantiations of the relaxation kernel (proto/relax_kernel.hpp);
+// hop_discovery, table_flood and truncated_eccentricity instantiate the
+// seen-set flood kernel (proto/flood_kernel.hpp), as cluster_flood does.
 // Fault healing (docs/FAULTS.md §3): under local-plane faults hop_discovery,
 // table_flood and limited_bellman_ford each instantiate the one re-offer
 // loop of proto/heal_kernel.hpp with their rows (seen-sets, or Pareto
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "proto/aggregation.hpp"
+#include "proto/flood_kernel.hpp"
 #include "proto/heal_kernel.hpp"
 #include "proto/relax_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
@@ -169,59 +171,16 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
     bool early_exit) {
   if (net.local_faults_active())
     return healed_hop_discovery(net, seeds, rounds, early_exit);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
   std::vector<std::vector<discovered_seed>> known(n);
-  // frontier[v] = seed indices first learned by v in the previous round;
-  // next is its double buffer, cleared in place each round.
-  std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<u32>> next(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(seeds.size(), 0);
+  const auto learn = [&](u32 v, u32 i, u32 r) { known[v].push_back({i, r}); };
+  flood::state st(n, flood::seen_bits(n, seeds.size()));
   for (u32 i = 0; i < seeds.size(); ++i) {
     HYB_REQUIRE(seeds[i] < n, "seed out of range");
-    if (!seen[seeds[i]][i]) {
-      seen[seeds[i]][i] = 1;
-      known[seeds[i]].push_back({i, 0});
-      frontier[seeds[i]].push_back(i);
-    }
+    if (st.seed(seeds[i], i)) learn(seeds[i], i, 0);
   }
-  for (u32 r = 1; r <= rounds; ++r) {
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      next[v].clear();
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = frontier[e.to];
-        mine += from.size();
-        for (u32 i : from) {
-          if (!seen[v][i]) {
-            seen[v][i] = 1;
-            known[v].push_back({i, r});
-            next[v].push_back(i);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier.swap(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      if (early_exit) {
-        // Detecting global saturation costs one AND-aggregation.
-        for (u32 extra = aggregation_rounds(n); extra > 0; --extra)
-          net.advance_round();
-      } else {
-        // Fixed round budgets are part of the protocols: the remaining
-        // rounds are silent but still elapse.
-        for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      }
-      break;
-    }
-  }
+  flood::run(net, st, rounds, early_exit, flood::all_edges{},
+             flood::unit_cost{}, learn);
   return known;
 }
 
@@ -282,51 +241,17 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
               "each publisher needs a table size");
   if (net.local_faults_active())
     return healed_table_flood(net, publishers, table_words, rounds);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
   std::vector<std::vector<u32>> holds(n);
-  // frontier[v] = tables first received by v in the previous round; next
-  // is its double buffer, cleared in place each round.
-  std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<u32>> next(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(publishers.size(), 0);
+  const auto learn = [&](u32 v, u32 i, u32) { holds[v].push_back(i); };
+  flood::state st(n, flood::seen_bits(n, publishers.size()));
   for (u32 i = 0; i < publishers.size(); ++i) {
-    const u32 p = publishers[i];
-    HYB_REQUIRE(p < n, "publisher out of range");
-    if (!seen[p][i]) {
-      seen[p][i] = 1;
-      holds[p].push_back(i);
-      frontier[p].push_back(i);
-    }
+    HYB_REQUIRE(publishers[i] < n, "publisher out of range");
+    if (st.seed(publishers[i], i)) learn(publishers[i], i, 0);
   }
-  for (u32 r = 1; r <= rounds; ++r) {
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      next[v].clear();
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        for (u32 i : frontier[e.to]) {
-          mine += table_words[i];  // whole table crosses the edge
-          if (!seen[v][i]) {
-            seen[v][i] = 1;
-            holds[v].push_back(i);
-            next[v].push_back(i);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier.swap(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      break;
-    }
-  }
+  // The whole table crosses every edge it is pulled over.
+  flood::run(net, st, rounds, /*early_exit=*/false, flood::all_edges{},
+             [&](u32 i) { return table_words[i]; }, learn);
   return holds;
 }
 
@@ -349,56 +274,14 @@ std::vector<u32> truncated_eccentricity(hybrid_net& net, u32 rounds) {
         ecc[v] = std::max(ecc[v], static_cast<u32>(e.dist));
     return ecc;
   }
-  // Bitset-based all-sources hello flood: O(n²/8) memory instead of storing
-  // (seed, hop) lists per node.
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const u32 words = (n + 63) / 64;
-  std::vector<std::vector<u64>> seen(n, std::vector<u64>(words, 0));
-  std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<u32>> next(n);  // double buffer, cleared in place
+  // All-sources hello flood over bitset seen-sets: O(n²/8) memory instead
+  // of (seed, hop) lists per node.
+  const u32 n = net.n();
   std::vector<u32> ecc(n, 0);
-  for (u32 v = 0; v < n; ++v) {
-    seen[v][v / 64] |= u64{1} << (v % 64);
-    frontier[v].push_back(v);
-  }
-  for (u32 r = 1; r <= rounds; ++r) {
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      next[v].clear();
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = frontier[e.to];
-        mine += from.size();
-        for (u32 id : from) {
-          u64& word = seen[v][id / 64];
-          const u64 bit = u64{1} << (id % 64);
-          if (!(word & bit)) {
-            word |= bit;
-            ecc[v] = r;
-            next[v].push_back(id);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier.swap(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      // This branch only runs on a reliable local plane (the healed path
-      // returned above), so everything charged must have arrived: the
-      // ledger local_items == local_delivered + local_dropped balances with
-      // a zero dropped share from this flood.
-      const run_metrics& m = net.raw_metrics();
-      HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
-                    "local plane ledger must balance at flood saturation");
-      for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      break;
-    }
-  }
+  flood::state st(n, flood::seen_bits(n, n));
+  for (u32 v = 0; v < n; ++v) st.seed(v, v);
+  flood::run(net, st, rounds, /*early_exit=*/false, flood::all_edges{},
+             flood::unit_cost{}, [&](u32 v, u32, u32 r) { ecc[v] = r; });
   return ecc;
 }
 

@@ -29,8 +29,11 @@
 // All primitives run over the whole graph; restricting propagation to a
 // cluster is done by the clustering utilities (proto/clustering.hpp).
 //
-// Under local-plane faults (1), (2), (4) and every exploration heal through
-// the one re-offer loop of proto/heal_kernel.hpp and return the fault-free
+// On a reliable local plane (1), (4) and the hello flood below run the
+// seen-set flood kernel of proto/flood_kernel.hpp, as cluster_flood does;
+// (2) and (3) run the relaxation kernel of proto/relax_kernel.hpp. Under
+// local-plane faults (1), (2), (4) and every exploration heal through the
+// one re-offer loop of proto/heal_kernel.hpp and return the fault-free
 // result or throw fault_failure (docs/FAULTS.md §3).
 #pragma once
 

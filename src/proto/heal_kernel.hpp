@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "proto/flood.hpp"
+#include "proto/flood_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
@@ -196,16 +197,16 @@ struct seen_rows {
   using staged = u32;
 
   std::vector<std::vector<discovered_seed>> held;
-  std::vector<std::vector<char>> seen;
+  flood::seen_bits seen;
   const std::vector<u64>* words = nullptr;
 
   /// Item i starts at roots[i].
   seen_rows(u32 n, const std::vector<u32>& roots, const char* out_of_range,
             const std::vector<u64>* words_ = nullptr)
-      : held(n), seen(n, std::vector<char>(roots.size(), 0)), words(words_) {
+      : held(n), seen(n, roots.size()), words(words_) {
     for (u32 i = 0; i < roots.size(); ++i) {
       HYB_REQUIRE(roots[i] < n, out_of_range);
-      seen[roots[i]][i] = 1;
+      seen.learn(roots[i], i);
       held[roots[i]].push_back({i, 0});
     }
   }
@@ -216,15 +217,15 @@ struct seen_rows {
   void pull(u32 v, u32 /*j*/, const edge& e, u32 /*round*/,
             std::vector<u32>& add, Deliver&& deliver) const {
     for (const discovered_seed& d : held[e.to])
-      if (deliver(d.hop, words ? (*words)[d.seed] : 1) && !seen[v][d.seed])
+      if (deliver(d.hop, words ? (*words)[d.seed] : 1) &&
+          !seen.test(v, d.seed))
         add.push_back(d.seed);
   }
 
   bool merge(u32 v, const std::vector<u32>& add, u32 round) {
     bool changed = false;
     for (const u32 i : add)
-      if (!seen[v][i]) {
-        seen[v][i] = 1;
+      if (seen.learn(v, i)) {
         held[v].push_back({i, round});
         changed = true;
       }

@@ -4,15 +4,11 @@
 // identical local phase).
 //
 // Internal header. Its instantiations are
-//   * sparse_local_exploration / dense_local_exploration  (net, graph edges)
-//   * limited_bellman_ford / full_local_exploration       (net, graph edges)
-//   * the referees of the healed limited_bellman_ford and (pure, graph or
-//     exploration engine                                   unit edges)
-//   * explore_adjacency                                   (pure, explicit
-//                                                          (to, w) lists)
-// The healed loops themselves are not among them: re-offering the whole
-// held set, the staged merge and the quiet window live in the re-offer
-// kernel of proto/heal_kernel.hpp.
+//   * sparse_local_exploration / dense_local_exploration — net, graph edges;
+//   * limited_bellman_ford / full_local_exploration — net, graph edges;
+//   * the referees of the healed limited_bellman_ford and of the healed
+//     exploration engine — pure, graph or unit edges;
+//   * explore_adjacency — pure, explicit (to, w) lists;
 // and they differ only in three parameters:
 //   * the row type — sparse_dist_map (memory O(|ball_h(v)|)) or dense_row
 //     (K distances per node: K = n for all sources, or K = |sources| keyed
@@ -33,6 +29,8 @@
 // (docs/CONCURRENCY.md §3) — which is also why the referees may use the
 // net's executor. Once no frontier is left the loop exits; the hook pads
 // the rounds a fixed budget still owes.
+// The healed loops live in the re-offer kernel (proto/heal_kernel.hpp),
+// and floods with nothing to relax in proto/flood_kernel.hpp.
 #pragma once
 
 #include <algorithm>
