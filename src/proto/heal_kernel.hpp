@@ -26,8 +26,9 @@
 // incomplete return) and settles its rounds with heal::pad.
 //
 // The loop is a template over the rows (the state of every node):
-//   * seen_rows — a seen-set per node, items in learn order (the hop and
-//     table floods; each offer costs 1 or the table's word count);
+//   * seen_rows — items in learn order plus the flood kernel's bitset
+//     seen-sets (the hop and table floods; each offer costs 1 or the
+//     table's word count);
 //   * pareto_rows<by_position> — Pareto (dist, hops) sets keyed by source
 //     position (limited_bellman_ford);
 //   * pareto_rows<by_discovery> — the same sets keyed in discovery order,

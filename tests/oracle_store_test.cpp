@@ -9,6 +9,10 @@
 //     out-of-bounds section offsets, CSR indices past the arena: each file
 //     must be rejected with the RIGHT typed store_errc, never UB (the suite
 //     runs in the TSAN CI leg);
+//   * a seeded mutation loop — 2,100 deterministic bit flips, word
+//     overwrites, truncations and extensions of three seed stores, half of
+//     them resealed: each is refused with a typed error or served over all
+//     pairs with next hops in range (ASan+UBSan in CI);
 //   * a concurrent-reader torture test — 8 threads hammering one mapped
 //     view with seeded request mixes, per-thread result digests
 //     seed-deterministic and equal to an in-memory replay;
@@ -28,8 +32,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -428,6 +435,161 @@ TEST_F(OracleStoreCorruption, SuperSizeNonzeroOnRowsScheme) {
 TEST_F(OracleStoreCorruption, ReservedFieldNonzero) {
   header()->reserved = 1;
   EXPECT_EQ(load_patched(), store_errc::bad_header);
+}
+
+// ---- seeded mutation loop ---------------------------------------------------
+
+/// Whether every section of a (possibly mutated) file lies inside it, so
+/// reseal_checksum may read them all.
+bool sections_in_bounds(const std::vector<std::byte>& bytes) {
+  if (bytes.size() < sizeof(oracle_header)) return false;
+  const auto* hdr = reinterpret_cast<const oracle_header*>(bytes.data());
+  for (const oracle_section& sec : hdr->sections)
+    if (sec.offset > bytes.size() || sec.bytes > bytes.size() - sec.offset)
+      return false;
+  return true;
+}
+
+/// Applies one seeded mutation — a bit flip; an aligned u32 or u64
+/// overwritten with 0, ~0, n or n_s; a truncation or an extension — and
+/// returns its description. Half of the flips and overwrites land in the
+/// header, the rest anywhere in the file.
+std::string mutate(std::vector<std::byte>& bytes, rng& r) {
+  const auto* hdr = reinterpret_cast<const oracle_header*>(bytes.data());
+  const u64 n = hdr->n;
+  const u64 n_s = hdr->n_s;
+  const u64 span = r.next_bool(0.5) ? sizeof(oracle_header) : bytes.size();
+  switch (r.next_below(3)) {
+    case 0: {
+      const u64 at = r.next_below(span);
+      const u32 bit = static_cast<u32>(r.next_below(8));
+      bytes[at] ^= std::byte{static_cast<unsigned char>(1u << bit)};
+      return "flip bit " + std::to_string(bit) + " of byte " +
+             std::to_string(at);
+    }
+    case 1: {
+      const u64 width = r.next_bool(0.5) ? 4 : 8;
+      const u64 at = r.next_below(span / width) * width;
+      const u64 values[] = {0, ~u64{0}, n, n_s};
+      const u64 value = values[r.next_below(4)];
+      std::memcpy(bytes.data() + at, &value, width);  // little-endian
+      return "overwrite " + std::to_string(width) + " bytes at " +
+             std::to_string(at) + " with " + std::to_string(value);
+    }
+    default:
+      if (r.next_bool(0.5)) {
+        bytes.resize(r.next_below(bytes.size()));
+        return "truncate to " + std::to_string(bytes.size());
+      }
+      bytes.resize(bytes.size() + 1 + r.next_below(64),
+                   std::byte{static_cast<unsigned char>(r.next_below(256))});
+      return "extend to " + std::to_string(bytes.size());
+  }
+}
+
+/// Every query, row_into and next_hop over all pairs of a loaded store;
+/// returns how many next hops named neither a node nor ~0. next_hop runs
+/// when the store claims routes and accepts `topo`.
+u64 serve_all_pairs(mapped_oracle& m, const graph& topo) {
+  const label_view& v = m.view();
+  bool hops = v.routes;
+  if (hops) {
+    try {
+      m.attach_topology(topo);
+    } catch (const std::invalid_argument&) {
+      hops = false;  // the header names another graph: refused explicitly
+    }
+  }
+  u64 bad = 0;
+  std::vector<u64> row;
+  for (u32 a = 0; a < v.n; ++a) {
+    v.row_into(a, row);
+    for (u32 b = 0; b < v.n; ++b) {
+      (void)v.query(a, b);
+      if (!hops) continue;
+      const u32 hop = v.next_hop(a, b);
+      if (hop >= v.n && hop != ~u32{0}) ++bad;
+    }
+  }
+  return bad;
+}
+
+TEST_F(OracleStoreCorruption, SeededMutationsThrowTypedOrStayInBounds) {
+  // Three seed stores: the fixture's single-level store with routes, the
+  // committed v2 golden, and a two-level store with routes saved here. The
+  // invariant for every mutant: load throws oracle_store_error, or the
+  // whole all-pairs serving surface completes with next hops in range.
+  // Half of the mutants get a resealed payload checksum, so their damage
+  // reaches the CSR layer. The CI ASan+UBSan job runs this suite, which
+  // turns any out-of-bounds read on the way into a failure.
+  const graph fixture_graph = gen::erdos_renyi_connected(40, 4.0, 5, 71);
+  const graph two_level_graph = gen::erdos_renyi_connected(40, 4.0, 5, 73);
+  const graph golden_graph = gen::path(4);
+  sim_options o;
+  o.storage = result_storage::kLabels;
+  o.hierarchy = oracle_hierarchy::kTwoLevel;
+  const std::string two_level_path = tmp_path("mutate_two_level");
+  save_oracle(hybrid_apsp_exact(two_level_graph, cfg(), 73,
+                                /*build_routes=*/true, o)
+                  .labels,
+              two_level_path);
+  struct seed_store {
+    const char* name;
+    std::vector<std::byte> bytes;
+    const graph* topo;
+  };
+  const seed_store seeds[] = {
+      {"single-level", bytes_, &fixture_graph},
+      {"golden v2",
+       read_file(std::string(HYBRID_TEST_DATA_DIR) + "/golden_oracle_v2.bin"),
+       &golden_graph},
+      {"two-level", read_file(two_level_path), &two_level_graph},
+  };
+  std::remove(two_level_path.c_str());
+
+  rng r(0x5eedf00d);
+  u64 refused[static_cast<u32>(store_errc::bad_csr) + 1] = {};
+  u64 served = 0;
+  for (const seed_store& s : seeds) {
+    ASSERT_GE(s.bytes.size(), sizeof(oracle_header)) << s.name;
+    for (u32 k = 0; k < 700; ++k) {
+      std::vector<std::byte> mutant = s.bytes;
+      std::string what = mutate(mutant, r);
+      if (r.next_bool(0.5) && sections_in_bounds(mutant)) {
+        reseal_checksum(mutant);
+        what += ", resealed";
+      }
+      write_file(path_, mutant);
+      const std::string tag = std::string(s.name) + " #" + std::to_string(k) +
+                              ": " + what;
+      std::optional<mapped_oracle> m;
+      try {
+        m = mapped_oracle::load(path_);
+      } catch (const oracle_store_error& e) {
+        ++refused[static_cast<u32>(e.code())];
+        continue;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << tag << ": load threw an untyped error: " << e.what();
+        continue;
+      }
+      ++served;
+      try {
+        EXPECT_EQ(serve_all_pairs(*m, *s.topo), 0u)
+            << tag << ": next_hop named no node";
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << tag << ": serving a loaded store threw: " << e.what();
+      }
+    }
+  }
+  // The loop must exercise both sides of the invariant and reach the
+  // checksum and the CSR layer.
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(refused[static_cast<u32>(store_errc::bad_checksum)], 0u);
+  EXPECT_GT(refused[static_cast<u32>(store_errc::bad_csr)], 0u);
+  for (u32 c = 0; c <= static_cast<u32>(store_errc::bad_csr); ++c)
+    std::printf("%s: %llu\n", to_string(static_cast<store_errc>(c)),
+                static_cast<unsigned long long>(refused[c]));
+  std::printf("served: %llu\n", static_cast<unsigned long long>(served));
 }
 
 /// Corruption battery over the v2 level-1 slabs: the fixture labels are a
