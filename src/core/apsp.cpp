@@ -127,9 +127,9 @@ apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
   }
   // The full h-hop exploration runs on the local network in parallel with
   // everything above (LOCAL bandwidth is unbounded): charge traffic only.
-  // run_local_exploration picks the dense or ball-bounded sparse path per
-  // sim_options (proto/sparse_exploration.hpp) — triples and charging are
-  // bit-identical either way.
+  // run_local_exploration picks the dense or ball-bounded sparse rows by n
+  // (proto/sparse_exploration.hpp) — triples and charging are bit-identical
+  // either way.
   out.labels.ball = run_local_exploration(
       net, sk.h, /*advance_rounds=*/false, nullptr, /*first_hops=*/false);
 
@@ -150,15 +150,8 @@ apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
     out.labels.super_nodes = std::move(ss.members);
     out.labels.skel = std::move(ss.pairs);
   }
-  out.labels.gw_offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.labels.gw_offsets[v + 1] = out.labels.gw_offsets[v] + sk.near[v].size();
-  out.labels.gateways.resize(out.labels.gw_offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    std::copy(sk.near[v].begin(), sk.near[v].end(),
-              out.labels.gateways.begin() +
-                  static_cast<std::ptrdiff_t>(out.labels.gw_offsets[v]));
-  });
+  flatten_gateways(net.executor(), sk.near, out.labels.gw_offsets,
+                   out.labels.gateways);
 
   if (build_routes) {
     // One more LOCAL round: every node shares its (exact) distance labels

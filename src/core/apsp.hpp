@@ -57,9 +57,9 @@ struct apsp_result {
 /// distance labels with its neighbors in one more LOCAL round, after which
 /// next-hop routing is a free local computation (the round complexity is
 /// otherwise unchanged). `opts` selects the executor thread count, the
-/// exploration path, and the result storage (docs/CONCURRENCY.md,
+/// oracle hierarchy, and the result storage (docs/CONCURRENCY.md,
 /// core/dist_oracle.hpp); distances, labels, and metrics are bit-identical
-/// for every thread count, either exploration path, and either storage mode.
+/// for every thread count and either storage mode.
 apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
                               u64 seed, bool build_routes = false,
                               sim_options opts = {});

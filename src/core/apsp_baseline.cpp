@@ -64,15 +64,8 @@ apsp_baseline_result baseline_apsp_ahkss(const graph& g,
   out.labels.skel.assign(u64{n_s} * n_s, kInfDist);
   for (u32 i = 0; i < n_s; ++i)
     for (u32 j = 0; j < n_s; ++j) out.labels.skel[u64{i} * n_s + j] = dist_s[i][j];
-  out.labels.gw_offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.labels.gw_offsets[v + 1] = out.labels.gw_offsets[v] + sk.near[v].size();
-  out.labels.gateways.resize(out.labels.gw_offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    std::copy(sk.near[v].begin(), sk.near[v].end(),
-              out.labels.gateways.begin() +
-                  static_cast<std::ptrdiff_t>(out.labels.gw_offsets[v]));
-  });
+  flatten_gateways(net.executor(), sk.near, out.labels.gw_offsets,
+                   out.labels.gateways);
   out.metrics = net.snapshot();
 
   if (resolve_materialize(opts, n))

@@ -37,10 +37,9 @@ struct apsp_baseline_result {
   bool materialized() const { return !dist.empty(); }
 };
 
-/// `opts` selects the executor thread count, the local-exploration path, and
-/// the result storage (docs/CONCURRENCY.md, proto/sparse_exploration.hpp,
-/// core/dist_oracle.hpp); results are bit-identical for every thread count
-/// and either exploration path or storage mode.
+/// `opts` selects the executor thread count and the result storage
+/// (docs/CONCURRENCY.md, core/dist_oracle.hpp); results are bit-identical
+/// for every thread count and either storage mode.
 apsp_baseline_result baseline_apsp_ahkss(const graph& g,
                                          const model_config& cfg, u64 seed,
                                          sim_options opts = {});

@@ -30,6 +30,20 @@ u64 ball_lookup(std::span<const exploration_entry> slice, u32 target) {
 
 }  // namespace
 
+void flatten_gateways(round_executor& ex,
+                      const std::vector<std::vector<source_distance>>& near,
+                      std::vector<u64>& offsets,
+                      std::vector<source_distance>& gateways) {
+  const u32 n = static_cast<u32>(near.size());
+  offsets.assign(u64{n} + 1, 0);
+  for (u32 v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + near[v].size();
+  gateways.resize(offsets[n]);
+  ex.for_nodes(n, [&](u32 v) {
+    std::copy(near[v].begin(), near[v].end(),
+              gateways.begin() + static_cast<std::ptrdiff_t>(offsets[v]));
+  });
+}
+
 u64 label_view::ball_dist(u32 u, u32 v) const { return ball_lookup(ball_of(u), v); }
 
 u64 label_view::query(u32 u, u32 v) const {

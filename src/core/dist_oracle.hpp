@@ -19,9 +19,8 @@
 // Equivalence contract (differentially tested in tests/dist_oracle_test.cpp,
 // `ctest -L oracle`, gated in CI): for every pair, query()/next_hop()/row()
 // and the materialize() adapters are bit-identical to the dense matrices the
-// pre-oracle assembly produced, at every thread count and on either
-// exploration path — the composition below is the dense loop, evaluated
-// lazily.
+// pre-oracle assembly produced, at every thread count — the composition
+// below is the dense loop, evaluated lazily.
 #pragma once
 
 #include <span>
@@ -132,6 +131,14 @@ struct label_view {
            ball1_entries.size() + gw1.size() + super_nodes.size();
   }
 };
+
+/// The gateway part of every label scheme: `near[v]` (a node's nearby
+/// skeleton nodes, sk.near) flattened verbatim into one CSR — `offsets`
+/// (size n + 1) and `gateways` — copied node-parallel on `ex`.
+void flatten_gateways(round_executor& ex,
+                      const std::vector<std::vector<source_distance>>& near,
+                      std::vector<u64>& offsets,
+                      std::vector<source_distance>& gateways);
 
 /// Per-node distance labels for all-pairs queries. Built natively by
 /// core/apsp and core/apsp_baseline; the dense apsp_result matrices are a

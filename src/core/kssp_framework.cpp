@@ -121,15 +121,8 @@ kssp_result hybrid_kssp(const graph& g, const model_config& cfg, u64 seed,
   for (u32 slot = 0; slot < rep_nodes.size(); ++slot)
     for (u32 s = 0; s < n_s; ++s)
       out.labels.est[u64{slot} * n_s + s] = est[slot][s];
-  out.labels.gw_offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.labels.gw_offsets[v + 1] = out.labels.gw_offsets[v] + sk.near[v].size();
-  out.labels.gateways.resize(out.labels.gw_offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    std::copy(sk.near[v].begin(), sk.near[v].end(),
-              out.labels.gateways.begin() +
-                  static_cast<std::ptrdiff_t>(out.labels.gw_offsets[v]));
-  });
+  flatten_gateways(net.executor(), sk.near, out.labels.gw_offsets,
+                   out.labels.gateways);
 
   out.metrics = net.snapshot();
   if (resolve_materialize(opts, n))

@@ -414,14 +414,14 @@ struct by_discovery : pareto_arena {
   std::vector<u32> keys;
 
   u32 find(u32 key) const {
-    const u32* slot = index.find(key);
-    return slot ? *slot : kNoSlot;
+    const auto* held = index.find(key);
+    return held ? held->value : kNoSlot;
   }
   /// The key's slot, appended (empty) on first sight.
   u32 slot_of(u32 key) {
-    if (const u32* slot = index.find(key)) return *slot;
     const u32 slot = slots();
-    index[key] = slot;
+    const auto [held, fresh] = index.insert({key, slot});
+    if (!fresh) return held->value;
     if (keys.size() == keys.capacity())
       keys.reserve(keys.size() + keys.size() / 4 + 4);
     keys.push_back(key);

@@ -10,10 +10,12 @@
 //     exploration engine — pure, graph or unit edges;
 //   * explore_adjacency — pure, explicit (to, w) lists;
 // and they differ only in three parameters:
-//   * the row type — sparse_dist_map (memory O(|ball_h(v)|)) or dense_row
-//     (K distances per node: K = n for all sources, or K = |sources| keyed
-//     by position, which keeps limited_bellman_ford's index semantics and
-//     its acceptance of duplicate sources);
+//   * the row type — sparse_row (a flat_map of exploration entries keyed
+//     by source, memory O(|ball_h(v)|)) or dense_row (K distances per
+//     node: K = n for all sources, or K = |sources| keyed by position,
+//     which keeps limited_bellman_ford's index semantics and its
+//     acceptance of duplicate sources); each row type provides relax,
+//     dist_of, reached_count and copy_reached below;
 //   * the neighbour source — graph edges with real or unit weights, or an
 //     explicit adjacency list, always read in its stored (sorted) order;
 //   * the per-round hook — traffic/round accounting for net callers, a
@@ -40,22 +42,45 @@
 #include "proto/flood.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 
 namespace hybrid::relax {
+
+/// One node's reached sources: exploration entries (dist, source, via)
+/// keyed by source in discovery order.
+using sparse_row = flat_map<exploration_entry, &exploration_entry::source>;
 
 /// K distances keyed 0..K-1, plus the via of each when asked for.
 struct dense_row {
   std::vector<u64> dist;
   std::vector<u32> via;  ///< empty unless vias were requested
-
-  u64 dist_of(u32 key) const { return dist[key]; }
-  bool relax(u32 key, u64 nd, u32 from) {
-    if (nd >= dist[key]) return false;
-    dist[key] = nd;
-    if (!via.empty()) via[key] = from;
-    return true;
-  }
 };
+
+/// The key's distance as currently known, kInfDist when never reached.
+inline u64 dist_of(const sparse_row& row, u32 key) {
+  const exploration_entry* e = row.find(key);
+  return e ? e->dist : kInfDist;
+}
+inline u64 dist_of(const dense_row& row, u32 key) { return row.dist[key]; }
+
+/// The relaxation primitive: adopt (nd, from) iff nd strictly improves on
+/// the key's distance (absent counts as kInfDist), so an equal later offer
+/// never moves the via. Returns whether it did — the condition the kernel
+/// extends the frontier on.
+inline bool relax(sparse_row& row, u32 key, u64 nd, u32 from) {
+  const auto [e, fresh] = row.insert({nd, key, from});
+  if (fresh) return true;
+  if (nd >= e->dist) return false;
+  e->dist = nd;
+  e->first_hop = from;
+  return true;
+}
+inline bool relax(dense_row& row, u32 key, u64 nd, u32 from) {
+  if (nd >= row.dist[key]) return false;
+  row.dist[key] = nd;
+  if (!row.via.empty()) row.via[key] = from;
+  return true;
+}
 
 /// n dense rows of width k, first-touched node-parallel.
 inline std::vector<dense_row> dense_rows(round_executor& ex, u32 n, u32 k,
@@ -68,7 +93,7 @@ inline std::vector<dense_row> dense_rows(round_executor& ex, u32 n, u32 k,
   return rows;
 }
 
-inline u64 reached_count(const sparse_dist_map& row) { return row.size(); }
+inline u64 reached_count(const sparse_row& row) { return row.size(); }
 inline u64 reached_count(const dense_row& row) {
   return static_cast<u64>(std::count_if(row.dist.begin(), row.dist.end(),
                                         [](u64 d) { return d != kInfDist; }));
@@ -76,7 +101,7 @@ inline u64 reached_count(const dense_row& row) {
 
 /// Writes the row's reached (dist, key, via) triples to `at` in row order
 /// and returns the end; via is ~0 where the row keeps none.
-inline exploration_entry* copy_reached(const sparse_dist_map& row,
+inline exploration_entry* copy_reached(const sparse_row& row,
                                        exploration_entry* at) {
   return std::copy(row.entries().begin(), row.entries().end(), at);
 }
@@ -164,7 +189,7 @@ void run(round_executor& ex, std::vector<Row>& rows, sources src, u32 h,
   std::vector<std::vector<source_distance>> next(n);
   const auto seed = [&](u32 node, u32 key) {
     HYB_REQUIRE(node < n, "source out of range");
-    if (rows[node].relax(key, 0, node))
+    if (relax(rows[node], key, 0, node))
       frontier[node].push_back({key, 0, node});
   };
   if (!src.nodes) {
@@ -183,11 +208,11 @@ void run(round_executor& ex, std::vector<Row>& rows, sources src, u32 h,
         const std::vector<source_distance>& from = frontier[to];
         pulled += from.size();
         for (const source_distance& f : from)
-          if (row.relax(f.source, f.dist + w, to))
+          if (relax(row, f.source, f.dist + w, to))
             out.push_back({f.source, f.dist + w, to});
       });
       std::erase_if(out, [&](const source_distance& sd) {
-        return sd.dist != row.dist_of(sd.source);
+        return sd.dist != dist_of(row, sd.source);
       });
       return pulled;
     });

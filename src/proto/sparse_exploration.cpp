@@ -2,7 +2,7 @@
 // reliable loop here — sparse, dense, explore_adjacency and the healed
 // engine's referee — is an instantiation of the one relaxation kernel in
 // proto/relax_kernel.hpp; the sparse path differs from the dense one only
-// in its row type (sparse_dist_map instead of an n-wide row), which is
+// in its row type (a flat_map of entries instead of an n-wide row), which is
 // what makes the two bit-identical (the differential suite asserts it,
 // triples and metrics both). The healed engine's rounds are the re-offer
 // kernel of proto/heal_kernel.hpp over Pareto rows keyed in discovery
@@ -18,12 +18,6 @@
 namespace hybrid {
 
 namespace {
-
-/// Fibonacci multiplicative mix; sources are sequential small ints, so the
-/// multiply spreads them across the probe table.
-u32 hash_source(u32 source, u32 mask) {
-  return static_cast<u32>((u64{source} * 0x9E3779B97F4A7C15ull) >> 32) & mask;
-}
 
 void require_distinct(const std::vector<u32>& sources, u32 n) {
   std::vector<u32> sorted(sources);
@@ -50,20 +44,19 @@ sparse_exploration_result reference_on(round_executor& ex, const graph& g,
 /// computation (no simulated traffic, no randomness), so its flattened
 /// result is the canonical fixed point the fault-free run returns, vias
 /// included. `unit_weights` floods hop counts instead of weighted distances
-/// (truncated_eccentricity). The rows follow the fault-free run's choice
-/// (`path`); both give identical triples.
+/// (truncated_eccentricity). The rows follow run_local_exploration's
+/// choice by n; both give identical triples.
 sparse_exploration_result reliable_exploration_reference(
     round_executor& ex, const graph& g, u32 h,
-    const std::vector<u32>* sources, bool first_hops, bool unit_weights,
-    exploration_path path) {
+    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
   const u32 n = g.num_nodes();
-  if (path == exploration_path::kDense) {
+  if (n <= kDenseExplorationMaxNodes) {
     std::vector<relax::dense_row> rows = relax::dense_rows(
         ex, n, sources ? static_cast<u32>(sources->size()) : n, first_hops);
     return reference_on(ex, g, rows, {sources, /*by_index=*/sources != nullptr},
                         h, first_hops, unit_weights);
   }
-  std::vector<sparse_dist_map> rows(n);
+  std::vector<relax::sparse_row> rows(n);
   return reference_on(ex, g, rows, {sources}, h, first_hops, unit_weights);
 }
 
@@ -109,56 +102,6 @@ void healed_exploration_attempt(
 
 }  // namespace
 
-u64 sparse_dist_map::dist_of(u32 source) const {
-  if (table_.empty()) return kInfDist;
-  u32 i = hash_source(source, mask_);
-  for (;;) {
-    const u32 slot = table_[i];
-    if (slot == 0) return kInfDist;
-    if (entries_[slot - 1].source == source) return entries_[slot - 1].dist;
-    i = (i + 1) & mask_;
-  }
-}
-
-u32* sparse_dist_map::find_slot(u32 source) {
-  u32 i = hash_source(source, mask_);
-  for (;;) {
-    u32& slot = table_[i];
-    if (slot == 0 || entries_[slot - 1].source == source) return &slot;
-    i = (i + 1) & mask_;
-  }
-}
-
-bool sparse_dist_map::relax(u32 source, u64 nd, u32 via) {
-  if (table_.empty()) grow();
-  u32* slot = find_slot(source);
-  if (*slot != 0) {
-    exploration_entry& e = entries_[*slot - 1];
-    if (nd >= e.dist) return false;
-    e.dist = nd;
-    e.first_hop = via;
-    return true;
-  }
-  entries_.push_back({nd, source, via});
-  *slot = static_cast<u32>(entries_.size());
-  // Keep load factor under 1/2 so probe chains stay short.
-  if (2 * entries_.size() >= table_.size()) grow();
-  return true;
-}
-
-void sparse_dist_map::grow() {
-  const u32 cap = table_.empty() ? 8 : static_cast<u32>(table_.size()) * 2;
-  table_.assign(cap, 0);
-  mask_ = cap - 1;
-  for (u32 k = 0; k < entries_.size(); ++k)
-    *find_slot(entries_[k].source) = k + 1;
-}
-
-void sparse_dist_map::clear() {
-  entries_.clear();
-  std::fill(table_.begin(), table_.end(), 0);
-}
-
 sparse_exploration_result healed_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
@@ -169,8 +112,7 @@ sparse_exploration_result healed_local_exploration(
   // The referee fixed point is computed once — it is a pure function of the
   // graph, so retries only redraw the fault schedule, never the target.
   const sparse_exploration_result ref = reliable_exploration_reference(
-      net.executor(), net.g(), h, sources, first_hops, unit_weights,
-      resolve_exploration(net.options(), n));
+      net.executor(), net.g(), h, sources, first_hops, unit_weights);
   heal::workspace<exploration_rows::staged> ws;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
@@ -205,7 +147,7 @@ sparse_exploration_result sparse_local_exploration(
                                     first_hops);
   const u32 n = net.n();
   if (sources) require_distinct(*sources, n);
-  std::vector<sparse_dist_map> rows(n);
+  std::vector<relax::sparse_row> rows(n);
   const relax::sources src{sources};
   relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
              relax::net_hook{net, advance_rounds});
@@ -234,7 +176,7 @@ sparse_exploration_result dense_local_exploration(
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex) {
-  std::vector<sparse_dist_map> rows(adj.size());
+  std::vector<relax::sparse_row> rows(adj.size());
   relax::run(ex, rows, {}, h, relax::adjacency_edges{adj}, relax::no_hook{});
   return relax::flatten(ex, rows, {}, /*first_hops=*/true);
 }
@@ -249,7 +191,7 @@ sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,
   if (net.local_faults_active())
     return healed_local_exploration(net, h, advance_rounds, sources,
                                     first_hops);
-  return resolve_exploration(net.options(), net.n()) == exploration_path::kDense
+  return net.n() <= kDenseExplorationMaxNodes
              ? dense_local_exploration(net, h, advance_rounds, sources,
                                        first_hops)
              : sparse_local_exploration(net, h, advance_rounds, sources,

@@ -5,9 +5,9 @@
 // exploration. The dense primitives keep an n-wide distance vector per node
 // — O(n²) memory by design — which dies long before n ≈ 10⁵ on sparse
 // graphs even though each node only ever hears from its h-ball. This module
-// stores exactly what a node learns: per node v an open-addressed flat map
-// from source id to (dist, first_hop), so total memory is O(Σᵥ|ball_h(v)|)
-// instead of O(n²). The sparse regime is where HYBRID shines (Feldmann et
+// stores exactly what a node learns: per node v a flat_map
+// (util/flat_map.hpp) of exploration entries keyed by source id, so total
+// memory is O(Σᵥ|ball_h(v)|) instead of O(n²). The sparse regime is where HYBRID shines (Feldmann et
 // al. 2020, PAPERS.md), and the trick is sound because Kuhn & Schneider's
 // "run local exploration in parallel" step only ever needs the h-ball.
 //
@@ -39,39 +39,6 @@ struct exploration_entry {
                          const exploration_entry&) = default;
 };
 
-/// Open-addressed flat map keyed by source id, holding each node's reached
-/// set during an exploration. Entries live in a dense insertion-ordered
-/// vector (cheap iteration and flattening); the power-of-two probe table
-/// stores slot indices only. clear() keeps capacity so a map can be reused
-/// as per-node scratch across explorations without reallocating.
-class sparse_dist_map {
- public:
-  /// d(source) as currently known, kInfDist when the source was never seen.
-  u64 dist_of(u32 source) const;
-
-  /// The relaxation primitive: adopt (nd, via) iff nd strictly improves on
-  /// the current distance (absent counts as kInfDist). Returns true when it
-  /// did — the condition the relaxation kernel extends the frontier on.
-  bool relax(u32 source, u64 nd, u32 via);
-
-  /// Reached sources in insertion (discovery) order.
-  std::span<const exploration_entry> entries() const { return entries_; }
-  u32 size() const { return static_cast<u32>(entries_.size()); }
-  bool empty() const { return entries_.empty(); }
-
-  /// Forget all entries but keep both arrays' capacity.
-  void clear();
-
- private:
-  u32* find_slot(u32 source);
-  void grow();
-
-  std::vector<exploration_entry> entries_;
-  /// Probe table of entry index + 1 (0 = empty); size is a power of two.
-  std::vector<u32> table_;
-  u32 mask_ = 0;  ///< table_.size() - 1, 0 while the table is empty
-};
-
 /// Per-node reached sets in one flat CSR arena: node v's triples are
 /// entries[offsets[v] .. offsets[v+1]), sorted by source id. Memory is
 /// O(total_reached()) = O(Σᵥ|ball_h(v)|), never O(n²).
@@ -90,7 +57,7 @@ struct sparse_exploration_result {
 /// h rounds of exploration from `sources` (nullptr = every node explores,
 /// the full_local_exploration workload; otherwise the limited_bellman_ford
 /// workload — sources must be distinct). Per-node distance state lives in
-/// sparse_dist_maps, so memory is bounded by the h-ball sizes. Round and
+/// flat maps of reached entries, so memory is bounded by the h-ball sizes. Round and
 /// traffic accounting matches the dense primitives exactly; with
 /// `advance_rounds` false only traffic is charged (the paper's
 /// run-in-parallel trick, Lemma 4.3). With `first_hops` false every
@@ -109,9 +76,10 @@ sparse_exploration_result dense_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
 
-/// What the cores call: dispatches on resolve_exploration(net.options(),
-/// net.n()). Both paths return identical triples and charge identical
-/// rounds/messages, so the choice is a memory/speed trade only. Under
+/// What the cores call: dense rows up to kDenseExplorationMaxNodes nodes,
+/// sparse rows beyond. Both paths return identical triples and charge
+/// identical rounds/messages, so the choice is a memory/speed trade only
+/// (docs/ARCHITECTURE.md §6.2). Under
 /// local-plane faults every entry point routes to the healed exploration
 /// engine instead (proto/heal_kernel.hpp, docs/FAULTS.md §3): Pareto
 /// (dist, hops) sets re-offered until quiet, refereed against this kernel's

@@ -345,11 +345,11 @@ std::vector<std::vector<routed_token>> route_tokens(
       acked[v].assign(send_tasks[v].size(), 0);
       acked_left[v] = send_tasks[v].size();
       for (u32 i = 0; i < send_tasks[v].size(); ++i)
-        task_of[v][send_tasks[v][i].label] = i;
+        task_of[v][send_tasks[v][i].label].value = i;
       requested[v].assign(want[v].size(), 0);
       answered[v].assign(want[v].size(), 0);
       for (u32 i = 0; i < want[v].size(); ++i)
-        want_of[v][want[v][i].label] = i;
+        want_of[v][want[v][i].label].value = i;
     }
   }
 
@@ -393,10 +393,10 @@ std::vector<std::vector<routed_token>> route_tokens(
       while (!answer_queue[v].empty() && net.global_budget(v) > 0) {
         auto [lbl, dst] = answer_queue[v].front();
         answer_queue[v].pop_front();
-        const u64* tok = store[v].find(lbl);
+        const auto* tok = store[v].find(lbl);
         HYB_INVARIANT(tok != nullptr, "answering a missing token");
         net.try_send_global(
-            global_msg::make(v, dst, kAnswerTag, {lbl, *tok}));
+            global_msg::make(v, dst, kAnswerTag, {lbl, tok->value}));
         // Under faults the answer may drop and the receiver re-request, so
         // the store must stay answerable.
         if (!faulty) store[v].erase(lbl);
@@ -455,9 +455,9 @@ std::vector<std::vector<routed_token>> route_tokens(
       for (const global_msg& m : net.global_inbox(v)) {
         switch (m.tag) {
           case kTokenTag: {
-            store[v].emplace(m.w[0], m.w[1]);
-            if (std::vector<u32>* waiters = pending[v].find(m.w[0])) {
-              for (u32 dst : *waiters)
+            store[v].insert({m.w[0], m.w[1]});
+            if (const auto* waiters = pending[v].find(m.w[0])) {
+              for (u32 dst : waiters->value)
                 answer_queue[v].push_back({m.w[0], dst});
               pending[v].erase(m.w[0]);
             }
@@ -472,15 +472,17 @@ std::vector<std::vector<routed_token>> route_tokens(
             if (store[v].contains(m.w[0]))
               answer_queue[v].push_back({m.w[0], m.src});
             else
-              pending[v][m.w[0]].push_back(m.src);
+              pending[v][m.w[0]].value.push_back(m.src);
             break;
           }
           case kAnswerTag: {
             if (faulty) {
-              const u32* idx = want_of[v].find(m.w[0]);
-              HYB_INVARIANT(idx != nullptr, "answer for an unrequested label");
-              if (answered[v][*idx]) break;  // duplicate answer
-              answered[v][*idx] = 1;
+              const auto* wanted = want_of[v].find(m.w[0]);
+              HYB_INVARIANT(wanted != nullptr,
+                            "answer for an unrequested label");
+              const u32 idx = wanted->value;
+              if (answered[v][idx]) break;  // duplicate answer
+              answered[v][idx] = 1;
             }
             fetched[v].push_back({m.w[0], m.w[1]});
             HYB_INVARIANT(want_left[v] > 0, "unexpected answer");
@@ -488,10 +490,11 @@ std::vector<std::vector<routed_token>> route_tokens(
             break;
           }
           case kTokAckTag: {
-            const u32* idx = task_of[v].find(m.w[0]);
-            HYB_INVARIANT(idx != nullptr, "ack for an unknown token");
-            if (!acked[v][*idx]) {
-              acked[v][*idx] = 1;
+            const auto* task = task_of[v].find(m.w[0]);
+            HYB_INVARIANT(task != nullptr, "ack for an unknown token");
+            const u32 idx = task->value;
+            if (!acked[v][idx]) {
+              acked[v][idx] = 1;
               HYB_INVARIANT(acked_left[v] > 0, "ack bookkeeping underflow");
               --acked_left[v];
             }

@@ -39,14 +39,6 @@
 
 namespace hybrid {
 
-/// Which h-hop local-exploration implementation the cores run
-/// (proto/sparse_exploration.hpp). `kDense` is the original n-wide
-/// per-node distance vectors (O(n²) memory, cache-friendly at small n);
-/// `kSparse` bounds memory by the h-ball sizes instead. Both produce
-/// bit-identical results and charge identical rounds/messages — the dense
-/// path stays selectable for small n and for differential testing.
-enum class exploration_path : u8 { kAuto = 0, kDense, kSparse };
-
 /// Result-storage mode for the oracle-producing cores (core/dist_oracle.hpp):
 /// `kDense` additionally materializes the n×n result matrices from the
 /// distance labels (the pre-PR-5 output format), `kLabels` keeps only the
@@ -70,9 +62,6 @@ struct sim_options {
   /// HYBRID_THREADS environment variable when set to a positive integer,
   /// else std::thread::hardware_concurrency().
   u32 threads = 0;
-  /// Local-exploration implementation; kAuto picks kDense up to
-  /// kDenseExplorationMaxNodes nodes and kSparse beyond.
-  exploration_path exploration = exploration_path::kAuto;
   /// Whether APSP/k-SSP results carry dense matrices besides their labels.
   result_storage storage = result_storage::kAuto;
   /// Skeleton hierarchy depth for hybrid_apsp_exact (single-level rows vs
@@ -85,22 +74,17 @@ struct sim_options {
   fault_options faults = {};
 };
 
-/// Largest n for which exploration_path::kAuto stays on the dense path;
+/// Largest n for which h-hop exploration runs on n-wide dense rows rather
+/// than sparse ones (run_local_exploration, proto/sparse_exploration.hpp);
 /// also the result_storage::kAuto materialization cutoff. Calibrated from
 /// measured dense/sparse crossover sweeps (docs/ARCHITECTURE.md §6.2):
-/// the true discriminator is ball density, which is unknown at resolve
-/// time, so this n bounds the regret instead — dense through 4096 costs
-/// at most ~155 ms / ~183 MB against the sparsest measured workload while
-/// keeping a 2.3–2.7× time-and-RSS win when balls saturate; 8192 would
-/// quadruple the worst-case footprint, 2048 forfeits the saturated win.
+/// the true discriminator is ball density, which is unknown before the
+/// exploration runs, so this n bounds the regret instead — dense through
+/// 4096 costs at most ~155 ms / ~183 MB against the sparsest measured
+/// workload while keeping a 2.3–2.7× time-and-RSS win when balls saturate;
+/// 8192 would quadruple the worst-case footprint, 2048 forfeits the
+/// saturated win.
 inline constexpr u32 kDenseExplorationMaxNodes = 4096;
-
-/// The exploration path `sim_options` resolves to for an n-node network.
-inline exploration_path resolve_exploration(const sim_options& opts, u32 n) {
-  if (opts.exploration != exploration_path::kAuto) return opts.exploration;
-  return n <= kDenseExplorationMaxNodes ? exploration_path::kDense
-                                        : exploration_path::kSparse;
-}
 
 /// Whether `sim_options` asks for dense result matrices at this n.
 inline bool resolve_materialize(const sim_options& opts, u32 n) {

@@ -95,7 +95,7 @@ class hybrid_net {
   u32 n() const { return g_->num_nodes(); }
   const model_config& config() const { return cfg_; }
   /// The sim_options this net was constructed with (thread count as given,
-  /// exploration path unresolved — see resolve_exploration).
+  /// unresolved — see resolve_threads).
   const sim_options& options() const { return opts_; }
 
   /// Node-parallel round executor (docs/CONCURRENCY.md). Protocol drivers

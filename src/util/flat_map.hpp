@@ -1,22 +1,29 @@
-// Open-addressed u64-keyed flat map — the sparse_dist_map recipe
-// (proto/sparse_exploration.hpp) generalized over the mapped type, for
-// protocol state that used to live in per-node std::unordered_map:
-// insertion-ordered entries in one dense vector (pointer-stable only until
-// the next mutation, like unordered_map iterators), a power-of-two linear
-// probe table holding entry indices, and tombstone deletion with
-// swap-remove so neither lookups nor erasure ever chase list nodes or
-// touch the allocator per element. Token routing's exact path keeps
-// hundreds of thousands of tiny per-node maps (store / pending / task_of /
-// want_of, src/proto/token_routing.cpp); node-hashed buckets there made
-// every find a cache miss into a separately heap-allocated node.
+// Open-addressed flat map over entries that carry their own key — the one
+// hash map of the codebase. It replaces per-node std::unordered_map state
+// and keeps the sparse exploration rows:
+//   * flat_u64_map<V> — u64 keys to V, for token routing's exact path
+//     (store / pending / task_of / want_of, src/proto/token_routing.cpp,
+//     hundreds of thousands of tiny per-node maps) and the healed
+//     exploration engine's source index (proto/heal_kernel.hpp);
+//   * relax::sparse_row — exploration_entry keyed by its source, one per
+//     node during h-hop exploration (proto/relax_kernel.hpp), so memory is
+//     the 16-byte entries actually reached plus the probe table.
+// Insertion-ordered entries live in one dense vector (pointer-stable only
+// until the next mutation, like unordered_map iterators), a power-of-two
+// linear probe table holds entry indices, and deletion tombstones the slot
+// and swap-removes the entry, so neither lookups nor erasure ever chase
+// list nodes or touch the allocator per element.
 //
 // Determinism: callers must not depend on iteration order across
-// implementations — token routing only ever does point lookups — but the
-// structure itself is fully deterministic: layout is a pure function of
-// the operation sequence, never of pointer values or a seeded hash.
+// implementations — token routing only does point lookups, exploration
+// sorts its rows when it flattens them — but the structure itself is fully
+// deterministic: layout is a pure function of the operation sequence,
+// never of pointer values or a seeded hash.
 #pragma once
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,39 +31,39 @@
 
 namespace hybrid {
 
-/// Maps u64 keys to V. V must be movable; erase() swap-removes, so V moves
-/// must not invalidate the mapped state (vectors, scalars are fine).
-template <class V>
-class flat_u64_map {
+/// Entries of type `Entry`, keyed by the integer member `Key` points to.
+/// Entry must be movable; erase() swap-removes, so moves must not
+/// invalidate the entry's state (vectors, scalars are fine).
+template <class Entry, auto Key>
+class flat_map {
  public:
-  struct entry {
-    u64 key;
-    V value;
-  };
+  using key_type = std::remove_cvref_t<decltype(std::declval<Entry>().*Key)>;
 
-  /// The mapped value, or nullptr when absent. Valid until the next
+  /// The key's entry, or nullptr when absent. Valid until the next
   /// mutating call (exactly the unordered_map iterator contract callers
   /// already obeyed).
-  V* find(u64 key) {
-    return const_cast<V*>(static_cast<const flat_u64_map*>(this)->find(key));
+  Entry* find(key_type key) {
+    return const_cast<Entry*>(static_cast<const flat_map*>(this)->find(key));
   }
-  const V* find(u64 key) const {
+  const Entry* find(key_type key) const {
     if (table_.empty()) return nullptr;
     u32 i = probe_start(key);
     for (;;) {
       const u32 slot = table_[i];
       if (slot == kEmpty) return nullptr;
-      if (slot != kTomb && entries_[slot - 1].key == key)
-        return &entries_[slot - 1].value;
+      if (slot != kTomb && entries_[slot - 1].*Key == key)
+        return &entries_[slot - 1];
       i = (i + 1) & mask_;
     }
   }
-  bool contains(u64 key) const { return find(key) != nullptr; }
+  bool contains(key_type key) const { return find(key) != nullptr; }
 
-  /// The mapped value, default-constructed and inserted when absent (the
-  /// unordered_map operator[] semantics).
-  V& operator[](u64 key) {
+  /// Insert `e` iff its key is absent, in one probe. Returns the key's
+  /// entry and whether it inserted (the unordered_map insert contract —
+  /// never overwrites).
+  std::pair<Entry*, bool> insert(Entry e) {
     if (table_.empty()) grow();
+    const key_type key = e.*Key;
     u32* target = nullptr;
     u32 i = probe_start(key);
     for (;;) {
@@ -67,44 +74,44 @@ class flat_u64_map {
       }
       if (slot == kTomb) {
         if (target == nullptr) target = &slot;
-      } else if (entries_[slot - 1].key == key) {
-        return entries_[slot - 1].value;
+      } else if (entries_[slot - 1].*Key == key) {
+        return {&entries_[slot - 1], false};
       }
       i = (i + 1) & mask_;
     }
     if (*target == kTomb) --tombstones_;
-    entries_.push_back({key, V{}});
+    entries_.push_back(std::move(e));
     *target = static_cast<u32>(entries_.size());
-    V& value = entries_.back().value;
+    Entry* const inserted = &entries_.back();
     // Keep (live + tombstone) load under 1/2 so probe chains stay short.
     if (2 * (entries_.size() + tombstones_) >= table_.size()) grow();
-    return value;
+    return {inserted, true};
   }
 
-  /// Insert (key, value) iff absent; returns whether it inserted (the
-  /// unordered_map emplace contract — never overwrites).
-  bool emplace(u64 key, V value) {
-    if (contains(key)) return false;
-    (*this)[key] = std::move(value);
-    return true;
+  /// The key's entry, value-initialized and inserted when absent (the
+  /// unordered_map operator[] semantics).
+  Entry& operator[](key_type key) {
+    Entry e{};
+    e.*Key = key;
+    return *insert(std::move(e)).first;
   }
 
   /// Remove key if present. Swap-removes the entry and tombstones the
   /// probe slot, so erase is O(probe) with no heap traffic.
-  void erase(u64 key) {
+  void erase(key_type key) {
     if (table_.empty()) return;
     u32 i = probe_start(key);
     for (;;) {
       u32& slot = table_[i];
       if (slot == kEmpty) return;
-      if (slot != kTomb && entries_[slot - 1].key == key) {
+      if (slot != kTomb && entries_[slot - 1].*Key == key) {
         const u32 idx = slot - 1;
         slot = kTomb;
         ++tombstones_;
         const u32 last = static_cast<u32>(entries_.size()) - 1;
         if (idx != last) {
           // Repoint the moved entry's probe slot before the swap-remove.
-          u32 j = probe_start(entries_[last].key);
+          u32 j = probe_start(entries_[last].*Key);
           while (table_[j] != last + 1) j = (j + 1) & mask_;
           table_[j] = idx + 1;
           entries_[idx] = std::move(entries_[last]);
@@ -116,6 +123,9 @@ class flat_u64_map {
     }
   }
 
+  /// Live entries in insertion order (an erase moves the last one into
+  /// the hole).
+  std::span<const Entry> entries() const { return entries_; }
   u32 size() const { return static_cast<u32>(entries_.size()); }
   bool empty() const { return entries_.empty(); }
 
@@ -130,14 +140,15 @@ class flat_u64_map {
   static constexpr u32 kEmpty = 0;
   static constexpr u32 kTomb = ~u32{0};
 
-  /// splitmix64 finalizer: full-avalanche, so sequential labels spread.
-  u32 probe_start(u64 key) const {
-    key ^= key >> 30;
-    key *= 0xbf58476d1ce4e5b9ull;
-    key ^= key >> 27;
-    key *= 0x94d049bb133111ebull;
-    key ^= key >> 31;
-    return static_cast<u32>(key) & mask_;
+  /// splitmix64 finalizer: full-avalanche, so sequential keys spread.
+  u32 probe_start(key_type key) const {
+    u64 x = static_cast<u64>(key);
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    return static_cast<u32>(x) & mask_;
   }
 
   /// Rehash into a table sized for the live entries (doubling while the
@@ -149,18 +160,30 @@ class flat_u64_map {
     mask_ = cap - 1;
     tombstones_ = 0;
     for (u32 k = 0; k < entries_.size(); ++k) {
-      u32 i = probe_start(entries_[k].key);
+      u32 i = probe_start(entries_[k].*Key);
       while (table_[i] != kEmpty) i = (i + 1) & mask_;
       table_[i] = k + 1;
     }
   }
 
-  std::vector<entry> entries_;
+  std::vector<Entry> entries_;
   /// Probe table of entry index + 1 (kEmpty = free, kTomb = erased);
   /// size is a power of two.
   std::vector<u32> table_;
   u32 mask_ = 0;
   u32 tombstones_ = 0;
 };
+
+/// A u64 key and its mapped value: flat_u64_map's entry.
+template <class V>
+struct u64_entry {
+  u64 key;
+  V value;
+};
+
+/// Maps u64 keys to V; find() and operator[] hand out the whole entry, so
+/// the mapped value is its `.value`.
+template <class V>
+using flat_u64_map = flat_map<u64_entry<V>, &u64_entry<V>::key>;
 
 }  // namespace hybrid

@@ -1,10 +1,13 @@
 // Differential suite for the sparse (neighborhood-bounded) exploration path
-// against the dense reference (proto/sparse_exploration.hpp): identical
-// (source, dist, first_hop) triples and identical round/message metrics on
-// randomized and adversarial graphs, at threads ∈ {1, 2, 8}; plus the
-// foregrounded edge cases (h = 0, single-node components, isolated
-// vertices, early-exit round accounting, first-hop tie-breaks) and the
-// sparse_dist_map unit semantics. Runs in the TSAN CI job at 8 threads.
+// against the dense reference (proto/sparse_exploration.hpp), calling the
+// two entry points directly: identical (source, dist, first_hop) triples
+// and identical round/message metrics on randomized and adversarial
+// graphs, at threads ∈ {1, 2, 8}; the foregrounded edge cases (h = 0,
+// single-node components, isolated vertices, early-exit round accounting,
+// first-hop tie-breaks); the sparse row's unit semantics
+// (relax::sparse_row, proto/relax_kernel.hpp); and each core's exact
+// exploration call shape on both paths. Runs in the TSAN CI job at 8
+// threads.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,6 +17,7 @@
 #include "core/kssp_framework.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "proto/relax_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
@@ -21,12 +25,18 @@ namespace {
 
 model_config cfg() { return model_config{}; }
 
-sim_options opts(u32 threads, exploration_path path) {
+sim_options opts(u32 threads) {
   sim_options o;
   o.threads = threads;
-  o.exploration = path;
   return o;
 }
+
+/// dense_local_exploration or sparse_local_exploration.
+using explore_fn = sparse_exploration_result (*)(hybrid_net&, u32, bool,
+                                                 const std::vector<u32>*,
+                                                 bool);
+constexpr explore_fn kPaths[] = {dense_local_exploration,
+                                 sparse_local_exploration};
 
 struct run_out {
   sparse_exploration_result res;
@@ -34,11 +44,11 @@ struct run_out {
 };
 
 run_out run_path(const graph& g, u32 h, bool advance_rounds, u32 threads,
-                 exploration_path path,
-                 const std::vector<u32>* sources = nullptr) {
-  hybrid_net net(g, cfg(), 1, opts(threads, path));
+                 explore_fn path, const std::vector<u32>* sources = nullptr,
+                 bool first_hops = true) {
+  hybrid_net net(g, cfg(), 1, opts(threads));
   run_out o;
-  o.res = run_local_exploration(net, h, advance_rounds, sources);
+  o.res = path(net, h, advance_rounds, sources, first_hops);
   o.m = net.snapshot();
   return o;
 }
@@ -51,17 +61,20 @@ void expect_metrics_eq(const run_metrics& a, const run_metrics& b) {
   EXPECT_EQ(a.max_global_recv_per_round, b.max_global_recv_per_round);
 }
 
-/// Both paths, every tested thread count, one dense@1 reference.
+/// Both paths, every tested thread count, one dense@1 reference, in the
+/// given call shape.
 void differential(const graph& g, u32 h,
-                  const std::vector<u32>* sources = nullptr) {
-  const run_out ref = run_path(g, h, true, 1, exploration_path::kDense,
-                               sources);
+                  const std::vector<u32>* sources = nullptr,
+                  bool advance_rounds = true, bool first_hops = true) {
+  const run_out ref = run_path(g, h, advance_rounds, 1,
+                               dense_local_exploration, sources, first_hops);
   for (u32 threads : {1u, 2u, 8u})
-    for (exploration_path path :
-         {exploration_path::kDense, exploration_path::kSparse}) {
-      const run_out got = run_path(g, h, true, threads, path, sources);
+    for (explore_fn path : kPaths) {
+      const run_out got =
+          run_path(g, h, advance_rounds, threads, path, sources, first_hops);
       ASSERT_EQ(got.res, ref.res)
-          << "threads=" << threads << " sparse=" << (path != exploration_path::kDense);
+          << "threads=" << threads
+          << " sparse=" << (path == sparse_local_exploration);
       expect_metrics_eq(got.m, ref.m);
     }
 }
@@ -101,7 +114,7 @@ TEST(SparseExplorationDiff, DisconnectedWithIsolatedVertices) {
   differential(g, 4);
   // Isolated vertices (7, 8) reach exactly themselves; components do not
   // leak into each other.
-  const run_out got = run_path(g, 4, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 4, true, 1, sparse_local_exploration);
   for (u32 v : {7u, 8u}) {
     ASSERT_EQ(got.res.reached(v).size(), 1u);
     EXPECT_EQ(got.res.reached(v)[0],
@@ -118,7 +131,7 @@ TEST(SparseExplorationDiff, SourceSubset) {
   differential(g, 4, &sources);
   // Distances agree with the centralized d_h reference.
   const run_out got =
-      run_path(g, 4, true, 1, exploration_path::kSparse, &sources);
+      run_path(g, 4, true, 1, sparse_local_exploration, &sources);
   for (u32 s : sources) {
     const std::vector<u64> ref = limited_distance(g, s, 4);
     for (u32 v = 0; v < 90; ++v) {
@@ -132,7 +145,7 @@ TEST(SparseExplorationDiff, SourceSubset) {
 
 TEST(SparseExplorationDiff, MatchesCentralizedReferenceAllSources) {
   const graph g = gen::erdos_renyi_connected(60, 4.5, 5, 31);
-  const run_out got = run_path(g, 4, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 4, true, 1, sparse_local_exploration);
   for (u32 s = 0; s < 60; ++s) {
     const std::vector<u64> ref = limited_distance(g, s, 4);
     for (u32 v = 0; v < 60; ++v) {
@@ -149,7 +162,7 @@ TEST(SparseExplorationDiff, MatchesCentralizedReferenceAllSources) {
 TEST(SparseExplorationEdge, HZeroReachesSelfOnly) {
   const graph g = gen::erdos_renyi_connected(30, 4.0, 3, 2);
   differential(g, 0);
-  const run_out got = run_path(g, 0, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 0, true, 1, sparse_local_exploration);
   EXPECT_EQ(got.m.rounds, 0u);
   EXPECT_EQ(got.m.local_items, 0u);
   ASSERT_EQ(got.res.total_reached(), 30u);
@@ -164,7 +177,7 @@ TEST(SparseExplorationEdge, SingleNodeComponents) {
   // components: each node's whole h-ball is itself for every h.
   const graph g = graph::from_edges(2, std::vector<edge_spec>{});
   differential(g, 3);
-  const run_out got = run_path(g, 3, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 3, true, 1, sparse_local_exploration);
   EXPECT_EQ(got.res.total_reached(), 2u);
   // Budgeted rounds elapse silently even though the frontier died at once.
   EXPECT_EQ(got.m.rounds, 3u);
@@ -174,20 +187,18 @@ TEST(SparseExplorationEdge, EarlyExitRoundAccounting) {
   // Path of 6: the frontier saturates after 5 rounds, but the fixed budget
   // h = 20 still elapses in full when rounds advance...
   const graph g = gen::path(6, 4, 7);
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    run_local_exploration(net, 20, /*advance_rounds=*/true);
+  for (explore_fn path : kPaths) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    path(net, 20, /*advance_rounds=*/true, nullptr, true);
     EXPECT_EQ(net.round(), 20u);
   }
   // ...and is not charged at all in run-in-parallel mode, where only
   // traffic is charged.
   run_metrics parallel_m[2];
   int i = 0;
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    run_local_exploration(net, 20, /*advance_rounds=*/false);
+  for (explore_fn path : kPaths) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    path(net, 20, /*advance_rounds=*/false, nullptr, true);
     parallel_m[i++] = net.snapshot();
     EXPECT_EQ(net.round(), 0u);
     EXPECT_GT(net.raw_metrics().local_items, 0u);
@@ -208,8 +219,7 @@ TEST(SparseExplorationEdge, FirstHopTieBreakDeterminism) {
   for (const graph& g : {unweighted, weighted}) {
     differential(g, 3);
     for (u32 threads : {1u, 2u, 8u})
-      for (exploration_path path :
-           {exploration_path::kDense, exploration_path::kSparse}) {
+      for (explore_fn path : kPaths) {
         const run_out got = run_path(g, 3, true, threads, path);
         u32 hop = ~u32{0};
         for (const exploration_entry& e : got.res.reached(3))
@@ -226,17 +236,15 @@ TEST(SparseExplorationEdge, NoFirstHopsModeStaysBitIdentical) {
   const graph g = gen::erdos_renyi_connected(70, 4.0, 5, 3);
   sparse_exploration_result res[2];
   int i = 0;
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    res[i++] = run_local_exploration(net, 4, true, nullptr,
-                                     /*first_hops=*/false);
+  for (explore_fn path : kPaths) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    res[i++] = path(net, 4, true, nullptr, /*first_hops=*/false);
   }
   ASSERT_EQ(res[0], res[1]);
   for (const exploration_entry& e : res[0].entries)
     ASSERT_EQ(e.first_hop, ~u32{0});
   // Same triples as the first_hops mode, minus the hop field.
-  const run_out with = run_path(g, 4, true, 1, exploration_path::kSparse);
+  const run_out with = run_path(g, 4, true, 1, sparse_local_exploration);
   ASSERT_EQ(res[0].offsets, with.res.offsets);
   for (u64 k = 0; k < res[0].entries.size(); ++k) {
     ASSERT_EQ(res[0].entries[k].source, with.res.entries[k].source);
@@ -247,84 +255,79 @@ TEST(SparseExplorationEdge, NoFirstHopsModeStaysBitIdentical) {
 TEST(SparseExplorationEdge, RejectsDuplicateSources) {
   const graph g = gen::path(8);
   const std::vector<u32> dup{2, 2};
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    EXPECT_THROW(run_local_exploration(net, 2, true, &dup),
-                 std::invalid_argument);
+  for (explore_fn path : kPaths) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    EXPECT_THROW(path(net, 2, true, &dup, true), std::invalid_argument);
   }
 }
 
-// ---- sparse_dist_map unit semantics -------------------------------------------
+// ---- the sparse row's unit semantics ----------------------------------------
 
 TEST(SparseDistMap, RelaxInsertImproveReject) {
-  sparse_dist_map m;
-  EXPECT_EQ(m.dist_of(7), kInfDist);
-  EXPECT_TRUE(m.relax(7, 10, 1));
-  EXPECT_EQ(m.dist_of(7), 10u);
-  EXPECT_FALSE(m.relax(7, 10, 2));  // equal never overwrites (tie-break)
-  EXPECT_TRUE(m.relax(7, 4, 3));
-  EXPECT_EQ(m.dist_of(7), 4u);
+  relax::sparse_row m;
+  EXPECT_EQ(relax::dist_of(m, 7), kInfDist);
+  EXPECT_TRUE(relax::relax(m, 7, 10, 1));
+  EXPECT_EQ(relax::dist_of(m, 7), 10u);
+  EXPECT_FALSE(relax::relax(m, 7, 10, 2));  // equal never overwrites
+  EXPECT_TRUE(relax::relax(m, 7, 4, 3));
+  EXPECT_EQ(relax::dist_of(m, 7), 4u);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m.entries()[0], (exploration_entry{4, 7, 3}));
 }
 
 TEST(SparseDistMap, GrowthKeepsAllEntries) {
-  sparse_dist_map m;
-  for (u32 s = 0; s < 5000; ++s) EXPECT_TRUE(m.relax(s * 977 + 1, s + 1, s));
+  relax::sparse_row m;
+  for (u32 s = 0; s < 5000; ++s)
+    EXPECT_TRUE(relax::relax(m, s * 977 + 1, s + 1, s));
   ASSERT_EQ(m.size(), 5000u);
-  for (u32 s = 0; s < 5000; ++s) EXPECT_EQ(m.dist_of(s * 977 + 1), s + 1);
-  EXPECT_EQ(m.dist_of(0), kInfDist);
+  for (u32 s = 0; s < 5000; ++s)
+    EXPECT_EQ(relax::dist_of(m, s * 977 + 1), s + 1);
+  EXPECT_EQ(relax::dist_of(m, 0), kInfDist);
+  // Entries stay in discovery order through every rehash.
+  for (u32 s = 0; s < 5000; ++s)
+    ASSERT_EQ(m.entries()[s], (exploration_entry{s + 1, s * 977 + 1, s}));
 }
 
 TEST(SparseDistMap, ClearReuses) {
-  sparse_dist_map m;
-  for (u32 s = 0; s < 100; ++s) m.relax(s, s, s);
+  relax::sparse_row m;
+  for (u32 s = 0; s < 100; ++s) relax::relax(m, s, s, s);
   m.clear();
   EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.dist_of(3), kInfDist);
-  EXPECT_TRUE(m.relax(3, 9, 1));
-  EXPECT_EQ(m.dist_of(3), 9u);
+  EXPECT_EQ(relax::dist_of(m, 3), kInfDist);
+  EXPECT_TRUE(relax::relax(m, 3, 9, 1));
+  EXPECT_EQ(relax::dist_of(m, 3), 9u);
   EXPECT_EQ(m.size(), 1u);
 }
 
-// ---- the rewired cores agree across paths --------------------------------------
+// ---- each core's exploration call shape, dense vs sparse --------------------
+// The cores call run_local_exploration, which picks its rows by n alone; at
+// these sizes that is the dense path. These cases run the exact call each
+// core makes (frozen rounds, no first hops, the core's own depth) on both
+// entry points, so the sparse rows are held to every shape a core uses.
 
 TEST(SparseExplorationCores, ApspExactIdenticalAcrossPaths) {
+  // Theorem 1.1: all sources, at the skeleton's h.
   const graph g = gen::erdos_renyi_connected(80, 4.0, 6, 17);
-  const apsp_result dense = hybrid_apsp_exact(
-      g, cfg(), 3, /*build_routes=*/true, opts(1, exploration_path::kDense));
-  for (u32 threads : {1u, 8u}) {
-    const apsp_result sparse = hybrid_apsp_exact(
-        g, cfg(), 3, true, opts(threads, exploration_path::kSparse));
-    ASSERT_EQ(sparse.dist, dense.dist);
-    ASSERT_EQ(sparse.next_hop, dense.next_hop);
-    expect_metrics_eq(sparse.metrics, dense.metrics);
-  }
+  const u32 h = hybrid_apsp_exact(g, cfg(), 3, /*build_routes=*/true).h;
+  differential(g, h, nullptr, /*advance_rounds=*/false, /*first_hops=*/false);
 }
 
 TEST(SparseExplorationCores, ApspBaselineIdenticalAcrossPaths) {
+  // The AHKSS baseline: all sources, at its (n^{-2/3}) skeleton's h.
   const graph g = gen::grid(8, 8, 4, 13);
-  const apsp_baseline_result dense =
-      baseline_apsp_ahkss(g, cfg(), 5, opts(1, exploration_path::kDense));
-  const apsp_baseline_result sparse =
-      baseline_apsp_ahkss(g, cfg(), 5, opts(8, exploration_path::kSparse));
-  ASSERT_EQ(sparse.dist, dense.dist);
-  expect_metrics_eq(sparse.metrics, dense.metrics);
+  const u32 h = baseline_apsp_ahkss(g, cfg(), 5).h;
+  differential(g, h, nullptr, /*advance_rounds=*/false, /*first_hops=*/false);
 }
 
 TEST(SparseExplorationCores, KsspIdenticalAcrossPaths) {
+  // The k-SSP framework: the source subset, at its exploration depth.
   const graph g = gen::erdos_renyi_connected(96, 4.0, 5, 7);
   const auto alg = make_clique_kssp_1eps(0.25, injection::none);
   const std::vector<u32> sources{4, 31, 77};
-  const kssp_result dense = hybrid_kssp(g, cfg(), 7, sources, alg, false,
-                                        opts(1, exploration_path::kDense));
-  for (u32 threads : {1u, 8u}) {
-    const kssp_result sparse = hybrid_kssp(g, cfg(), 7, sources, alg, false,
-                                           opts(threads, exploration_path::kSparse));
-    ASSERT_EQ(sparse.dist, dense.dist);
-    expect_metrics_eq(sparse.metrics, dense.metrics);
-  }
+  const u32 depth = static_cast<u32>(
+      hybrid_kssp(g, cfg(), 7, sources, alg, false).exploration_depth);
+  differential(g, depth, &sources, /*advance_rounds=*/false,
+               /*first_hops=*/false);
 }
 
 }  // namespace
