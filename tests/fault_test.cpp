@@ -102,6 +102,47 @@ TEST(FaultRng, DrawIsPureAndInputSensitive) {
             fault_plane_base(7, 9, kFaultPlaneGlobal));
 }
 
+// Exact outputs of the stream, recorded before derive_seed moved inline
+// and fault_draw was split into a (link, round) prefix and a per-item
+// hash: any change to the finalizer, its constants or the chain order
+// shows up here, not only as shifted fingerprints downstream.
+TEST(FaultRng, GoldenValues) {
+  struct seed_case {
+    u64 seed, stream, want;
+  };
+  const seed_case seeds[] = {
+      {0, 0, 0xf4b23b444e67e314ull},
+      {1, 0, 0x35383f0c53b692beull},
+      {123, 45, 0xe9f18db511d93742ull},
+      {~u64{0}, ~u64{0}, 0xe4d971771b652c20ull},
+      {0xdeadbeefull, u64{1} << 63, 0xc39daa6ee754c4acull},
+      {42, 0xFA17FA17, 0xbe8920920633b2a8ull},
+  };
+  for (const seed_case& c : seeds)
+    EXPECT_EQ(derive_seed(c.seed, c.stream), c.want)
+        << std::hex << "derive_seed(0x" << c.seed << ", 0x" << c.stream
+        << ") = 0x" << derive_seed(c.seed, c.stream);
+  struct draw_case {
+    u64 base, link, round, idx, want;
+  };
+  const u64 local = fault_plane_base(7, 9, kFaultPlaneLocal);
+  const u64 global = fault_plane_base(519, 77, kFaultPlaneGlobal);
+  const draw_case draws[] = {
+      {local, 0, 0, 0, 0xe7d5b9c74c4400d1ull},
+      {local, (u64{3} << 32) | 4, 17, 5, 0xedc789cd0dc1959dull},
+      {local, (u64{4} << 32) | 3, 17, 5, 0x6db5858a6ca1aa17ull},
+      {global, 11, 1319, 63, 0xcac91a8f4dc2e158ull},
+      {fault_plane_base(0, 0, kFaultPlaneClique), 2, 1, ~u64{0} >> 32,
+       0xe7f953fb6c07a521ull},
+      {0, ~u64{0}, ~u64{0}, ~u64{0}, 0x238275bc38fcbe91ull},
+  };
+  for (const draw_case& c : draws)
+    EXPECT_EQ(fault_draw(c.base, c.link, c.round, c.idx), c.want)
+        << std::hex << "fault_draw(0x" << c.base << ", 0x" << c.link << ", 0x"
+        << c.round << ", 0x" << c.idx << ") = 0x"
+        << fault_draw(c.base, c.link, c.round, c.idx);
+}
+
 TEST(FaultRng, RollFrequencyMatchesProbability) {
   const u64 base = fault_plane_base(3, 4, kFaultPlaneLocal);
   for (double p : {0.05, 0.3, 0.7}) {
@@ -1247,6 +1288,41 @@ TEST(FaultDissemination, CompletesUnderBothPlanesAndCrashes) {
                                      // AND-aggregation saw every node done
   EXPECT_GT(net.raw_metrics().local_dropped + net.raw_metrics().global_dropped,
             0u);
+}
+
+// The local fresh-list pull of CompletesUnderBothPlanesAndCrashes, pinned
+// before it moved onto the per-edge drop stream: every field is a function
+// of each in-edge's draw indices, so a shifted or extra draw shows here.
+// Completion alone would not catch it, and no gated bench draws local
+// drops in dissemination.
+TEST(FaultDissemination, LocalPullMatchesParentFingerprint) {
+  const u32 n = 32;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 1, 23);
+  std::vector<std::vector<token2>> initial(n);
+  for (u32 v = 0; v < n; v += 4) initial[v].push_back({v + 1, v + 2});
+  fault_options f = drop_global_opts(0.15, 9);
+  f.drop_local = 0.15;
+  f.crashes.push_back({3, 2, 8});
+  // {rounds, local_items, local_dropped, global_dropped, token digest}
+  using fingerprint = std::tuple<u64, u64, u64, u64, u64>;
+  const fingerprint want{50, 768, 103, 1649, 0xf4d63149b4493db3ull};
+  for (const u32 threads : {1u, 2u, 8u}) {
+    hybrid_net net(g, default_cfg(), 3, with_faults(f, threads));
+    const auto got = disseminate(net, initial);
+    u64 digest = 1469598103934665603ull;
+    for (const token2& t : got.tokens)
+      for (const u64 x : {t.a, t.b}) {
+        digest ^= x;
+        digest *= 1099511628211ull;
+      }
+    const run_metrics& m = net.raw_metrics();
+    const fingerprint have{m.rounds, m.local_items, m.local_dropped,
+                           m.global_dropped, digest};
+    EXPECT_EQ(have, want) << "threads " << threads << " got {" << m.rounds
+                          << ", " << m.local_items << ", " << m.local_dropped
+                          << ", " << m.global_dropped << ", 0x" << std::hex
+                          << digest << "}";
+  }
 }
 
 // ---- token routing under faults -------------------------------------------
