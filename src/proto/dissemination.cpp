@@ -138,8 +138,10 @@ dissemination_result disseminate(hybrid_net& net,
           const std::vector<u32>& from = st[e.to].fresh;
           const u32 cnt = static_cast<u32>(from.size());
           mine += cnt;
+          const hybrid_net::local_drops link =
+              lf ? net.local_link(e.to, v, cnt) : hybrid_net::local_drops{};
           for (u32 j = 0; j < cnt; ++j) {
-            if (lf && net.local_drop(e.to, v, j, cnt)) {
+            if (link.drop(j)) {
               ++dropped[v];
               continue;
             }

@@ -133,7 +133,8 @@ void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
     if (net.is_up(v))
       for (u32 j = 0; j < nbrs.size(); ++j) {
         const edge& e = nbrs[j];
-        const u32 count = rows.count(e.to);
+        const hybrid_net::local_drops link =
+            net.local_link(e.to, v, rows.count(e.to));
         u32 idx = 0;
         rows.pull(v, j, e, it, ws.add[v], [&](u32 stamp, u64 cost) {
           offered += cost;
@@ -141,7 +142,7 @@ void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
           // later crossing is a retransmission (counted whether or not this
           // copy is then dropped — it did cross the edge).
           if (stamp + 1 < it) ++retx;
-          if (net.local_drop(e.to, v, idx++, count)) {
+          if (link.drop(idx++)) {
             dropped += cost;
             return false;
           }

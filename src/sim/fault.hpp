@@ -95,8 +95,12 @@ class fault_unsupported : public std::runtime_error {
 // ---- the fault stream ------------------------------------------------------
 //
 // fault_rng(seed, fault_seed, node/link, round, msg_idx): a splitmix chain
-// through derive_seed. The per-plane base is precomputed once per network;
-// each decision then costs three finalizer calls and no state.
+// through derive_seed. The per-plane base is precomputed once per network
+// and holds no state. The chain splits at the message index: the
+// (link, round) prefix is shared by every message of one link in one
+// round, so a caller that draws a link's messages together (the local
+// plane, hybrid_net::local_link) hashes the prefix once and pays one
+// finalizer call per message; fault_draw pays all three.
 
 inline constexpr u64 kFaultPlaneGlobal = 0x67;  // NCC sends in hybrid_net
 inline constexpr u64 kFaultPlaneLocal = 0x6C;   // LOCAL edge crossings
@@ -107,11 +111,17 @@ inline u64 fault_plane_base(u64 seed, u64 fault_seed, u64 plane) {
                      plane);
 }
 
-/// The raw 64-bit draw for one message. `link` identifies the sender (global
-/// plane) or the directed edge packed as (from << 32) | to (local plane);
-/// `idx` is the message's position within that link's sends this round.
-inline u64 fault_draw(u64 plane_base, u64 link, u64 round, u64 idx) {
-  return derive_seed(derive_seed(derive_seed(plane_base, link), round), idx);
+/// The part of a draw shared by one link's messages in one round. `link`
+/// identifies the sender (global plane) or the directed edge packed as
+/// (from << 32) | to (local plane).
+constexpr u64 fault_prefix(u64 plane_base, u64 link, u64 round) {
+  return derive_seed(derive_seed(plane_base, link), round);
+}
+
+/// The raw 64-bit draw for one message; `idx` is its position within its
+/// link's sends this round.
+constexpr u64 fault_draw(u64 plane_base, u64 link, u64 round, u64 idx) {
+  return derive_seed(fault_prefix(plane_base, link, round), idx);
 }
 
 /// Bernoulli(p) decision from a draw, mirroring rng::next_double's mapping.

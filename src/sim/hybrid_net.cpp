@@ -66,6 +66,14 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
     HYB_REQUIRE(c.node < n(), "crash event node out of range");
     HYB_REQUIRE(c.down_round < c.up_round, "crash interval must be nonempty");
   }
+  // A zero quiet window runs no healing round, and a zero multiplier leaves
+  // no round budget: either setting could only fail under faults.
+  if (fo.enabled()) {
+    HYB_REQUIRE(fo.heal_stability_rounds > 0,
+                "heal_stability_rounds must be positive under faults");
+    HYB_REQUIRE(fo.heal_budget_mult > 0,
+                "heal_budget_mult must be positive under faults");
+  }
   fault_global_ = fo.global_faulty();
   fault_local_ = fo.local_faulty();
   has_crashes_ = !fo.crashes.empty();
@@ -106,15 +114,22 @@ bool hybrid_net::global_drop(u32 src, u32 idx, const global_msg& m) const {
       fo.drop_global);
 }
 
-bool hybrid_net::local_drop(u32 from, u32 to, u32 idx, u32 count) const {
-  if (has_crashes_ && (down_cur_[from] || down_cur_[to])) return true;
+hybrid_net::local_drops hybrid_net::local_link(u32 from, u32 to,
+                                               u32 count) const {
+  local_drops d;
   const fault_options& fo = opts_.faults;
-  if (fo.drop_local <= 0.0) return false;
-  if (fo.mode == fault_mode::kAdversarialPrefix)
-    return idx < adversarial_prefix_count(fo.drop_local, count);
-  const u64 link = (u64{from} << 32) | to;
-  return fault_roll(fault_draw(fault_base_local_, link, metrics_.rounds, idx),
-                    fo.drop_local);
+  if (has_crashes_ && (down_cur_[from] || down_cur_[to])) {
+    d.cut_ = ~u64{0};  // an endpoint is down: every item is lost
+  } else if (fo.drop_local > 0.0) {
+    if (fo.mode == fault_mode::kAdversarialPrefix) {
+      d.cut_ = adversarial_prefix_count(fo.drop_local, count);
+    } else {
+      d.p_ = fo.drop_local;
+      d.prefix_ = fault_prefix(fault_base_local_, (u64{from} << 32) | to,
+                               metrics_.rounds);
+    }
+  }
+  return d;
 }
 
 void hybrid_net::advance_round() {

@@ -26,6 +26,7 @@
 
 #include "graph/graph.hpp"
 #include "sim/executor.hpp"
+#include "sim/fault.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/metrics.hpp"
 #include "util/bits.hpp"
@@ -147,17 +148,44 @@ class hybrid_net {
   /// Global plane faulty: queued global sends may be dropped at delivery.
   bool global_faults_active() const { return fault_global_; }
   /// Local plane faulty: LOCAL primitives must route every pulled item
-  /// through local_drop() and take their self-healing paths.
+  /// through local_link() and take their self-healing paths.
   bool local_faults_active() const { return fault_local_; }
   /// Whether v is up in the current round (crash schedule). Down nodes
   /// send and receive nothing on either plane but keep their state.
   bool is_up(u32 v) const { return !has_crashes_ || !down_cur_[v]; }
-  /// Whether the idx-th of `count` items pulled from `from` by `to` across
-  /// a local edge this round is lost. Pure in (round, from, to, idx), so
-  /// callable from parallel steps; callers count drops per node and report
-  /// the sum through note_local_dropped (the charge_local charge includes
-  /// dropped items — they did cross the edge).
-  bool local_drop(u32 from, u32 to, u32 idx, u32 count) const;
+
+  /// The drop decisions of one directed local edge in one round: which of
+  /// the items pulled across it are lost. The crash check, the fault mode,
+  /// the adversarial prefix length and the (plane, link, round) prefix of
+  /// the fault stream are settled when it is made, so drop(idx) costs at
+  /// most one finalizer call. drop(idx) equals
+  /// fault_roll(fault_draw(local base, (from << 32) | to, round, idx), p)
+  /// in kRandom mode — the stream is the per-item one, only hoisted.
+  class local_drops {
+   public:
+    /// Whether the idx-th item pulled across the edge this round is lost.
+    bool drop(u32 idx) const {
+      if (idx < cut_) return true;
+      return p_ > 0.0 && fault_roll(derive_seed(prefix_, idx), p_);
+    }
+
+   private:
+    friend class hybrid_net;
+    /// Items [0, cut_) are lost outright: all of them while an endpoint is
+    /// down, the adversarial prefix otherwise.
+    u64 cut_ = 0;
+    /// kRandom's drop probability (0 in every other case) and the edge's
+    /// stream prefix.
+    double p_ = 0.0;
+    u64 prefix_ = 0;
+  };
+  /// The drop decisions for the `count` items `to` pulls from `from` across
+  /// a local edge this round. Pure in (round, from, to, count), so callable
+  /// from parallel steps; callers count drops per node and report the sum
+  /// through note_local_dropped (the charge_local charge includes dropped
+  /// items — they did cross the edge). Drops nothing while the local plane
+  /// is reliable.
+  local_drops local_link(u32 from, u32 to, u32 count) const;
   /// Items that arrived (= charged minus dropped at the charging site).
   /// Every charge_local caller reports its delivered share so the ledger
   /// local_items == local_delivered + local_dropped holds at all times;

@@ -4,17 +4,6 @@
 
 namespace hybrid {
 
-namespace {
-constexpr u64 splitmix64(u64& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  u64 z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 void rng::reseed(u64 seed) {
   u64 x = seed;
   for (auto& s : s_) s = splitmix64(x);
@@ -48,11 +37,6 @@ std::vector<u32> rng::sample_without_replacement(u32 n, u32 m) {
   }
   idx.resize(m);
   return idx;
-}
-
-u64 derive_seed(u64 seed, u64 stream) {
-  u64 x = seed ^ (0x510e527fade682d1ULL * (stream + 1));
-  return splitmix64(x);
 }
 
 }  // namespace hybrid

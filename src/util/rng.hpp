@@ -78,8 +78,22 @@ class rng {
   u64 s_[4];
 };
 
+/// One SplitMix64 step: advance the counter `x`, return its finalized value.
+constexpr u64 splitmix64(u64& x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  u64 z = x;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Derive a child seed from (seed, stream) — used to give every node and
 /// every protocol phase an independent stream. SplitMix64 finalizer.
-u64 derive_seed(u64 seed, u64 stream);
+/// Defined here because the fault stream (sim/fault.hpp) calls it once per
+/// drop decision.
+constexpr u64 derive_seed(u64 seed, u64 stream) {
+  u64 x = seed ^ (0x510e527fade682d1ULL * (stream + 1));
+  return splitmix64(x);
+}
 
 }  // namespace hybrid

@@ -294,12 +294,14 @@ TEST(HybridNetFaults, LocalDropIsPureAndCrashAware) {
   hybrid_net net(g, default_cfg(), 9, with_faults(f));
   // Pure per (from, to, idx) at a fixed round.
   for (u32 idx = 0; idx < 16; ++idx)
-    EXPECT_EQ(net.local_drop(0, 1, idx, 16), net.local_drop(0, 1, idx, 16));
+    EXPECT_EQ(net.local_link(0, 1, 16).drop(idx),
+              net.local_link(0, 1, 16).drop(idx));
+  const hybrid_net::local_drops fwd = net.local_link(0, 1, 64);
+  const hybrid_net::local_drops back = net.local_link(1, 0, 64);
   u32 direction_diff = 0, dropped = 0;
   for (u32 idx = 0; idx < 64; ++idx) {
-    if (net.local_drop(0, 1, idx, 64) != net.local_drop(1, 0, idx, 64))
-      ++direction_diff;
-    if (net.local_drop(0, 1, idx, 64)) ++dropped;
+    if (fwd.drop(idx) != back.drop(idx)) ++direction_diff;
+    if (fwd.drop(idx)) ++dropped;
   }
   EXPECT_GT(direction_diff, 0u) << "directed edges must draw independently";
   EXPECT_GT(dropped, 10u);
@@ -308,8 +310,46 @@ TEST(HybridNetFaults, LocalDropIsPureAndCrashAware) {
   net.advance_round();  // now at round 1, node 6 down
   EXPECT_FALSE(net.is_up(6));
   for (u32 idx = 0; idx < 8; ++idx) {
-    EXPECT_TRUE(net.local_drop(6, 7, idx, 8));
-    EXPECT_TRUE(net.local_drop(7, 6, idx, 8));
+    EXPECT_TRUE(net.local_link(6, 7, 8).drop(idx));
+    EXPECT_TRUE(net.local_link(7, 6, 8).drop(idx));
+  }
+}
+
+// The per-edge object is the per-item stream with its prefix hoisted:
+// in kRandom every decision is the fault_draw/fault_roll of (local base,
+// (from << 32) | to, round, idx); in kAdversarialPrefix it is the prefix
+// of the count the object was made for; while an endpoint is down it drops
+// everything, in either mode.
+TEST(HybridNetFaults, LocalLinkMatchesPerItemDraw) {
+  const graph g = gen::cycle(6);
+  for (const fault_mode mode :
+       {fault_mode::kRandom, fault_mode::kAdversarialPrefix}) {
+    fault_options f = drop_local_opts(0.3, 5);
+    f.mode = mode;
+    f.crashes.push_back({2, 3, 5});
+    hybrid_net net(g, default_cfg(), 21, with_faults(f));
+    const u64 base = fault_plane_base(21, 5, kFaultPlaneLocal);
+    for (u64 round = 0; round < 7; ++round) {
+      for (u32 from = 0; from < 6; ++from)
+        for (const u32 to : {(from + 1) % 6, (from + 5) % 6})
+          for (const u32 count : {0u, 1u, 7u, 64u}) {
+            const hybrid_net::local_drops link =
+                net.local_link(from, to, count);
+            const bool down = !net.is_up(from) || !net.is_up(to);
+            for (u32 idx = 0; idx < 64; ++idx) {
+              const u64 edge = (u64{from} << 32) | to;
+              const bool want =
+                  down ? true
+                  : mode == fault_mode::kRandom
+                      ? fault_roll(fault_draw(base, edge, round, idx), 0.3)
+                      : idx < adversarial_prefix_count(0.3, count);
+              ASSERT_EQ(link.drop(idx), want)
+                  << "round " << round << " edge " << from << "->" << to
+                  << " count " << count << " idx " << idx;
+            }
+          }
+      net.advance_round();
+    }
   }
 }
 
@@ -329,6 +369,26 @@ TEST(HybridNetFaults, InvalidOptionsAreRejected) {
   empty_interval.crashes.push_back({1, 3, 3});
   EXPECT_THROW(hybrid_net(g, default_cfg(), 1, with_faults(empty_interval)),
                std::invalid_argument);
+  // Healing settings that can only fail: no quiet window (zero healing
+  // rounds), no round budget. Rejected while either plane is faulty, and
+  // ignored on a reliable network, which never heals.
+  fault_options crash_only;
+  crash_only.crashes.push_back({1, 0, 2});
+  for (const fault_options& faulty :
+       {drop_local_opts(0.1), drop_global_opts(0.1), crash_only}) {
+    fault_options no_window = faulty;
+    no_window.heal_stability_rounds = 0;
+    EXPECT_THROW(hybrid_net(g, default_cfg(), 1, with_faults(no_window)),
+                 std::invalid_argument);
+    fault_options no_budget = faulty;
+    no_budget.heal_budget_mult = 0;
+    EXPECT_THROW(hybrid_net(g, default_cfg(), 1, with_faults(no_budget)),
+                 std::invalid_argument);
+  }
+  fault_options reliable;
+  reliable.heal_stability_rounds = 0;
+  reliable.heal_budget_mult = 0;
+  EXPECT_NO_THROW(hybrid_net(g, default_cfg(), 1, with_faults(reliable)));
 }
 
 TEST(CliqueNetFaults, DropsDeterministicAndAccounted) {
