@@ -6,7 +6,7 @@ namespace hybrid {
 
 void rng::reseed(u64 seed) {
   u64 x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) s = detail::splitmix64(x);
   // xoshiro must not start in the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }

@@ -78,6 +78,7 @@ class rng {
   u64 s_[4];
 };
 
+namespace detail {
 /// One SplitMix64 step: advance the counter `x`, return its finalized value.
 constexpr u64 splitmix64(u64& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -86,6 +87,7 @@ constexpr u64 splitmix64(u64& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+}  // namespace detail
 
 /// Derive a child seed from (seed, stream) — used to give every node and
 /// every protocol phase an independent stream. SplitMix64 finalizer.
@@ -93,7 +95,7 @@ constexpr u64 splitmix64(u64& x) {
 /// drop decision.
 constexpr u64 derive_seed(u64 seed, u64 stream) {
   u64 x = seed ^ (0x510e527fade682d1ULL * (stream + 1));
-  return splitmix64(x);
+  return detail::splitmix64(x);
 }
 
 }  // namespace hybrid
