@@ -336,8 +336,8 @@ TEST(HybridNetFaults, LocalLinkMatchesPerItemDraw) {
             const hybrid_net::local_drops link =
                 net.local_link(from, to, count);
             const bool down = !net.is_up(from) || !net.is_up(to);
+            const u64 edge = (u64{from} << 32) | to;
             for (u32 idx = 0; idx < 64; ++idx) {
-              const u64 edge = (u64{from} << 32) | to;
               const bool want =
                   down ? true
                   : mode == fault_mode::kRandom
