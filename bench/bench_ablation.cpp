@@ -148,9 +148,10 @@ int main(int argc, char** argv) {
       cfg.skeleton_xi = xi;
       const apsp_result res = hybrid_apsp_exact(g, cfg, 99);
       u64 wrong = 0;
-      for (u32 u = 0; u < g.num_nodes(); ++u)
-        for (u32 v = 0; v < g.num_nodes(); ++v)
-          wrong += (res.dist[u][v] != ref[u][v]);
+      for (u32 u = 0; u < g.num_nodes(); ++u) {
+        const std::vector<u64> row = res.labels.row(u);
+        for (u32 v = 0; v < g.num_nodes(); ++v) wrong += (row[v] != ref[u][v]);
+      }
       rec.add("xi_sweep", {{"xi", xi},
                            {"h", res.h},
                            {"rounds", res.metrics.rounds},

@@ -33,12 +33,13 @@ namespace {
 
 using namespace hybrid;
 
-u64 count_wrong(const std::vector<std::vector<u64>>& got, const graph& g) {
+u64 count_wrong(const dist_labels& lab, const graph& g) {
   u64 wrong = 0;
   for (u32 u = 0; u < g.num_nodes(); ++u) {
+    const auto got = lab.row(u);
     const auto ref = dijkstra(g, u);
     for (u32 v = 0; v < g.num_nodes(); ++v)
-      if (got[u][v] != ref[v]) ++wrong;
+      if (got[v] != ref[v]) ++wrong;
   }
   return wrong;
 }
@@ -77,7 +78,6 @@ oracle_run run_oracle(const graph& g, u32 target_h, u64 seed, bool routes,
   cfg.super_h_override = h1;
   cfg.charged_token_routing = true;
   sim_options o;
-  o.storage = result_storage::kLabels;
   o.hierarchy = two_level ? oracle_hierarchy::kTwoLevel
                           : oracle_hierarchy::kSingleLevel;
   out.wall_ms =
@@ -174,10 +174,10 @@ int main(int argc, char** argv) {
     base_rounds.push_back(static_cast<double>(b.metrics.rounds));
     t.add_row({table::integer(n),
                table::integer(static_cast<long long>(a.metrics.rounds)),
-               table::integer(static_cast<long long>(count_wrong(a.dist, g))),
+               table::integer(static_cast<long long>(count_wrong(a.labels, g))),
                table::integer(a.skeleton_size),
                table::integer(static_cast<long long>(b.metrics.rounds)),
-               table::integer(static_cast<long long>(count_wrong(b.dist, g))),
+               table::integer(static_cast<long long>(count_wrong(b.labels, g))),
                table::integer(b.skeleton_size),
                table::integer(static_cast<long long>(b.labels_broadcast)),
                table::num(static_cast<double>(b.metrics.rounds) /
@@ -219,13 +219,13 @@ int main(int argc, char** argv) {
     const apsp_result ag = hybrid_apsp_exact(grid, model_config{}, 11);
     t3.add_row({"grid 24x24",
                 table::integer(static_cast<long long>(ag.metrics.rounds)),
-                table::integer(static_cast<long long>(count_wrong(ag.dist, grid))),
+                table::integer(static_cast<long long>(count_wrong(ag.labels, grid))),
                 table::integer(ag.skeleton_size)});
     const graph tor = gen::random_geometric(576, 7.0, 16, 5);
     const apsp_result at = hybrid_apsp_exact(tor, model_config{}, 13);
     t3.add_row({"geometric",
                 table::integer(static_cast<long long>(at.metrics.rounds)),
-                table::integer(static_cast<long long>(count_wrong(at.dist, tor))),
+                table::integer(static_cast<long long>(count_wrong(at.labels, tor))),
                 table::integer(at.skeleton_size)});
     t3.print();
   }
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
           {table::integer(n), table::integer(n - 1), table::integer(n - 1),
            table::integer(static_cast<long long>(n / id_bits(n))),
            table::integer(static_cast<long long>(a.metrics.rounds)),
-           table::integer(static_cast<long long>(count_wrong(a.dist, g)))});
+           table::integer(static_cast<long long>(count_wrong(a.labels, g)))});
     }
     t4.print();
     // Extrapolate the measured power law to the LOCAL = Θ(n) crossover.
@@ -268,39 +268,37 @@ int main(int argc, char** argv) {
   print_section(
       "E2e — distance-label oracle: APSP + diameter estimate without the "
       "n^2 matrices (core/dist_oracle.hpp)");
-  // Small-instance differential: label-only storage produces labels whose
-  // materialization is bit-identical (distances, next hops, metrics) to the
-  // dense-storage run — the same guard the oracle test suite locks in.
+  // Small-instance differential: every pair's query/next_hop is
+  // bit-identical to the labels' own materialize()/materialize_next_hops()
+  // adapters and to Dijkstra — the same guard the oracle test suite locks
+  // in.
   {
-    const graph g = gen::erdos_renyi_connected(2048, 4.0, 8, 77);
-    sim_options dense_o;
-    dense_o.storage = result_storage::kDense;
-    sim_options label_o;
-    label_o.storage = result_storage::kLabels;
-    apsp_result dense;
+    constexpr u32 n = 2048;
+    const graph g = gen::erdos_renyi_connected(n, 4.0, 8, 77);
     apsp_result label;
-    const double ms_dense = timed_ms(
-        [&] { dense = hybrid_apsp_exact(g, model_config{}, 41, true, dense_o); });
-    const double ms_label = timed_ms(
-        [&] { label = hybrid_apsp_exact(g, model_config{}, 41, true, label_o); });
+    const double ms = timed_ms(
+        [&] { label = hybrid_apsp_exact(g, model_config{}, 41, true); });
+    const dist_labels& lab = label.labels;
     round_executor ex;
-    const auto dist = label.labels.materialize(ex);
-    HYB_INVARIANT(dist == dense.dist,
-                  "label materialization diverged from the dense storage");
-    HYB_INVARIANT(label.labels.materialize_next_hops(dist, ex) == dense.next_hop,
-                  "label next hops diverged from the dense storage");
-    HYB_INVARIANT(label.metrics.rounds == dense.metrics.rounds &&
-                      label.metrics.global_messages == dense.metrics.global_messages,
-                  "storage mode changed charged rounds/messages");
-    std::cout << "differential n=2048: label materialization bit-identical "
-                 "to dense storage (dense "
-              << table::num(ms_dense, 0) << " ms, labels "
-              << table::num(ms_label, 0) << " ms)\n\n";
-    rec.add("oracle_differential", {{"n", 2048},
-                                    {"rounds", dense.metrics.rounds},
-                                    {"messages", dense.metrics.global_messages},
-                                    {"wall_ms", ms_dense},
-                                    {"label_wall_ms", ms_label}});
+    const auto dist = lab.materialize(ex);
+    const auto hops = lab.materialize_next_hops(dist, ex);
+    const u64 wrong = ex.sum_nodes(n, [&](u32 u) -> u64 {
+      const auto ref = dijkstra(g, u);
+      u64 bad = 0;
+      for (u32 v = 0; v < n; ++v)
+        bad += lab.query(u, v) != dist[u][v] || dist[u][v] != ref[v] ||
+               lab.next_hop(u, v) != hops[u][v];
+      return bad;
+    });
+    HYB_INVARIANT(wrong == 0,
+                  "labels diverged from their materialization or Dijkstra");
+    std::cout << "differential n=2048: query/next_hop bit-identical to "
+                 "materialize() and Dijkstra on every pair ("
+              << table::num(ms, 0) << " ms build)\n\n";
+    rec.add("oracle_differential", {{"n", n},
+                                    {"rounds", label.metrics.rounds},
+                                    {"messages", label.metrics.global_messages},
+                                    {"wall_ms", ms}});
   }
 
   // Label-mode scenarios on bounded-degree graphs (deg <= 3, unweighted):

@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
     const apsp_result apsp = hybrid_apsp_exact(gd.g, cfg, 9 + k);
     // Exact diameter from the APSP output (what a node would compute).
     u64 diam = 0;
-    for (const auto& row : apsp.dist)
-      for (u64 d : row) diam = std::max(diam, d);
+    for (u32 u = 0; u < gd.g.num_nodes(); ++u)
+      for (u64 d : apsp.labels.row(u)) diam = std::max(diam, d);
     const bool diam_ok = diam == hop_diameter(gd.g);
     rec.add("cut_instrumented_apsp",
             {{"k", k},

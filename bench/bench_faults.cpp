@@ -254,7 +254,8 @@ void bench_pipelines(bench_recorder& rec) {
   const graph gw = gen::erdos_renyi_connected(n, 3.0, 8, 21);  // weighted
   const graph gu = gen::erdos_renyi_connected(n, 3.0, 1, 21);  // unweighted
   const auto dia_alg = make_clique_diameter_32(0.25, injection::none);
-  const auto apsp_ref = hybrid_apsp_exact(gw, model_config{}, 7);
+  const auto apsp_ref =
+      hybrid_apsp_exact(gw, model_config{}, 7).labels.materialize();
   const auto sssp_ref = hybrid_sssp_exact(gw, model_config{}, 7, 0);
   const auto dia_ref = hybrid_diameter(gu, model_config{}, 7, dia_alg);
   print_section("Full pipelines — healed degradation on either plane");
@@ -295,7 +296,7 @@ void bench_pipelines(bench_recorder& rec) {
       };
   const auto apsp_run = [&](const sim_options& o) {
     const auto got = hybrid_apsp_exact(gw, model_config{}, 7, false, o);
-    return std::pair<u32, u64>{got.dist == apsp_ref.dist,
+    return std::pair<u32, u64>{got.labels.materialize() == apsp_ref,
                                got.metrics.extra_rounds};
   };
   const auto sssp_run = [&](const sim_options& o) {

@@ -164,11 +164,9 @@ int main(int argc, char** argv) {
   // ---- build once ----------------------------------------------------------
   const u32 n = 2048;
   const graph g = gen::erdos_renyi_connected(n, 6.0, 16, 1000 + n);
-  sim_options o;
-  o.storage = result_storage::kLabels;
   apsp_result built;
   const double build_ms = timed_ms(
-      [&] { built = hybrid_apsp_exact(g, model_config{}, 7 + n, true, o); });
+      [&] { built = hybrid_apsp_exact(g, model_config{}, 7 + n, true); });
 
   // ---- save + zero-copy load ----------------------------------------------
   const std::string path = "/tmp/bench_query_service_oracle.bin";

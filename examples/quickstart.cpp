@@ -23,12 +23,15 @@ int main(int argc, char** argv) {
 
   const apsp_result res = hybrid_apsp_exact(g, model_config{}, seed);
 
-  // Verify against centralized ground truth.
+  // Verify against centralized ground truth; every node answers from its
+  // own distance labels (labels.row(u)).
   const auto ref = apsp_reference(g);
   u64 wrong = 0;
-  for (u32 u = 0; u < n; ++u)
+  for (u32 u = 0; u < n; ++u) {
+    const std::vector<u64> row = res.labels.row(u);
     for (u32 v = 0; v < n; ++v)
-      if (res.dist[u][v] != ref[u][v]) ++wrong;
+      if (row[v] != ref[u][v]) ++wrong;
+  }
 
   std::cout << "skeleton |V_S|=" << res.skeleton_size << ", h=" << res.h
             << "\n";

@@ -11,6 +11,9 @@
 //   ./examples/routing_tables [n] [seed]
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/apsp.hpp"
 #include "graph/generators.hpp"
@@ -31,6 +34,26 @@ int main(int argc, char** argv) {
             << "; tables built in " << res.metrics.rounds
             << " simulated rounds\n\n";
 
+  // Forward a packet from src toward dst; each step consults only the
+  // current node's table (labels.next_hop). `on_hop` sees every node
+  // reached. Returns the node the walk ends at and the weight it realized.
+  const auto forward = [&](u32 src, u32 dst, auto&& on_hop) {
+    u64 weight = 0;
+    u32 cur = src;
+    for (u32 hops = 0; cur != dst && hops < n; ++hops) {
+      const u32 nh = res.labels.next_hop(cur, dst);
+      if (nh == ~u32{0}) break;
+      for (const edge& e : g.neighbors(cur))
+        if (e.to == nh) {
+          weight += e.weight;
+          break;
+        }
+      cur = nh;
+      on_hop(cur);
+    }
+    return std::pair<u32, u64>{cur, weight};
+  };
+
   rng r(derive_seed(seed, 4));
   table t({"packet", "path", "weight", "exact d(u,v)"});
   u32 ok = 0, total = 0;
@@ -38,46 +61,28 @@ int main(int argc, char** argv) {
     const u32 src = static_cast<u32>(r.next_below(n));
     const u32 dst = static_cast<u32>(r.next_below(n));
     std::string path = std::to_string(src);
-    u64 weight = 0;
-    u32 cur = src;
-    u32 hops = 0;
-    while (cur != dst && hops++ < n) {
-      const u32 nh = res.next_hop[cur][dst];
-      for (const edge& e : g.neighbors(cur))
-        if (e.to == nh) {
-          weight += e.weight;
-          break;
-        }
-      cur = nh;
+    const auto [end, weight] = forward(src, dst, [&](u32 cur) {
       if (path.size() < 48) path += "->" + std::to_string(cur);
-    }
+    });
     if (path.size() >= 48) path += "->...";
     ++total;
-    if (cur == dst && weight == res.dist[src][dst]) ++ok;
+    const u64 d = res.labels.query(src, dst);
+    if (end == dst && weight == d) ++ok;
     t.add_row({std::to_string(src) + " => " + std::to_string(dst), path,
                table::integer(static_cast<long long>(weight)),
-               table::integer(static_cast<long long>(res.dist[src][dst]))});
+               table::integer(static_cast<long long>(d))});
   }
   t.print();
 
   // Exhaustive verification over all pairs.
   u64 mismatches = 0;
-  for (u32 u = 0; u < n; ++u)
+  for (u32 u = 0; u < n; ++u) {
+    const std::vector<u64> row = res.labels.row(u);
     for (u32 v = 0; v < n; ++v) {
-      u32 cur = u;
-      u64 w = 0;
-      u32 hops = 0;
-      while (cur != v && hops++ <= n) {
-        const u32 nh = res.next_hop[cur][v];
-        for (const edge& e : g.neighbors(cur))
-          if (e.to == nh) {
-            w += e.weight;
-            break;
-          }
-        cur = nh;
-      }
-      if (cur != v || w != res.dist[u][v]) ++mismatches;
+      const auto [end, weight] = forward(u, v, [](u32) {});
+      if (end != v || weight != row[v]) ++mismatches;
     }
+  }
   std::cout << "\nexhaustive check: " << (static_cast<u64>(n) * n - mismatches)
             << " / " << static_cast<u64>(n) * n
             << " routed paths realize the exact distance\n";

@@ -168,14 +168,6 @@ apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
     out.labels.routes = true;
   }
   out.metrics = net.snapshot();
-
-  // Dense adapters for pre-oracle callers (free local computation — the
-  // labels already determine every entry).
-  if (resolve_materialize(opts, n)) {
-    out.dist = out.labels.materialize(net.executor());
-    if (build_routes)
-      out.next_hop = out.labels.materialize_next_hops(out.dist, net.executor());
-  }
   return out;
 }
 

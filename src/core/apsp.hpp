@@ -36,30 +36,22 @@ struct apsp_result {
   /// `labels.query(u, v)` / `labels.next_hop(u, v)` / `labels.row(u)` answer
   /// from Õ(|ball_h(u)| + |V_S|)-word node labels; `labels.topo` points at
   /// the caller's graph, which must outlive the result.
+  /// With `build_routes`, `labels.next_hop(u, v)` is u's neighbor on a
+  /// shortest u→v path (u itself on the diagonal); greedy forwarding along
+  /// next hops realizes exactly `labels.query(u, v)` — the paper's
+  /// IP-routing application (Section 1).
   dist_labels labels;
-  /// Dense adapters over the labels, filled when resolve_materialize(opts,
-  /// n) holds (sim_options{storage}; auto = n ≤ kDenseExplorationMaxNodes)
-  /// so pre-oracle callers stay source-compatible: dist[u][v], and — with
-  /// `build_routes` — next_hop[u][v] = u's neighbor on a shortest u→v path
-  /// (u itself on the diagonal). Greedy forwarding along next-hop entries
-  /// realizes exactly dist[u][v] — the paper's IP-routing application
-  /// (Section 1).
-  std::vector<std::vector<u64>> dist;
-  std::vector<std::vector<u32>> next_hop;
   run_metrics metrics;
   u32 skeleton_size = 0;
   u32 h = 0;
-
-  bool materialized() const { return !dist.empty(); }
 };
 
 /// Theorem 1.1. With `build_routes` every node additionally exchanges its
 /// distance labels with its neighbors in one more LOCAL round, after which
 /// next-hop routing is a free local computation (the round complexity is
-/// otherwise unchanged). `opts` selects the executor thread count, the
-/// oracle hierarchy, and the result storage (docs/CONCURRENCY.md,
-/// core/dist_oracle.hpp); distances, labels, and metrics are bit-identical
-/// for every thread count and either storage mode.
+/// otherwise unchanged). `opts` selects the executor thread count and the
+/// oracle hierarchy (docs/CONCURRENCY.md, core/dist_oracle.hpp); labels and
+/// metrics are bit-identical for every thread count.
 apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
                               u64 seed, bool build_routes = false,
                               sim_options opts = {});

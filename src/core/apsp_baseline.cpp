@@ -67,9 +67,6 @@ apsp_baseline_result baseline_apsp_ahkss(const graph& g,
   flatten_gateways(net.executor(), sk.near, out.labels.gw_offsets,
                    out.labels.gateways);
   out.metrics = net.snapshot();
-
-  if (resolve_materialize(opts, n))
-    out.dist = out.labels.materialize(net.executor());
   return out;
 }
 

@@ -27,19 +27,14 @@ struct apsp_baseline_result {
   /// public skeleton-pair distances. Always built; `labels.topo` points at
   /// the caller's graph.
   dist_labels labels;
-  /// Dense adapter, filled when resolve_materialize(opts, n) holds.
-  std::vector<std::vector<u64>> dist;
   run_metrics metrics;
   u32 skeleton_size = 0;
   u32 h = 0;
   u64 labels_broadcast = 0;
-
-  bool materialized() const { return !dist.empty(); }
 };
 
-/// `opts` selects the executor thread count and the result storage
-/// (docs/CONCURRENCY.md, core/dist_oracle.hpp); results are bit-identical
-/// for every thread count and either storage mode.
+/// `opts` selects the executor thread count (docs/CONCURRENCY.md); results
+/// are bit-identical for every thread count.
 apsp_baseline_result baseline_apsp_ahkss(const graph& g,
                                          const model_config& cfg, u64 seed,
                                          sim_options opts = {});

@@ -18,9 +18,9 @@
 //
 // Equivalence contract (differentially tested in tests/dist_oracle_test.cpp,
 // `ctest -L oracle`, gated in CI): for every pair, query()/next_hop()/row()
-// and the materialize() adapters are bit-identical to the dense matrices the
-// pre-oracle assembly produced, at every thread count — the composition
-// below is the dense loop, evaluated lazily.
+// agree bit for bit with the materialize() adapters and with Dijkstra where
+// the scheme is exact, at every thread count — the composition below is the
+// dense assembly loop, evaluated lazily.
 #pragma once
 
 #include <span>
@@ -141,10 +141,10 @@ void flatten_gateways(round_executor& ex,
                       std::vector<source_distance>& gateways);
 
 /// Per-node distance labels for all-pairs queries. Built natively by
-/// core/apsp and core/apsp_baseline; the dense apsp_result matrices are a
-/// materialize() adapter over this (sim_options{storage}, auto = materialize
-/// up to kDenseExplorationMaxNodes nodes). All query paths delegate to
-/// `view()` — the shared span accessor the mmap-ed oracle_store also uses.
+/// core/apsp and core/apsp_baseline, whose only result it is; the dense
+/// n × n matrices exist only as the explicit materialize() adapters below.
+/// All query paths delegate to `view()` — the shared span accessor the
+/// mmap-ed oracle_store also uses.
 struct dist_labels {
   u32 n = 0;     ///< nodes of the underlying local graph
   u32 n_s = 0;   ///< skeleton size |V_S|
@@ -236,10 +236,10 @@ struct dist_labels {
   }
 
   // ---- dense adapters (O(n²) memory — callers bound n) -------------------
-  /// The pre-oracle `apsp_result::dist` matrix, node-parallel on `ex`.
+  /// The dense n × n distance matrix, node-parallel on `ex`.
   std::vector<std::vector<u64>> materialize(round_executor& ex) const;
   std::vector<std::vector<u64>> materialize(sim_options opts = {}) const;
-  /// The pre-oracle `next_hop` matrix from an already-materialized `dist`
+  /// The dense n × n next-hop matrix from an already-materialized `dist`
   /// (the exact argmin-over-neighbors loop, same tie-break). Requires routes.
   std::vector<std::vector<u32>> materialize_next_hops(
       const std::vector<std::vector<u64>>& dist, round_executor& ex) const;
@@ -270,8 +270,8 @@ struct kssp_labels {
     return {gateways.data() + gw_offsets[v], gateways.data() + gw_offsets[v + 1]};
   }
 
-  /// d̃(sources[j], v) — Equation (1) for one pair, bit-identical to the
-  /// dense kssp_result::dist[j][v].
+  /// d̃(sources[j], v) — Equation (1) for one pair, bit-identical to
+  /// materialize()[j][v].
   u64 query(u32 j, u32 v) const;
 
   void row_into(u32 j, std::vector<u64>& out) const;
@@ -281,7 +281,7 @@ struct kssp_labels {
     return ball.entries.size() + gateways.size() + est.size();
   }
 
-  /// The pre-oracle k × n `kssp_result::dist`, node-parallel on `ex`.
+  /// The dense k × n matrix, row j for sources[j], node-parallel on `ex`.
   std::vector<std::vector<u64>> materialize(round_executor& ex) const;
 };
 

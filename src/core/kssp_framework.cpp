@@ -125,8 +125,6 @@ kssp_result hybrid_kssp(const graph& g, const model_config& cfg, u64 seed,
                    out.labels.gateways);
 
   out.metrics = net.snapshot();
-  if (resolve_materialize(opts, n))
-    out.dist = out.labels.materialize(net.executor());
   const double t_b = static_cast<double>(out.metrics.rounds);
   const approx_contract c = alg.contract(max_skel_weight);
   out.bound_weighted = 2.0 * c.alpha + 1.0 + static_cast<double>(c.beta) / t_b;

@@ -32,13 +32,7 @@ struct kssp_result {
   /// The native output: per-source labels answering Equation (1) on demand
   /// (core/dist_oracle.hpp). Always built.
   kssp_labels labels;
-  /// Dense adapter dist[j][v] for sources[j], filled when
-  /// resolve_materialize(opts, n) holds (auto = n ≤ 4096).
-  std::vector<std::vector<u64>> dist;
   run_metrics metrics;
-
-  bool materialized() const { return !dist.empty(); }
-
   u32 skeleton_size = 0;
   u32 h = 0;
   double x_exponent = 0.0;

@@ -11,9 +11,7 @@ sssp_result hybrid_sssp_exact(const graph& g, const model_config& cfg,
                               /*source_into_skeleton=*/true, opts);
   sssp_result out;
   out.source = source;
-  // One n-word row regardless of sim_options{storage}: take the dense
-  // adapter when it was materialized, else stream it from the labels.
-  out.dist = k.materialized() ? std::move(k.dist[0]) : k.labels.row(0);
+  out.dist = k.labels.row(0);
   out.metrics = std::move(k.metrics);
   out.skeleton_size = k.skeleton_size;
   out.h = k.h;

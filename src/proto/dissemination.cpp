@@ -79,9 +79,13 @@ dissemination_result disseminate(hybrid_net& net,
     }
   }
 
+  // v knows all k tokens and has nothing left to seed.
+  const auto node_done = [&](u32 v) {
+    return st[v].known.size() == k && st[v].seed_queue.empty();
+  };
   auto all_done = [&]() {
     for (u32 v = 0; v < n; ++v)
-      if (st[v].known.size() != k || !st[v].seed_queue.empty()) return false;
+      if (!node_done(v)) return false;
     return true;
   };
 
@@ -103,6 +107,13 @@ dissemination_result disseminate(hybrid_net& net,
       std::max<u64>(budget, aggregation_rounds(n));
   u64 spent = 0;
   std::vector<u64> dropped(lf ? n : 0, 0);
+  std::vector<std::vector<u32>> inject(n);
+  std::vector<u64> flags(n);
+  // The termination check: one charged AND-aggregation of node_done.
+  const auto everyone_done = [&] {
+    for (u32 v = 0; v < n; ++v) flags[v] = node_done(v) ? 1 : 0;
+    return global_aggregate(net, agg_op::logical_and, flags) == 1;
+  };
   round_executor& exec = net.executor();
   bool done = false;
   while (!done) {
@@ -111,8 +122,8 @@ dissemination_result disseminate(hybrid_net& net,
       // pull side of the local flood run node-parallel: node v draws from
       // its (seed, v, round) stream, spends its own γ budget, and collects
       // fresh tokens from its neighbors' frozen fresh-lists.
-      std::vector<std::vector<u32>> inject(n);
       const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
+        inject[v].clear();
         if (lf) dropped[v] = 0;
         if (!net.is_up(v)) return 0;  // fail-pause: no sends, no pulls
         rng rv = net.round_rng(v);
@@ -176,20 +187,10 @@ dissemination_result disseminate(hybrid_net& net,
       });
       // Termination check at fixed cadence (aggregation rounds are charged
       // by global_aggregate itself).
-      if ((r + 1) % cadence == 0) {
-        std::vector<u64> flags(n);
-        for (u32 v = 0; v < n; ++v)
-          flags[v] =
-              (st[v].known.size() == k && st[v].seed_queue.empty()) ? 1 : 0;
-        done = global_aggregate(net, agg_op::logical_and, flags) == 1;
-      }
+      if ((r + 1) % cadence == 0) done = everyone_done();
     }
     if (!done) {
-      std::vector<u64> flags(n);
-      for (u32 v = 0; v < n; ++v)
-        flags[v] =
-            (st[v].known.size() == k && st[v].seed_queue.empty()) ? 1 : 0;
-      done = global_aggregate(net, agg_op::logical_and, flags) == 1;
+      done = everyone_done();
       if (!done && faulty && spent >= fail_budget)
         throw fault_failure("dissemination healing budget exhausted");
       budget *= 2;

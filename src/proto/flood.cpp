@@ -6,8 +6,8 @@
 // bit-for-bit (same known/next orderings, same tie-breaks). The
 // frontier-emptiness checks that drive early exit are any_node reductions —
 // order-insensitive, so thread-count-invariant like every other observable.
-// limited_bellman_ford and full_local_exploration are dense-row
-// instantiations of the relaxation kernel (proto/relax_kernel.hpp);
+// limited_bellman_ford is a dense-row instantiation of the relaxation
+// kernel (proto/relax_kernel.hpp);
 // hop_discovery, table_flood and truncated_eccentricity instantiate the
 // seen-set flood kernel (proto/flood_kernel.hpp), as cluster_flood does.
 // Fault healing (docs/FAULTS.md §3): under local-plane faults hop_discovery,
@@ -17,10 +17,10 @@
 // against what a reliable run must produce, and pad to their nominal
 // budgets. Learned hop values become learn-round stamps (upper bounds on
 // the true hop distance); Bellman–Ford distances stay exact, and its
-// referee's vias are what gets returned. The exploration-shaped primitives
-// (full_local_exploration, truncated_eccentricity) heal through the
-// exploration engine in proto/sparse_exploration.cpp and return results
-// bit-identical to the fault-free run.
+// referee's vias are what gets returned. The exploration-shaped
+// truncated_eccentricity heals through the exploration engine in
+// proto/sparse_exploration.cpp and returns results bit-identical to the
+// fault-free run.
 #include "proto/flood.hpp"
 
 #include <algorithm>
@@ -196,41 +196,6 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
       net.executor(),
       bellman_ford_rows(net.executor(), net.g(), sources, h,
                         relax::net_hook{net, advance_rounds}));
-}
-
-std::vector<std::vector<u64>> full_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    std::vector<std::vector<u32>>* first_hop) {
-  if (net.local_faults_active()) {
-    // Self-heal through the shared exploration engine
-    // (proto/sparse_exploration.cpp) and expand its canonical CSR triples
-    // back into the dense matrix shape this primitive promises. The engine
-    // returns the referee's fixed point, so dist and first_hop are
-    // bit-identical to the fault-free run.
-    const sparse_exploration_result got = healed_local_exploration(
-        net, h, advance_rounds, nullptr, first_hop != nullptr);
-    const u32 n = net.n();
-    std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
-    if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-    for (u32 v = 0; v < n; ++v)
-      for (const exploration_entry& e : got.reached(v)) {
-        dist[v][e.source] = e.dist;
-        if (first_hop) (*first_hop)[v][e.source] = e.first_hop;
-      }
-    return dist;
-  }
-  const u32 n = net.n();
-  std::vector<relax::dense_row> rows =
-      relax::dense_rows(net.executor(), n, n, first_hop != nullptr);
-  relax::run(net.executor(), rows, {}, h, relax::graph_edges{net.g()},
-             relax::net_hook{net, advance_rounds});
-  std::vector<std::vector<u64>> dist(n);
-  if (first_hop) first_hop->assign(n, {});
-  for (u32 v = 0; v < n; ++v) {
-    dist[v] = std::move(rows[v].dist);
-    if (first_hop) (*first_hop)[v] = std::move(rows[v].via);
-  }
-  return dist;
 }
 
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,

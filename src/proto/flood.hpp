@@ -3,8 +3,9 @@
 // and 9).
 //
 // The paper's protocols use the local graph in exactly four ways; each gets
-// one primitive here so that all LOCAL information flow goes through code
-// that advances simulated rounds and charges traffic:
+// one primitive (three here, the exploration in proto/sparse_exploration.hpp)
+// so that all LOCAL information flow goes through code that advances
+// simulated rounds and charges traffic:
 //
 //  1. hop_discovery        — multi-source BFS flooding for T rounds; every
 //                            node learns (seed, hop) for seeds within T hops
@@ -13,10 +14,11 @@
 //                            set; node v learns d_h(v, s) (Algorithm 6's
 //                            skeleton-edge discovery, Algorithm 5's local
 //                            source exploration).
-//  3. full_local_exploration — h rounds in which every node forwards all
+//  3. local exploration   — h rounds in which every node forwards all
 //                            topology it knows; afterwards each node knows
 //                            d_h(u, v) for all pairs it can see (the APSP
-//                            algorithm's "local exploration", Section 3).
+//                            algorithm's "local exploration", Section 3),
+//                            returned as per-node triples.
 //  4. table_flood          — skeleton nodes publish an immutable table that
 //                            floods T hops; recipients get shared read-only
 //                            access (the "distribute distance labels to the
@@ -31,9 +33,9 @@
 //
 // On a reliable local plane (1), (4) and the hello flood below run the
 // seen-set flood kernel of proto/flood_kernel.hpp, as cluster_flood does;
-// (2) and (3) run the relaxation kernel of proto/relax_kernel.hpp. Under
-// local-plane faults (1), (2), (4) and every exploration heal through the
-// one re-offer loop of proto/heal_kernel.hpp and return the fault-free
+// (2) and (3) run the relaxation kernel of proto/relax_kernel.hpp, so
+// triples and charging agree by construction. Under local-plane faults
+// (1), (2), (4) and every exploration heal through the one re-offer loop of proto/heal_kernel.hpp and return the fault-free
 // result or throw fault_failure (docs/FAULTS.md §3).
 #pragma once
 
@@ -83,19 +85,6 @@ struct source_distance {
 std::vector<std::vector<source_distance>> limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h,
     bool advance_rounds = true);
-
-/// (3) Full h-hop-limited APSP: matrix[u][v] = d_h(u, v) (kInfDist when v is
-/// outside u's h-hop horizon). Quadratic memory — callers bound n; for the
-/// neighborhood-bounded O(Σ|ball_h(v)|) variant the cores use, see
-/// proto/sparse_exploration.hpp. (2) and (3) run the relaxation kernel of
-/// proto/relax_kernel.hpp, as do the exploration entry points there, so
-/// triples and charging agree by construction.
-/// When `first_hop` is non-null it receives an n×n matrix with each node's
-/// first hop on a d_h-realizing path to the target (self on the diagonal,
-/// ~0u when unreachable).
-std::vector<std::vector<u64>> full_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    std::vector<std::vector<u32>>* first_hop = nullptr);
 
 /// (4) Flood per-publisher immutable tables for `rounds` rounds.
 /// `table_words[i]` is the accounted size of publisher i's table in 64-bit

@@ -5,7 +5,7 @@
 //
 // Internal header. Its instantiations are
 //   * sparse_local_exploration / dense_local_exploration — net, graph edges;
-//   * limited_bellman_ford / full_local_exploration — net, graph edges;
+//   * limited_bellman_ford — net, graph edges;
 //   * the referees of the healed limited_bellman_ford and of the healed
 //     exploration engine — pure, graph or unit edges;
 //   * explore_adjacency — pure, explicit (to, w) lists;

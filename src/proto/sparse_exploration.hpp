@@ -1,5 +1,5 @@
-// Neighborhood-bounded local exploration (the sparse counterpart of
-// proto/flood.hpp's full_local_exploration / limited_bellman_ford).
+// The h-hop local exploration (primitive (3) of proto/flood.hpp) and its
+// neighborhood-bounded sparse rows.
 //
 // The paper's APSP/k-SSP algorithms spend their local phase on h-hop
 // exploration. The dense primitives keep an n-wide distance vector per node
@@ -55,8 +55,8 @@ struct sparse_exploration_result {
 };
 
 /// h rounds of exploration from `sources` (nullptr = every node explores,
-/// the full_local_exploration workload; otherwise the limited_bellman_ford
-/// workload — sources must be distinct). Per-node distance state lives in
+/// the all-pairs workload; otherwise the limited_bellman_ford workload —
+/// sources must be distinct). Per-node distance state lives in
 /// flat maps of reached entries, so memory is bounded by the h-ball sizes. Round and
 /// traffic accounting matches the dense primitives exactly; with
 /// `advance_rounds` false only traffic is charged (the paper's

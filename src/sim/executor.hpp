@@ -39,13 +39,12 @@
 
 namespace hybrid {
 
-/// Result-storage mode for the oracle-producing cores (core/dist_oracle.hpp):
-/// `kDense` additionally materializes the n×n result matrices from the
-/// distance labels (the pre-PR-5 output format), `kLabels` keeps only the
-/// queryable per-node labels — O(Σ|label(v)|) memory instead of O(n²).
-/// `kAuto` materializes up to kDenseExplorationMaxNodes nodes; beyond that
-/// the matrices are exactly the memory wall the labels exist to remove.
-enum class result_storage : u8 { kAuto = 0, kDense, kLabels };
+/// A one-value stub: the cores' only result is their distance labels
+/// (core/dist_oracle.hpp), and nothing reads `sim_options::storage`. It
+/// exists only so the frozen benchmark driver `perfbench/hybench.cpp`, which
+/// sets `storage = result_storage::kLabels`, still compiles; the next change
+/// to the benchmark removes both.
+enum class result_storage : u8 { kLabels };
 
 /// Oracle hierarchy for the label-producing APSP core (core/apsp.hpp).
 /// `kSingleLevel` is the Theorem 1.1 one-sided scheme: token-routed
@@ -62,11 +61,10 @@ struct sim_options {
   /// HYBRID_THREADS environment variable when set to a positive integer,
   /// else std::thread::hardware_concurrency().
   u32 threads = 0;
-  /// Whether APSP/k-SSP results carry dense matrices besides their labels.
-  result_storage storage = result_storage::kAuto;
+  /// Unread; see result_storage.
+  result_storage storage = result_storage::kLabels;
   /// Skeleton hierarchy depth for hybrid_apsp_exact (single-level rows vs
-  /// the two-level recursive labels). Orthogonal to the knobs above; the
-  /// other cores ignore it.
+  /// the two-level recursive labels). The other cores ignore it.
   oracle_hierarchy hierarchy = oracle_hierarchy::kSingleLevel;
   /// Fault injection: seeded message loss and node crash/recovery
   /// (sim/fault.hpp, docs/FAULTS.md). Default-constructed = disabled, and
@@ -75,23 +73,16 @@ struct sim_options {
 };
 
 /// Largest n for which h-hop exploration runs on n-wide dense rows rather
-/// than sparse ones (run_local_exploration, proto/sparse_exploration.hpp);
-/// also the result_storage::kAuto materialization cutoff. Calibrated from
-/// measured dense/sparse crossover sweeps (docs/ARCHITECTURE.md §6.2):
-/// the true discriminator is ball density, which is unknown before the
-/// exploration runs, so this n bounds the regret instead — dense through
+/// than sparse ones (run_local_exploration, proto/sparse_exploration.hpp).
+/// Calibrated from measured dense/sparse crossover sweeps
+/// (docs/ARCHITECTURE.md §6.2): the true discriminator is ball density,
+/// which is unknown before the exploration runs, so this n bounds the
+/// regret instead — dense through
 /// 4096 costs at most ~155 ms / ~183 MB against the sparsest measured
 /// workload while keeping a 2.3–2.7× time-and-RSS win when balls saturate;
 /// 8192 would quadruple the worst-case footprint, 2048 forfeits the
 /// saturated win.
 inline constexpr u32 kDenseExplorationMaxNodes = 4096;
-
-/// Whether `sim_options` asks for dense result matrices at this n.
-inline bool resolve_materialize(const sim_options& opts, u32 n) {
-  if (opts.storage != result_storage::kAuto)
-    return opts.storage == result_storage::kDense;
-  return n <= kDenseExplorationMaxNodes;
-}
 
 /// The thread count `sim_options` resolves to (see above). Never 0.
 u32 resolve_threads(const sim_options& opts);

@@ -39,7 +39,7 @@ TEST_P(ApspExactness, MatchesDijkstraEverywhere) {
   const apsp_result res = hybrid_apsp_exact(g, cfg(), seed);
   const auto ref = apsp_reference(g);
   for (u32 u = 0; u < g.num_nodes(); ++u)
-    ASSERT_EQ(res.dist[u], ref[u]) << "row " << u << " kind " << kind;
+    ASSERT_EQ(res.labels.row(u), ref[u]) << "row " << u << " kind " << kind;
   EXPECT_GT(res.metrics.rounds, 0u);
   EXPECT_LE(res.metrics.max_global_recv_per_round,
             4u * 4 * id_bits(g.num_nodes()));
@@ -53,7 +53,7 @@ TEST(Apsp, UnweightedGraphs) {
   const graph g = gen::erdos_renyi_connected(160, 6.0, 1, 4);
   const apsp_result res = hybrid_apsp_exact(g, cfg(), 4);
   const auto ref = apsp_reference(g);
-  for (u32 u = 0; u < g.num_nodes(); ++u) EXPECT_EQ(res.dist[u], ref[u]);
+  for (u32 u = 0; u < g.num_nodes(); ++u) EXPECT_EQ(res.labels.row(u), ref[u]);
 }
 
 TEST(Apsp, PhaseBreakdownPresent) {
@@ -72,7 +72,7 @@ TEST(ApspBaseline, ExactToo) {
   const graph g = gen::erdos_renyi_connected(160, 5.0, 7, 31);
   const apsp_baseline_result res = baseline_apsp_ahkss(g, cfg(), 31);
   const auto ref = apsp_reference(g);
-  for (u32 u = 0; u < g.num_nodes(); ++u) ASSERT_EQ(res.dist[u], ref[u]);
+  for (u32 u = 0; u < g.num_nodes(); ++u) ASSERT_EQ(res.labels.row(u), ref[u]);
   EXPECT_GT(res.labels_broadcast, 0u);
 }
 
@@ -129,9 +129,9 @@ TEST_P(KsspApprox, WithinProvenBounds) {
       c.max_w == 1 ? res.bound_unweighted : res.bound_weighted;
   for (u32 j = 0; j < sources.size(); ++j)
     for (u32 v = 0; v < n; ++v) {
-      ASSERT_GE(res.dist[j][v], ref[j][v])
+      ASSERT_GE(res.labels.query(j, v), ref[j][v])
           << "underestimate at source " << j << " node " << v;
-      ASSERT_LE(static_cast<double>(res.dist[j][v]),
+      ASSERT_LE(static_cast<double>(res.labels.query(j, v)),
                 bound * static_cast<double>(ref[j][v]) + 1e-9)
           << "bound " << bound << " violated at source " << j << " node "
           << v;
@@ -150,7 +150,7 @@ TEST(Kssp, ExactWhenNoInjectionAndAlphaOne) {
   const kssp_result res = hybrid_kssp(g, cfg(), 23, {12},
                                       make_clique_sssp_exact(),
                                       /*source_into_skeleton=*/true);
-  EXPECT_EQ(res.dist[0], dijkstra(g, 12));
+  EXPECT_EQ(res.labels.row(0), dijkstra(g, 12));
 }
 
 TEST(Kssp, SevenPlusEpsVariant) {
@@ -163,8 +163,8 @@ TEST(Kssp, SevenPlusEpsVariant) {
   const auto ref = multi_source_reference(g, sources);
   for (u32 j = 0; j < sources.size(); ++j)
     for (u32 v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_GE(res.dist[j][v], ref[j][v]);
-      ASSERT_LE(static_cast<double>(res.dist[j][v]),
+      ASSERT_GE(res.labels.query(j, v), ref[j][v]);
+      ASSERT_LE(static_cast<double>(res.labels.query(j, v)),
                 res.bound_weighted * static_cast<double>(ref[j][v]) + 1e-9);
     }
   EXPECT_LE(res.bound_weighted, 7.0 + 4 * 0.25 + 1.0)

@@ -1,7 +1,7 @@
 // Differential suite for the distance-label oracle (core/dist_oracle.hpp):
 // on randomized ER / grid / star / bounded-degree / disconnected graphs,
-// query(u, v) and next_hop(u, v) must be bit-identical to the materialized
-// dense matrices and to centralized Dijkstra ground truth, at threads
+// query(u, v) and next_hop(u, v) must be bit-identical to the materialize()
+// adapters and to centralized Dijkstra ground truth, at threads
 // ∈ {1, 2, 8}; plus the h = 0 / isolated-vertex / singleton-component /
 // unreachable-pair (∞) edge cases, the baseline's two-sided labels, the
 // k-SSP labels, the diameter label path (exact + the (1+ε̂) skeleton
@@ -33,10 +33,9 @@ namespace {
 
 model_config cfg() { return model_config{}; }
 
-sim_options opts(u32 threads, result_storage storage) {
+sim_options opts(u32 threads) {
   sim_options o;
   o.threads = threads;
-  o.storage = storage;
   return o;
 }
 
@@ -48,37 +47,37 @@ void expect_metrics_eq(const run_metrics& a, const run_metrics& b) {
   EXPECT_EQ(a.max_global_recv_per_round, b.max_global_recv_per_round);
 }
 
-/// Dense reference at one thread vs label-only runs at threads {1, 2, 8}:
-/// per-pair query/next_hop identity, materialize() identity, metric
-/// identity, and Dijkstra ground truth.
+/// Materialized reference labels at one thread vs label runs at threads
+/// {1, 2, 8}: per-pair query/next_hop identity, materialize() identity,
+/// metric identity, and Dijkstra ground truth.
 void apsp_differential(const graph& g, u64 seed) {
   const u32 n = g.num_nodes();
-  const apsp_result ref = hybrid_apsp_exact(
-      g, cfg(), seed, /*build_routes=*/true,
-      opts(1, result_storage::kDense));
-  ASSERT_EQ(ref.dist.size(), n);
+  const apsp_result ref =
+      hybrid_apsp_exact(g, cfg(), seed, /*build_routes=*/true, opts(1));
+  round_executor ref_ex(opts(1));
+  const auto ref_dist = ref.labels.materialize(ref_ex);
+  const auto ref_hops = ref.labels.materialize_next_hops(ref_dist, ref_ex);
+  ASSERT_EQ(ref_dist.size(), n);
   const auto truth = apsp_reference(g);
-  for (u32 u = 0; u < n; ++u) ASSERT_EQ(ref.dist[u], truth[u]) << "row " << u;
+  for (u32 u = 0; u < n; ++u) ASSERT_EQ(ref_dist[u], truth[u]) << "row " << u;
 
   for (u32 threads : {1u, 2u, 8u}) {
-    const apsp_result lab = hybrid_apsp_exact(
-        g, cfg(), seed, /*build_routes=*/true,
-        opts(threads, result_storage::kLabels));
-    ASSERT_TRUE(!lab.materialized());
+    const apsp_result lab =
+        hybrid_apsp_exact(g, cfg(), seed, /*build_routes=*/true, opts(threads));
     ASSERT_TRUE(lab.labels.routes);
     expect_metrics_eq(lab.metrics, ref.metrics);
     for (u32 u = 0; u < n; ++u)
       for (u32 v = 0; v < n; ++v) {
-        ASSERT_EQ(lab.labels.query(u, v), ref.dist[u][v])
+        ASSERT_EQ(lab.labels.query(u, v), ref_dist[u][v])
             << u << "->" << v << " threads=" << threads;
-        ASSERT_EQ(lab.labels.next_hop(u, v), ref.next_hop[u][v])
+        ASSERT_EQ(lab.labels.next_hop(u, v), ref_hops[u][v])
             << u << "->" << v << " threads=" << threads;
       }
     // The dense adapters reproduce the matrices bit for bit.
-    round_executor ex(opts(threads, result_storage::kLabels));
+    round_executor ex(opts(threads));
     const auto dist = lab.labels.materialize(ex);
-    ASSERT_EQ(dist, ref.dist);
-    ASSERT_EQ(lab.labels.materialize_next_hops(dist, ex), ref.next_hop);
+    ASSERT_EQ(dist, ref_dist);
+    ASSERT_EQ(lab.labels.materialize_next_hops(dist, ex), ref_hops);
   }
 }
 
@@ -115,7 +114,7 @@ TEST(DistOracleDiff, DisconnectedWithIsolatedVertices) {
   const graph g = graph::from_edges(9, edges);
   apsp_differential(g, 3);
   const apsp_result lab = hybrid_apsp_exact(
-      g, cfg(), 3, true, opts(1, result_storage::kLabels));
+      g, cfg(), 3, true, opts(1));
   for (u32 v : {7u, 8u}) {
     EXPECT_EQ(lab.labels.query(v, v), 0u);       // singleton component
     EXPECT_EQ(lab.labels.next_hop(v, v), v);
@@ -162,8 +161,7 @@ TEST(DistOracleEdge, BallOnlyTwoSidedLabels) {
 TEST(DistOracleEdge, NextHopRequiresRoutes) {
   const graph g = gen::path(32, 3, 5);
   const apsp_result lab = hybrid_apsp_exact(
-      g, cfg(), 5, /*build_routes=*/false,
-      opts(1, result_storage::kLabels));
+      g, cfg(), 5, /*build_routes=*/false, opts(1));
   EXPECT_FALSE(lab.labels.routes);
   EXPECT_EQ(lab.labels.query(0, 31), dijkstra(g, 0)[31]);
   EXPECT_THROW(lab.labels.next_hop(0, 31), std::invalid_argument);
@@ -171,18 +169,18 @@ TEST(DistOracleEdge, NextHopRequiresRoutes) {
 
 TEST(DistOracleEdge, StorageResolution) {
   const graph g = gen::erdos_renyi_connected(64, 4.0, 5, 9);
-  // kAuto materializes below the cutoff; kLabels never does; the dense
-  // matrices agree with the labels in either mode.
-  const apsp_result dense = hybrid_apsp_exact(g, cfg(), 9);
-  ASSERT_TRUE(dense.materialized());
-  const apsp_result label_only = hybrid_apsp_exact(
-      g, cfg(), 9, false, opts(0, result_storage::kLabels));
-  EXPECT_FALSE(label_only.materialized());
-  EXPECT_TRUE(label_only.dist.empty() && label_only.next_hop.empty());
+  // Labels are the only result: the default options and an explicit
+  // thread count build the same labels, and the dense adapters agree with
+  // them row by row.
+  const apsp_result by_default = hybrid_apsp_exact(g, cfg(), 9);
+  round_executor ex;
+  const auto dense = by_default.labels.materialize(ex);
+  ASSERT_EQ(dense.size(), 64u);
+  const apsp_result label_only = hybrid_apsp_exact(g, cfg(), 9, false, opts(0));
   for (u32 u = 0; u < 64; ++u)
-    ASSERT_EQ(label_only.labels.row(u), dense.dist[u]) << "row " << u;
+    ASSERT_EQ(label_only.labels.row(u), dense[u]) << "row " << u;
   // The standalone materialize(sim_options) overload works without a net.
-  ASSERT_EQ(label_only.labels.materialize(), dense.dist);
+  ASSERT_EQ(label_only.labels.materialize(), dense);
 }
 
 // ---- materialize() with unreachable pairs (explicit ∞ handling) -------------
@@ -196,8 +194,7 @@ TEST(DistOracleMaterialize, DisconnectedInfinityRowsScheme) {
                                {4, 5, 1}, {3, 5, 4}};
   const graph g = graph::from_edges(8, edges);  // + isolated 6, 7
   const apsp_result lab = hybrid_apsp_exact(
-      g, cfg(), 13, /*build_routes=*/true,
-      opts(1, result_storage::kLabels));
+      g, cfg(), 13, /*build_routes=*/true, opts(1));
   round_executor ex;
   const auto dist = lab.labels.materialize(ex);
   const auto hops = lab.labels.materialize_next_hops(dist, ex);
@@ -223,7 +220,7 @@ TEST(DistOracleMaterialize, DisconnectedInfinityPairsScheme) {
   std::vector<edge_spec> edges{{0, 1, 1}, {1, 2, 3}, {3, 4, 2}};
   const graph g = graph::from_edges(7, edges);  // + isolated 5, 6
   const apsp_baseline_result lab = baseline_apsp_ahkss(
-      g, cfg(), 17, opts(1, result_storage::kLabels));
+      g, cfg(), 17, opts(1));
   ASSERT_EQ(lab.labels.scheme, label_scheme::kSkeletonPairs);
   round_executor ex;
   const auto dist = lab.labels.materialize(ex);
@@ -243,35 +240,32 @@ TEST(DistOracleMaterialize, DisconnectedInfinityPairsScheme) {
 
 TEST(DistOracleBaseline, QueryMatchesDenseAndDijkstra) {
   const graph g = gen::erdos_renyi_connected(96, 4.5, 7, 31);
-  const apsp_baseline_result ref = baseline_apsp_ahkss(
-      g, cfg(), 31, opts(1, result_storage::kDense));
+  const apsp_baseline_result ref = baseline_apsp_ahkss(g, cfg(), 31, opts(1));
+  const auto ref_dist = ref.labels.materialize(opts(1));
   const auto truth = apsp_reference(g);
-  for (u32 u = 0; u < 96; ++u) ASSERT_EQ(ref.dist[u], truth[u]);
+  for (u32 u = 0; u < 96; ++u) ASSERT_EQ(ref_dist[u], truth[u]);
   for (u32 threads : {1u, 8u}) {
-    const apsp_baseline_result lab = baseline_apsp_ahkss(
-        g, cfg(), 31, opts(threads, result_storage::kLabels));
-    EXPECT_FALSE(lab.materialized());
+    const apsp_baseline_result lab =
+        baseline_apsp_ahkss(g, cfg(), 31, opts(threads));
     EXPECT_EQ(lab.labels.scheme, label_scheme::kSkeletonPairs);
     expect_metrics_eq(lab.metrics, ref.metrics);
     for (u32 u = 0; u < 96; ++u)
       for (u32 v = 0; v < 96; ++v)
-        ASSERT_EQ(lab.labels.query(u, v), ref.dist[u][v]) << u << "->" << v;
-    round_executor ex(opts(threads, result_storage::kAuto));
-    ASSERT_EQ(lab.labels.materialize(ex), ref.dist);
+        ASSERT_EQ(lab.labels.query(u, v), ref_dist[u][v]) << u << "->" << v;
+    round_executor ex(opts(threads));
+    ASSERT_EQ(lab.labels.materialize(ex), ref_dist);
   }
 }
 
 TEST(DistOracleBaseline, DisconnectedTwoSided) {
   std::vector<edge_spec> edges{{0, 1, 1}, {1, 2, 2}, {3, 4, 1}};
   const graph g = graph::from_edges(6, edges);
-  const apsp_baseline_result ref = baseline_apsp_ahkss(
-      g, cfg(), 5, opts(1, result_storage::kDense));
-  const apsp_baseline_result lab = baseline_apsp_ahkss(
-      g, cfg(), 5, opts(1, result_storage::kLabels));
+  const apsp_baseline_result lab = baseline_apsp_ahkss(g, cfg(), 5, opts(1));
+  const auto dense = lab.labels.materialize(opts(1));
   const auto truth = apsp_reference(g);
   for (u32 u = 0; u < 6; ++u)
     for (u32 v = 0; v < 6; ++v) {
-      ASSERT_EQ(ref.dist[u][v], truth[u][v]);
+      ASSERT_EQ(dense[u][v], truth[u][v]);
       ASSERT_EQ(lab.labels.query(u, v), truth[u][v]) << u << "->" << v;
     }
 }
@@ -282,33 +276,35 @@ TEST(DistOracleKssp, QueryMatchesDenseRows) {
   const graph g = gen::erdos_renyi_connected(96, 4.0, 5, 7);
   const auto alg = make_clique_kssp_1eps(0.25, injection::none);
   const std::vector<u32> sources{4, 31, 77};
-  const kssp_result ref = hybrid_kssp(
-      g, cfg(), 7, sources, alg, false,
-      opts(1, result_storage::kDense));
-  ASSERT_TRUE(ref.materialized());
+  const kssp_result ref =
+      hybrid_kssp(g, cfg(), 7, sources, alg, false, opts(1));
+  round_executor ref_ex(opts(1));
+  const auto ref_dist = ref.labels.materialize(ref_ex);
+  ASSERT_EQ(ref_dist.size(), sources.size());
   for (u32 threads : {1u, 8u}) {
-    const kssp_result lab = hybrid_kssp(
-        g, cfg(), 7, sources, alg, false,
-        opts(threads, result_storage::kLabels));
-    EXPECT_FALSE(lab.materialized());
+    const kssp_result lab =
+        hybrid_kssp(g, cfg(), 7, sources, alg, false, opts(threads));
     expect_metrics_eq(lab.metrics, ref.metrics);
     for (u32 j = 0; j < sources.size(); ++j) {
-      ASSERT_EQ(lab.labels.row(j), ref.dist[j]) << "source " << j;
+      ASSERT_EQ(lab.labels.row(j), ref_dist[j]) << "source " << j;
       for (u32 v = 0; v < 96; ++v)
-        ASSERT_EQ(lab.labels.query(j, v), ref.dist[j][v]);
+        ASSERT_EQ(lab.labels.query(j, v), ref_dist[j][v]);
     }
-    round_executor ex(opts(threads, result_storage::kAuto));
-    ASSERT_EQ(lab.labels.materialize(ex), ref.dist);
+    round_executor ex(opts(threads));
+    ASSERT_EQ(lab.labels.materialize(ex), ref_dist);
   }
 }
 
 TEST(DistOracleKssp, SsspRowIdenticalAcrossStorageModes) {
   const graph g = gen::grid(12, 12, 6, 13);
-  const sssp_result dense = hybrid_sssp_exact(
-      g, cfg(), 13, 5, opts(1, result_storage::kDense));
-  const sssp_result lab = hybrid_sssp_exact(
-      g, cfg(), 13, 5, opts(1, result_storage::kLabels));
-  EXPECT_EQ(lab.dist, dense.dist);
+  // The SSSP row streamed from the labels equals the k-SSP core's explicit
+  // dense adapter for the same run.
+  const kssp_result k = hybrid_kssp(g, cfg(), 13, {5}, make_clique_sssp_exact(),
+                                    /*source_into_skeleton=*/true, opts(1));
+  round_executor ex(opts(1));
+  const auto dense = k.labels.materialize(ex);
+  const sssp_result lab = hybrid_sssp_exact(g, cfg(), 13, 5, opts(1));
+  EXPECT_EQ(lab.dist, dense[0]);
   EXPECT_EQ(lab.dist, dijkstra(g, 5));
 }
 
@@ -322,8 +318,7 @@ TEST(DistOracleCharged, ChargedRoutingPreservesDistances) {
   model_config charged = cfg();
   charged.charged_token_routing = true;
   const apsp_result lab = hybrid_apsp_exact(
-      g, charged, 19, false,
-      opts(1, result_storage::kLabels));
+      g, charged, 19, false, opts(1));
   const auto truth = apsp_reference(g);
   for (u32 u = 0; u < 96; ++u)
     for (u32 v = 0; v < 96; ++v)
@@ -337,8 +332,7 @@ TEST(DistOracleDiameter, ExactMatchesCentralizedReference) {
   for (u64 seed : {3u, 4u}) {
     const graph g = gen::erdos_renyi_connected(96, 4.5, 7, seed);
     const apsp_result lab = hybrid_apsp_exact(
-        g, cfg(), seed, false,
-        opts(1, result_storage::kLabels));
+        g, cfg(), seed, false, opts(1));
     EXPECT_EQ(labels_exact_diameter(lab.labels), weighted_diameter(g));
   }
   const graph grid = gen::grid(8, 8, 5, 21);
@@ -350,7 +344,7 @@ TEST(DistOracleDiameter, ExactSkipsUnreachablePairsWhenAsked) {
   std::vector<edge_spec> edges{{0, 1, 3}, {1, 2, 4}, {3, 4, 2}};
   const graph g = graph::from_edges(5, edges);
   const apsp_result lab = hybrid_apsp_exact(
-      g, cfg(), 9, false, opts(1, result_storage::kLabels));
+      g, cfg(), 9, false, opts(1));
   EXPECT_THROW(labels_exact_diameter(lab.labels), std::invalid_argument);
   EXPECT_EQ(labels_exact_diameter(lab.labels, /*require_connected=*/false), 7u);
 }
@@ -366,8 +360,7 @@ TEST(DistOracleDiameter, EstimateWithinBoundOn50SeededGraphs) {
     const u64 max_w = r.next_bool(0.5) ? 1 : 8;
     const graph g = gen::erdos_renyi_connected(n, deg, max_w, seed);
     const apsp_result lab = hybrid_apsp_exact(
-        g, cfg(), seed, false,
-        opts(1, result_storage::kLabels));
+        g, cfg(), seed, false, opts(1));
     const label_diameter_estimate est = diameter_estimate_from_labels(lab.labels);
     ASSERT_EQ(est.covered, n) << "seed " << seed;
     const u64 d_true = weighted_diameter(g);
@@ -382,7 +375,7 @@ TEST(DistOracleDiameter, EstimateWithinBoundOn50SeededGraphs) {
 // ---- the two-level hierarchy (kTwoLevel) ------------------------------------
 
 sim_options two_level_opts(u32 threads) {
-  sim_options o = opts(threads, result_storage::kLabels);
+  sim_options o = opts(threads);
   o.hierarchy = oracle_hierarchy::kTwoLevel;
   return o;
 }
@@ -432,8 +425,7 @@ TEST(DistOracleTwoLevel, ExactAtSaturatedDefaults) {
     const apsp_result two =
         hybrid_apsp_exact(g, cfg(), seed, true, two_level_opts(1));
     const apsp_result one = hybrid_apsp_exact(
-        g, cfg(), seed, true,
-        opts(1, result_storage::kLabels));
+        g, cfg(), seed, true, opts(1));
     const auto truth = apsp_reference(g);
     for (u32 u = 0; u < 96; ++u)
       for (u32 v = 0; v < 96; ++v) {

@@ -136,8 +136,8 @@ TEST(KsspExtremes, AllNodesAsSources) {
   const auto ref = apsp_reference(g);
   for (u32 j = 0; j < 96; ++j)
     for (u32 v = 0; v < 96; ++v) {
-      ASSERT_GE(res.dist[j][v], ref[j][v]);
-      ASSERT_LE(static_cast<double>(res.dist[j][v]),
+      ASSERT_GE(res.labels.query(j, v), ref[j][v]);
+      ASSERT_LE(static_cast<double>(res.labels.query(j, v)),
                 res.bound_weighted * static_cast<double>(ref[j][v]) + 1e-9);
     }
 }
@@ -146,8 +146,8 @@ TEST(KsspExtremes, TwoNodeNetwork) {
   const graph g = gen::path(2, 5, 3);
   const auto alg = make_clique_sssp_exact();
   const kssp_result res = hybrid_kssp(g, cfg(), 1, {0}, alg, true);
-  EXPECT_EQ(res.dist[0][0], 0u);
-  EXPECT_EQ(res.dist[0][1], dijkstra(g, 0)[1]);
+  EXPECT_EQ(res.labels.query(0, 0), 0u);
+  EXPECT_EQ(res.labels.query(0, 1), dijkstra(g, 0)[1]);
 }
 
 TEST(KsspExtremes, SourcesShareOneRepresentative) {

@@ -1023,7 +1023,7 @@ TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
   const graph g = gen::path(8);
   hybrid_net net(g, default_cfg(), 1, with_faults(drop_local_opts(0.1)));
   EXPECT_NO_THROW(limited_bellman_ford(net, {0}, 3, /*advance_rounds=*/false));
-  EXPECT_NO_THROW(full_local_exploration(net, 3, true));
+  EXPECT_NO_THROW(dense_local_exploration(net, 3, true));
   EXPECT_NO_THROW(truncated_eccentricity(net, 3));
   EXPECT_NO_THROW(run_local_exploration(net, 3, true));
   EXPECT_NO_THROW(hop_discovery(net, {0}, 8));
@@ -1133,17 +1133,16 @@ TEST(FaultHealing, FullExplorationMatrixAndFirstHopsHealed) {
   const u32 n = 20;
   const graph g = gen::erdos_renyi_connected(n, 3.0, 9, 41);
   hybrid_net clean(g, default_cfg(), 3);
-  std::vector<std::vector<u32>> want_fh;
-  const auto want = full_local_exploration(clean, 5, true, &want_fh);
+  const sparse_exploration_result want =
+      dense_local_exploration(clean, 5, true, nullptr, /*first_hops=*/true);
   for (u64 fs = 0; fs < 10; ++fs) {
     hybrid_net net(g, default_cfg(), 3,
                    with_faults(drop_local_opts(0.3, fs), 2));
-    std::vector<std::vector<u32>> got_fh;
-    const auto got = full_local_exploration(net, 5, true, &got_fh);
+    const sparse_exploration_result got =
+        dense_local_exploration(net, 5, true, nullptr, /*first_hops=*/true);
+    // Distances and first hops: the healed path returns the referee's
+    // canonical first hops, not drop-pattern-dependent arrival orders.
     ASSERT_EQ(got, want) << fs;
-    // First hops too: the healed path returns the referee's canonical ones,
-    // not drop-pattern-dependent arrival orders.
-    ASSERT_EQ(got_fh, want_fh) << fs;
   }
 }
 
@@ -1527,8 +1526,7 @@ TEST(FaultPipelines, ApspExactUnderGlobalDrops) {
   const auto ref = apsp_reference(g);
   const auto run = hybrid_apsp_exact(g, default_cfg(), 9, false,
                                      with_faults(drop_global_opts(0.1, 2), 2));
-  ASSERT_TRUE(run.materialized());
-  EXPECT_EQ(run.dist, ref);
+  EXPECT_EQ(run.labels.materialize(), ref);
   EXPECT_GT(run.metrics.global_dropped, 0u);
 }
 
@@ -1539,7 +1537,8 @@ TEST(FaultPipelines, ApspDeterministicPerFaultSeedAcrossThreads) {
     const auto r = hybrid_apsp_exact(g, default_cfg(), 9, false,
                                      with_faults(drop_global_opts(0.1, 5),
                                                  threads));
-    return std::make_tuple(r.dist, r.metrics.rounds, r.metrics.global_sent,
+    return std::make_tuple(r.labels.materialize(), r.metrics.rounds,
+                           r.metrics.global_sent,
                            r.metrics.global_dropped, r.metrics.retransmitted,
                            r.metrics.extra_rounds);
   };
@@ -1582,7 +1581,7 @@ TEST(FaultPipelines, LocalFaultsHealEndToEnd) {
   const auto apsp_got = hybrid_apsp_exact(g, default_cfg(), 3, false,
                                           with_faults(drop_local_opts(0.1)));
   expect_labels_identical(apsp_got.labels, apsp_want.labels);
-  EXPECT_EQ(apsp_got.dist, apsp_want.dist);
+  EXPECT_EQ(apsp_got.labels.materialize(), apsp_want.labels.materialize());
   EXPECT_GT(apsp_got.metrics.local_dropped, 0u);
   const auto alg = make_clique_diameter_32(0.25, injection::none);
   const auto dia_want = hybrid_diameter(g, default_cfg(), 3, alg);
@@ -1598,14 +1597,19 @@ TEST(FaultPipelines, ApspLabelsIdenticalUnderLocalDropsOnFiftySeeds) {
   const u32 n = 24;
   const graph g = gen::erdos_renyi_connected(n, 3.0, 8, 15);  // weighted
   const auto want = hybrid_apsp_exact(g, default_cfg(), 9, true);
+  round_executor want_ex;
+  const auto want_dist = want.labels.materialize(want_ex);
+  const auto want_hops = want.labels.materialize_next_hops(want_dist, want_ex);
   for (u64 fs = 0; fs < 50; ++fs) {
     const u32 threads = fs % 3 == 0 ? 1 : fs % 3 == 1 ? 2 : 8;
     const auto got =
         hybrid_apsp_exact(g, default_cfg(), 9, true,
                           with_faults(drop_local_opts(0.3, fs), threads));
     expect_labels_identical(got.labels, want.labels);
-    ASSERT_EQ(got.dist, want.dist) << fs;
-    ASSERT_EQ(got.next_hop, want.next_hop) << fs;
+    round_executor ex;
+    const auto got_dist = got.labels.materialize(ex);
+    ASSERT_EQ(got_dist, want_dist) << fs;
+    ASSERT_EQ(got.labels.materialize_next_hops(got_dist, ex), want_hops) << fs;
     ASSERT_GT(got.metrics.local_dropped, 0u) << fs;
     ASSERT_EQ(got.metrics.local_items,
               got.metrics.local_delivered + got.metrics.local_dropped)
@@ -1631,7 +1635,7 @@ TEST(FaultPipelines, BaselineApspLabelsIdenticalUnderLocalDrops) {
     const auto got = baseline_apsp_ahkss(
         g, default_cfg(), 9, with_faults(drop_local_opts(0.3, fs), 2));
     expect_labels_identical(got.labels, want.labels);
-    ASSERT_EQ(got.dist, want.dist) << fs;
+    ASSERT_EQ(got.labels.materialize(), want.labels.materialize()) << fs;
   }
 }
 

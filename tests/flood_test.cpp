@@ -12,11 +12,20 @@
 #include "proto/clustering.hpp"
 #include "proto/flood.hpp"
 #include "proto/ruling_set.hpp"
+#include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
 namespace {
 
 model_config cfg() { return model_config{}; }
+
+/// Node u's exploration triples widened to an n-wide distance row
+/// (kInfDist outside u's h-ball).
+std::vector<u64> row_of(const sparse_exploration_result& r, u32 u, u32 n) {
+  std::vector<u64> row(n, kInfDist);
+  for (const exploration_entry& e : r.reached(u)) row[e.source] = e.dist;
+  return row;
+}
 
 TEST(HopDiscovery, OneHopPerRoundStrictly) {
   // A value must not travel two hops in one round regardless of node order:
@@ -156,23 +165,29 @@ TEST(LimitedBellmanFord, ChargesTrafficInParallelMode) {
 TEST(FullLocalExploration, SymmetricOnUndirected) {
   const graph g = gen::erdos_renyi_connected(40, 4.0, 6, 8);
   hybrid_net net(g, cfg(), 1);
-  const auto mat = full_local_exploration(net, 4, true);
-  for (u32 u = 0; u < 40; ++u)
-    for (u32 v = 0; v < 40; ++v) EXPECT_EQ(mat[u][v], mat[v][u]);
+  const sparse_exploration_result got = dense_local_exploration(net, 4, true);
+  for (u32 u = 0; u < 40; ++u) {
+    const std::vector<u64> row_u = row_of(got, u, 40);
+    for (u32 v = 0; v < 40; ++v) EXPECT_EQ(row_u[v], row_of(got, v, 40)[u]);
+  }
 }
 
 TEST(FullLocalExploration, HorizonGrowsMonotonically) {
   const graph g = gen::path(20, 5, 3);
-  std::vector<std::vector<std::vector<u64>>> mats;
+  std::vector<sparse_exploration_result> runs;
   for (u32 h : {1u, 3u, 9u}) {
     hybrid_net net(g, cfg(), 1);
-    mats.push_back(full_local_exploration(net, h, true));
+    runs.push_back(dense_local_exploration(net, h, true));
   }
-  for (u32 u = 0; u < 20; ++u)
+  for (u32 u = 0; u < 20; ++u) {
+    const std::vector<u64> r0 = row_of(runs[0], u, 20);
+    const std::vector<u64> r1 = row_of(runs[1], u, 20);
+    const std::vector<u64> r2 = row_of(runs[2], u, 20);
     for (u32 v = 0; v < 20; ++v) {
-      EXPECT_GE(mats[0][u][v], mats[1][u][v]);
-      EXPECT_GE(mats[1][u][v], mats[2][u][v]);
+      EXPECT_GE(r0[v], r1[v]);
+      EXPECT_GE(r1[v], r2[v]);
     }
+  }
 }
 
 TEST(TableFlood, ChargesWordsPerEdgeCrossing) {

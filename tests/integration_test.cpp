@@ -34,11 +34,11 @@ TEST(Integration, ApspExactOnGammaGraph) {
   const lb::gamma_graph gg = lb::build_gamma({6, 6, 1}, a, b);
   const apsp_result res = hybrid_apsp_exact(gg.g, cfg(), 17);
   const auto ref = apsp_reference(gg.g);
-  for (u32 u = 0; u < gg.g.num_nodes(); ++u) ASSERT_EQ(res.dist[u], ref[u]);
+  for (u32 u = 0; u < gg.g.num_nodes(); ++u) ASSERT_EQ(res.labels.row(u), ref[u]);
   // A node can derive the exact diameter — the capability Theorem 1.6
   // prices at Ω̃(n^{1/3}).
   u64 diam = 0;
-  for (const auto& row : res.dist)
+  for (const auto& row : res.labels.materialize())
     for (u64 d : row) diam = std::max(diam, d);
   EXPECT_EQ(diam, hop_diameter(gg.g));
 }
@@ -51,7 +51,7 @@ TEST(Integration, KsspOnLowerBoundFamilyIsCorrect) {
   // b (node 0) must learn distances that separate S1 from S2 — the
   // information whose transfer the lower bound prices.
   for (u32 j = 0; j < inst.sources.size(); ++j) {
-    const u64 d = res.dist[j][inst.b];
+    const u64 d = res.labels.query(j, inst.b);
     if (inst.in_s1[j])
       EXPECT_EQ(d, inst.dist_b_s1());
     else
@@ -70,7 +70,7 @@ TEST(Integration, CutInstrumentationThroughApsp) {
   EXPECT_GE(res.metrics.cut_bits, 16u);
   const auto ref = apsp_reference(inst.g);
   for (u32 u = 0; u < inst.g.num_nodes(); ++u)
-    ASSERT_EQ(res.dist[u], ref[u]);
+    ASSERT_EQ(res.labels.row(u), ref[u]);
 }
 
 // ---- determinism -------------------------------------------------------------
@@ -81,7 +81,7 @@ TEST(Integration, ApspFullyDeterministicPerSeed) {
   const apsp_result b = hybrid_apsp_exact(g, cfg(), 42);
   EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
   EXPECT_EQ(a.metrics.global_messages, b.metrics.global_messages);
-  EXPECT_EQ(a.dist, b.dist);
+  EXPECT_EQ(a.labels.materialize(), b.labels.materialize());
   EXPECT_EQ(a.skeleton_size, b.skeleton_size);
 }
 
@@ -90,7 +90,7 @@ TEST(Integration, DifferentSeedsDifferentSkeletons) {
   const apsp_result a = hybrid_apsp_exact(g, cfg(), 1);
   const apsp_result b = hybrid_apsp_exact(g, cfg(), 2);
   // Results identical (exact), internals differ.
-  EXPECT_EQ(a.dist, b.dist);
+  EXPECT_EQ(a.labels.materialize(), b.labels.materialize());
   EXPECT_NE(a.metrics.global_messages, b.metrics.global_messages);
 }
 
@@ -112,7 +112,7 @@ TEST_P(ConfigRobustness, ApspExactUnderGammaSweep) {
   const graph g = gen::erdos_renyi_connected(128, 5.0, 7, 13);
   const apsp_result res = hybrid_apsp_exact(g, c, 19);
   const auto ref = apsp_reference(g);
-  for (u32 u = 0; u < 128; ++u) ASSERT_EQ(res.dist[u], ref[u]);
+  for (u32 u = 0; u < 128; ++u) ASSERT_EQ(res.labels.row(u), ref[u]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Gammas, ConfigRobustness,
@@ -214,7 +214,7 @@ TEST_P(ApspFamilyMatrix, Exact) {
   }
   const apsp_result res = hybrid_apsp_exact(g, cfg(), 29);
   const auto ref = apsp_reference(g);
-  for (u32 u = 0; u < g.num_nodes(); ++u) ASSERT_EQ(res.dist[u], ref[u]);
+  for (u32 u = 0; u < g.num_nodes(); ++u) ASSERT_EQ(res.labels.row(u), ref[u]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, ApspFamilyMatrix,
@@ -230,7 +230,7 @@ TEST(Integration, ApspOnScaleFreeOverlay) {
   const graph g = gen::preferential_attachment(200, 3, 7, 13);
   const apsp_result res = hybrid_apsp_exact(g, cfg(), 21);
   const auto ref = apsp_reference(g);
-  for (u32 u = 0; u < g.num_nodes(); ++u) ASSERT_EQ(res.dist[u], ref[u]);
+  for (u32 u = 0; u < g.num_nodes(); ++u) ASSERT_EQ(res.labels.row(u), ref[u]);
 }
 
 TEST(Integration, KsspOnScaleFreeWithInjection) {
@@ -242,8 +242,8 @@ TEST(Integration, KsspOnScaleFreeWithInjection) {
   const auto ref = multi_source_reference(g, sources);
   for (u32 j = 0; j < sources.size(); ++j)
     for (u32 v = 0; v < 200; ++v) {
-      ASSERT_GE(res.dist[j][v], ref[j][v]);
-      ASSERT_LE(static_cast<double>(res.dist[j][v]),
+      ASSERT_GE(res.labels.query(j, v), ref[j][v]);
+      ASSERT_LE(static_cast<double>(res.labels.query(j, v)),
                 res.bound_weighted * static_cast<double>(ref[j][v]) + 1e-9);
     }
 }

@@ -140,7 +140,6 @@ void expect_identical(const dist_labels& lab, const mapped_oracle& m,
 void round_trip(const graph& g, u64 seed, label_scheme scheme,
                 const std::string& name) {
   sim_options o;
-  o.storage = result_storage::kLabels;
   dist_labels lab;
   if (scheme == label_scheme::kSkeletonRows) {
     lab = hybrid_apsp_exact(g, cfg(), seed, /*build_routes=*/true, o).labels;
@@ -275,9 +274,7 @@ TEST(OracleStoreEdge, SaveRejectsMalformedLabels) {
 
 TEST(OracleStoreEdge, AttachTopologyChecksRoundTripGraph) {
   const graph g = gen::erdos_renyi_connected(48, 4.0, 6, 91);
-  sim_options o;
-  o.storage = result_storage::kLabels;
-  const apsp_result res = hybrid_apsp_exact(g, cfg(), 91, true, o);
+  const apsp_result res = hybrid_apsp_exact(g, cfg(), 91, true);
   const std::string path = tmp_path("attach");
   save_oracle(res.labels, path);
   mapped_oracle m = mapped_oracle::load(path);
@@ -302,9 +299,7 @@ class OracleStoreCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
     const graph g = gen::erdos_renyi_connected(40, 4.0, 5, 71);
-    sim_options o;
-    o.storage = result_storage::kLabels;
-    lab_ = hybrid_apsp_exact(g, cfg(), 71, true, o).labels;
+    lab_ = hybrid_apsp_exact(g, cfg(), 71, true).labels;
     lab_.topo = nullptr;  // the corruption cases never attach a graph
     path_ = tmp_path("corrupt");
     save_oracle(lab_, path_);
@@ -339,7 +334,7 @@ TEST_F(OracleStoreCorruption, TruncatedBelowHeader) {
 }
 
 TEST_F(OracleStoreCorruption, TruncatedMidPayload) {
-  bytes_.resize(bytes_.size() - 1);
+  bytes_.pop_back();
   EXPECT_EQ(load_patched(), store_errc::truncated);
 }
 
@@ -526,7 +521,6 @@ TEST_F(OracleStoreCorruption, SeededMutationsThrowTypedOrStayInBounds) {
   const graph two_level_graph = gen::erdos_renyi_connected(40, 4.0, 5, 73);
   const graph golden_graph = gen::path(4);
   sim_options o;
-  o.storage = result_storage::kLabels;
   o.hierarchy = oracle_hierarchy::kTwoLevel;
   const std::string two_level_path = tmp_path("mutate_two_level");
   save_oracle(hybrid_apsp_exact(two_level_graph, cfg(), 73,
@@ -599,8 +593,7 @@ class OracleStoreTwoLevelCorruption : public ::testing::Test {
   void SetUp() override {
     const graph g = gen::erdos_renyi_connected(40, 4.0, 5, 73);
     sim_options o;
-    o.storage = result_storage::kLabels;
-    o.hierarchy = oracle_hierarchy::kTwoLevel;
+      o.hierarchy = oracle_hierarchy::kTwoLevel;
     lab_ = hybrid_apsp_exact(g, cfg(), 73, /*build_routes=*/false, o).labels;
     lab_.topo = nullptr;
     ASSERT_GE(lab_.n_s2, 1u);
@@ -729,9 +722,7 @@ u64 replay_digest(const label_view& v, u64 seed, u32 requests) {
 
 TEST(OracleStoreTorture, EightThreadsSeedDeterministicDigests) {
   const graph g = gen::erdos_renyi_connected(192, 4.5, 7, 55);
-  sim_options o;
-  o.storage = result_storage::kLabels;
-  const apsp_result res = hybrid_apsp_exact(g, cfg(), 55, true, o);
+  const apsp_result res = hybrid_apsp_exact(g, cfg(), 55, true);
   const std::string path = tmp_path("torture");
   save_oracle(res.labels, path);
   mapped_oracle m = mapped_oracle::load(path);

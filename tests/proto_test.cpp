@@ -15,11 +15,20 @@
 #include "proto/dissemination.hpp"
 #include "proto/flood.hpp"
 #include "proto/ruling_set.hpp"
+#include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
 namespace {
 
 model_config cfg() { return model_config{}; }
+
+/// Node u's exploration triples widened to an n-wide distance row
+/// (kInfDist outside u's h-ball).
+std::vector<u64> row_of(const sparse_exploration_result& r, u32 u, u32 n) {
+  std::vector<u64> row(n, kInfDist);
+  for (const exploration_entry& e : r.reached(u)) row[e.source] = e.dist;
+  return row;
+}
 
 // ---- flood primitives -------------------------------------------------------
 
@@ -101,10 +110,10 @@ TEST(FullLocalExploration, MatchesLimitedDistanceAllPairs) {
   const graph g = gen::erdos_renyi_connected(48, 4.0, 5, 9);
   hybrid_net net(g, cfg(), 1);
   const u32 h = 3;
-  const auto mat = full_local_exploration(net, h, true);
+  const sparse_exploration_result got = dense_local_exploration(net, h, true);
   for (u32 u = 0; u < 48; u += 7) {
     const auto ref = limited_distance(g, u, h);
-    EXPECT_EQ(mat[u], ref) << "row " << u;
+    EXPECT_EQ(row_of(got, u, 48), ref) << "row " << u;
   }
 }
 

@@ -7,7 +7,7 @@
 // the destination, realizes exactly query(u, v) total weight, and takes at
 // most query(u, v) hops — with integer weights ≥ 1 the remaining distance
 // strictly decreases every hop, so dist is itself a hop budget. The same
-// walk is checked against the label oracle and the materialized matrices
+// walk is checked against the label oracle and its materialize() adapters
 // (they are asserted bit-identical elsewhere; here each drives its own
 // forwarding pass).
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "proto/flood.hpp"
+#include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
 namespace {
@@ -68,15 +69,18 @@ TEST_P(RoutingTables, GreedyForwardingRealizesQueryInAtMostDistHops) {
   }
   const apsp_result res = hybrid_apsp_exact(g, cfg(), seed, true);
   const u32 n = g.num_nodes();
-  ASSERT_EQ(res.next_hop.size(), n);
   ASSERT_TRUE(res.labels.routes);
+  round_executor ex;
+  const auto dist = res.labels.materialize(ex);
+  const auto next_hop = res.labels.materialize_next_hops(dist, ex);
+  ASSERT_EQ(next_hop.size(), n);
   for (u32 u = 0; u < n; ++u) {
-    EXPECT_EQ(res.next_hop[u][u], u);
+    EXPECT_EQ(next_hop[u][u], u);
     EXPECT_EQ(res.labels.next_hop(u, u), u);
     for (u32 v = 0; v < n; ++v) {
       if (u == v) continue;
       const u64 d = res.labels.query(u, v);
-      ASSERT_EQ(d, res.dist[u][v]);
+      ASSERT_EQ(d, dist[u][v]);
       // Oracle-driven walk: every step consults labels.next_hop only.
       const walk via_labels = route(
           g, u, v, d, [&](u32 cur) { return res.labels.next_hop(cur, v); });
@@ -85,7 +89,7 @@ TEST_P(RoutingTables, GreedyForwardingRealizesQueryInAtMostDistHops) {
       ASSERT_LE(via_labels.hops, d) << u << "->" << v;
       // Materialized-table walk realizes the same property.
       const walk via_matrix =
-          route(g, u, v, d, [&](u32 cur) { return res.next_hop[cur][v]; });
+          route(g, u, v, d, [&](u32 cur) { return next_hop[cur][v]; });
       ASSERT_TRUE(via_matrix.reached) << u << "->" << v;
       ASSERT_EQ(via_matrix.weight, d) << u << "->" << v;
       ASSERT_LE(via_matrix.hops, d) << u << "->" << v;
@@ -100,11 +104,8 @@ INSTANTIATE_TEST_SUITE_P(Graphs, RoutingTables,
 TEST(RoutingTables, PropertyHoldsInLabelOnlyStorage) {
   // The oracle alone (no materialized matrices) satisfies the forwarding
   // property — the n = 10⁵ regime's routing story in miniature.
-  sim_options o;
-  o.storage = result_storage::kLabels;
   const graph g = gen::random_geometric(120, 6.5, 8, 17);
-  const apsp_result res = hybrid_apsp_exact(g, cfg(), 17, true, o);
-  ASSERT_FALSE(res.materialized());
+  const apsp_result res = hybrid_apsp_exact(g, cfg(), 17, true);
   rng r(99);
   for (u32 q = 0; q < 400; ++q) {
     const u32 u = static_cast<u32>(r.next_below(120));
@@ -122,19 +123,22 @@ TEST(RoutingTables, PropertyHoldsInLabelOnlyStorage) {
 TEST(RoutingTables, OffByDefault) {
   const graph g = gen::path(32);
   const apsp_result res = hybrid_apsp_exact(g, cfg(), 1);
-  EXPECT_TRUE(res.next_hop.empty());
   EXPECT_FALSE(res.labels.routes);
+  EXPECT_THROW(res.labels.next_hop(0, 31), std::invalid_argument);
 }
 
 TEST(RoutingTables, NextHopIsAlwaysANeighbor) {
   const graph g = gen::erdos_renyi_connected(64, 4.0, 5, 3);
   const apsp_result res = hybrid_apsp_exact(g, cfg(), 3, true);
+  round_executor ex;
+  const auto next_hop =
+      res.labels.materialize_next_hops(res.labels.materialize(ex), ex);
   for (u32 u = 0; u < 64; ++u)
     for (u32 v = 0; v < 64; ++v) {
       if (u == v) continue;
-      EXPECT_NE(edge_weight(g, u, res.next_hop[u][v]), kInfDist)
+      EXPECT_NE(edge_weight(g, u, next_hop[u][v]), kInfDist)
           << u << "->" << v;
-      EXPECT_EQ(res.labels.next_hop(u, v), res.next_hop[u][v]);
+      EXPECT_EQ(res.labels.next_hop(u, v), next_hop[u][v]);
     }
 }
 
@@ -144,7 +148,8 @@ TEST(RoutingTables, ChargesOneExtraRoundAndTraffic) {
   const apsp_result routed = hybrid_apsp_exact(g, cfg(), 7, true);
   EXPECT_EQ(routed.metrics.rounds, plain.metrics.rounds + 1);
   EXPECT_GT(routed.metrics.local_items, plain.metrics.local_items);
-  EXPECT_EQ(routed.dist, plain.dist);  // distances unaffected
+  // Distances unaffected.
+  EXPECT_EQ(routed.labels.materialize(), plain.labels.materialize());
 }
 
 // ---- first-hop tracking in the primitives ----------------------------------
@@ -163,18 +168,23 @@ TEST(FirstHop, LimitedBellmanFordViaPointsBackward) {
 TEST(FirstHop, FullExplorationMatrixConsistent) {
   const graph g = gen::erdos_renyi_connected(48, 4.0, 6, 9);
   hybrid_net net(g, cfg(), 1);
-  std::vector<std::vector<u32>> hop;
-  const auto dist = full_local_exploration(net, 6, true, &hop);
+  const sparse_exploration_result got =
+      dense_local_exploration(net, 6, true, nullptr, /*first_hops=*/true);
   for (u32 u = 0; u < 48; ++u) {
-    EXPECT_EQ(hop[u][u], u);
-    for (u32 v = 0; v < 48; ++v) {
-      if (u == v || dist[u][v] == kInfDist) continue;
-      const u32 w = hop[u][v];
-      ASSERT_NE(w, ~u32{0}) << u << "->" << v;
+    bool self = false;
+    for (const exploration_entry& e : got.reached(u)) {
+      if (e.source == u) {
+        EXPECT_EQ(e.first_hop, u);
+        self = true;
+        continue;
+      }
+      const u32 w = e.first_hop;
+      ASSERT_NE(w, ~u32{0}) << u << "->" << e.source;
       // d(u,v) = w(u, w) + d_{h-1}(w, v) ≥ w(u,w) + d_h(w,v); the first-hop
       // edge weight is consistent with a shortest ≤h-hop walk.
-      EXPECT_LE(edge_weight(g, u, w), dist[u][v]);
+      EXPECT_LE(edge_weight(g, u, w), e.dist);
     }
+    EXPECT_TRUE(self) << u;
   }
 }
 
