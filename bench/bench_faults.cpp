@@ -1,16 +1,16 @@
 // Fault-degradation curves (sim/fault.hpp, docs/FAULTS.md): how the
 // self-healing protocols degrade as the seeded drop probability rises,
 // p ∈ {0, 0.05, 0.1, 0.3} — round overshoot, dropped traffic, and
-// protocol-level retransmissions for the healed local flood
-// (limited_bellman_ford under local-plane drops), token dissemination and
-// token routing (both under global-plane drops), plus the end-to-end
-// APSP/SSSP/diameter pipelines under drops on each plane separately. The
-// healed exploration engine also runs alone (the all-sources exploration
-// of the APSP label phase, p ∈ {0.02, 0.1}) with its heap allocations per
-// round (bench/alloc_counter.hpp). Every quantity except wall time,
-// allocations and the pipelines' extra_rounds (healing overhead — a perf
-// trajectory that moves with the healing engine) is deterministic per
-// (seed, fault_seed), so the curves are gated against
+// protocol-level retransmissions for the healed local flood (a source-set
+// exploration, the h-hop limited Bellman–Ford, under local-plane drops),
+// token dissemination and token routing (both under global-plane drops),
+// plus the end-to-end APSP/SSSP/diameter pipelines under drops on each
+// plane separately. The healed exploration engine also runs alone (the
+// all-sources exploration of the APSP label phase, p ∈ {0.02, 0.1}) with
+// its heap allocations per round (bench/alloc_counter.hpp). Every quantity
+// except wall time, allocations and the pipelines' extra_rounds (healing
+// overhead — a perf trajectory that moves with the healing engine) is
+// deterministic per (seed, fault_seed), so the curves are gated against
 // bench/baseline/BENCH_faults.json like the other deterministic
 // trajectories. A protocol that aborts (fault_failure) records success = 0
 // — the curve stays honest instead of silently dropping the row. Usage:
@@ -69,7 +69,7 @@ void bench_flood(bench_recorder& rec) {
   const graph g = gen::erdos_renyi_connected(n, 4.0, 8, 7);
   const std::vector<u32> sources = {0, 63, 127, 191};
   const u32 h = 24;
-  print_section("Healed local flood (limited_bellman_ford) — local drops");
+  print_section("Healed local flood (source-set exploration) — local drops");
   table t({"p", "sim rounds", "extra rounds", "local dropped", "success",
            "wall ms"});
   for (const double p : kProbabilities) {
@@ -78,7 +78,7 @@ void bench_flood(bench_recorder& rec) {
     const double ms = best_ms([&] {
       hybrid_net net(g, model_config{}, 5, faulty_local(p));
       try {
-        limited_bellman_ford(net, sources, h);
+        run_local_exploration(net, h, /*advance_rounds=*/true, &sources);
       } catch (const fault_failure&) {
         success = 0;
       }

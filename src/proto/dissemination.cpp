@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "proto/aggregation.hpp"
 #include "util/assert.hpp"
@@ -72,6 +73,7 @@ dissemination_result disseminate(hybrid_net& net,
 
   std::vector<node_state> st(n);
   for (u32 v = 0; v < n; ++v) {
+    st[v].known.reserve(k);  // every node ends holding exactly k
     st[v].known_bit.assign(words, 0);
     for (u32 idx : owned[v]) {
       st[v].learn(idx);
@@ -114,60 +116,70 @@ dissemination_result disseminate(hybrid_net& net,
     for (u32 v = 0; v < n; ++v) flags[v] = node_done(v) ? 1 : 0;
     return global_aggregate(net, agg_op::logical_and, flags) == 1;
   };
+  // Global pushes (seeding first, then uniform random gossip) and the pull
+  // side of the local flood run node-parallel: node v draws from its
+  // (seed, v, round) stream, spends its own γ budget, and collects fresh
+  // tokens from its neighbors' frozen fresh-lists. The round's three steps
+  // are wrapped once, so no round builds a std::function.
+  const std::function<u64(u32)> send_and_pull = [&](u32 v) -> u64 {
+    inject[v].clear();
+    if (lf) dropped[v] = 0;
+    if (!net.is_up(v)) return 0;  // fail-pause: no sends, no pulls
+    rng rv = net.round_rng(v);
+    while (!st[v].seed_queue.empty() && net.global_budget(v) > 0) {
+      auto& [idx, left] = st[v].seed_queue.back();
+      const u32 dst = static_cast<u32>(rv.next_below(n));
+      const token2& t = tokens[idx];
+      net.try_send_global(global_msg::make(v, dst, kTokenTag, {t.a, t.b, idx}));
+      if (--left == 0) st[v].seed_queue.pop_back();
+    }
+    while (!st[v].known.empty() && net.global_budget(v) > 0) {
+      const u32 idx = st[v].known[rv.next_below(st[v].known.size())];
+      const u32 dst = static_cast<u32>(rv.next_below(n));
+      const token2& t = tokens[idx];
+      net.try_send_global(global_msg::make(v, dst, kTokenTag, {t.a, t.b, idx}));
+    }
+    // Local flooding, pull side: read neighbors' fresh-lists (frozen this
+    // round; cleared only after the barrier below).
+    u64 mine = 0;
+    for (const edge& e : g.neighbors(v)) {
+      const std::vector<u32>& from = st[e.to].fresh;
+      const u32 cnt = static_cast<u32>(from.size());
+      mine += cnt;
+      const hybrid_net::local_drops link =
+          lf ? net.local_link(e.to, v, cnt) : hybrid_net::local_drops{};
+      for (u32 j = 0; j < cnt; ++j) {
+        if (link.drop(j)) {
+          ++dropped[v];
+          continue;
+        }
+        const u32 idx = from[j];
+        if (!st[v].knows(idx)) inject[v].push_back(idx);
+      }
+    }
+    return mine;
+  };
+  // Fresh lists of down nodes are preserved: when the node recovers it
+  // re-offers them, so a crash can't permanently strand a token that exists
+  // nowhere else locally.
+  const std::function<void(u32)> clear_fresh = [&](u32 v) {
+    if (net.is_up(v)) st[v].fresh.clear();
+  };
+  const std::function<void(u32)> receive = [&](u32 v) {
+    for (u32 idx : inject[v])
+      if (!st[v].knows(idx)) st[v].learn(idx);
+    for (const global_msg& m : net.global_inbox(v)) {
+      if (m.tag != kTokenTag) continue;
+      const u32 idx = static_cast<u32>(m.w[2]);
+      if (!st[v].knows(idx)) st[v].learn(idx);
+    }
+  };
   round_executor& exec = net.executor();
   bool done = false;
   while (!done) {
     for (u64 r = 0; r < budget && !done; ++r, ++spent) {
-      // Global pushes (seeding first, then uniform random gossip) and the
-      // pull side of the local flood run node-parallel: node v draws from
-      // its (seed, v, round) stream, spends its own γ budget, and collects
-      // fresh tokens from its neighbors' frozen fresh-lists.
-      const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-        inject[v].clear();
-        if (lf) dropped[v] = 0;
-        if (!net.is_up(v)) return 0;  // fail-pause: no sends, no pulls
-        rng rv = net.round_rng(v);
-        while (!st[v].seed_queue.empty() && net.global_budget(v) > 0) {
-          auto& [idx, left] = st[v].seed_queue.back();
-          const u32 dst = static_cast<u32>(rv.next_below(n));
-          const token2& t = tokens[idx];
-          net.try_send_global(
-              global_msg::make(v, dst, kTokenTag, {t.a, t.b, idx}));
-          if (--left == 0) st[v].seed_queue.pop_back();
-        }
-        while (!st[v].known.empty() && net.global_budget(v) > 0) {
-          const u32 idx = st[v].known[rv.next_below(st[v].known.size())];
-          const u32 dst = static_cast<u32>(rv.next_below(n));
-          const token2& t = tokens[idx];
-          net.try_send_global(
-              global_msg::make(v, dst, kTokenTag, {t.a, t.b, idx}));
-        }
-        // Local flooding, pull side: read neighbors' fresh-lists (frozen
-        // this round; cleared only after the barrier below).
-        u64 mine = 0;
-        for (const edge& e : g.neighbors(v)) {
-          const std::vector<u32>& from = st[e.to].fresh;
-          const u32 cnt = static_cast<u32>(from.size());
-          mine += cnt;
-          const hybrid_net::local_drops link =
-              lf ? net.local_link(e.to, v, cnt) : hybrid_net::local_drops{};
-          for (u32 j = 0; j < cnt; ++j) {
-            if (link.drop(j)) {
-              ++dropped[v];
-              continue;
-            }
-            const u32 idx = from[j];
-            if (!st[v].knows(idx)) inject[v].push_back(idx);
-          }
-        }
-        return mine;
-      });
-      // Fresh lists of down nodes are preserved: when the node recovers it
-      // re-offers them, so a crash can't permanently strand a token that
-      // exists nowhere else locally.
-      exec.for_nodes(n, [&](u32 v) {
-        if (net.is_up(v)) st[v].fresh.clear();
-      });
+      const u64 items = exec.sum_nodes(n, send_and_pull);
+      exec.for_nodes(n, clear_fresh);
       u64 lost = 0;
       if (lf) {
         for (u32 v = 0; v < n; ++v) lost += dropped[v];
@@ -176,15 +188,7 @@ dissemination_result disseminate(hybrid_net& net,
       net.charge_local(items);
       net.note_local_delivered(items - lost);
       net.advance_round();
-      exec.for_nodes(n, [&](u32 v) {
-        for (u32 idx : inject[v])
-          if (!st[v].knows(idx)) st[v].learn(idx);
-        for (const global_msg& m : net.global_inbox(v)) {
-          if (m.tag != kTokenTag) continue;
-          const u32 idx = static_cast<u32>(m.w[2]);
-          if (!st[v].knows(idx)) st[v].learn(idx);
-        }
-      });
+      exec.for_nodes(n, receive);
       // Termination check at fixed cadence (aggregation rounds are charged
       // by global_aggregate itself).
       if ((r + 1) % cadence == 0) done = everyone_done();

@@ -6,21 +6,16 @@
 // bit-for-bit (same known/next orderings, same tie-breaks). The
 // frontier-emptiness checks that drive early exit are any_node reductions —
 // order-insensitive, so thread-count-invariant like every other observable.
-// limited_bellman_ford is a dense-row instantiation of the relaxation
-// kernel (proto/relax_kernel.hpp);
 // hop_discovery, table_flood and truncated_eccentricity instantiate the
 // seen-set flood kernel (proto/flood_kernel.hpp), as cluster_flood does.
-// Fault healing (docs/FAULTS.md §3): under local-plane faults hop_discovery,
-// table_flood and limited_bellman_ford each instantiate the one re-offer
-// loop of proto/heal_kernel.hpp with their rows (seen-sets, or Pareto
-// (dist, hops) sets keyed by source position), referee the converged state
+// Fault healing (docs/FAULTS.md §3): under local-plane faults hop_discovery
+// and table_flood each instantiate the one re-offer loop of
+// proto/heal_kernel.hpp with seen-set rows, referee the converged state
 // against what a reliable run must produce, and pad to their nominal
 // budgets. Learned hop values become learn-round stamps (upper bounds on
-// the true hop distance); Bellman–Ford distances stay exact, and its
-// referee's vias are what gets returned. The exploration-shaped
-// truncated_eccentricity heals through the exploration engine in
-// proto/sparse_exploration.cpp and returns results bit-identical to the
-// fault-free run.
+// the true hop distance). The exploration-shaped truncated_eccentricity
+// heals through the exploration engine in proto/sparse_exploration.cpp and
+// returns results bit-identical to the fault-free run.
 #include "proto/flood.hpp"
 
 #include <algorithm>
@@ -29,7 +24,6 @@
 #include "proto/aggregation.hpp"
 #include "proto/flood_kernel.hpp"
 #include "proto/heal_kernel.hpp"
-#include "proto/relax_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
 
@@ -89,66 +83,6 @@ std::vector<std::vector<discovered_seed>> healed_hop_discovery(
   return std::move(rows.held);
 }
 
-/// limited_bellman_ford's rows: one |sources|-wide dense row per node,
-/// keyed by source position (duplicate sources get identical columns).
-template <class Hook>
-std::vector<relax::dense_row> bellman_ford_rows(
-    round_executor& ex, const graph& g, const std::vector<u32>& sources,
-    u32 h, const Hook& hook) {
-  std::vector<relax::dense_row> rows = relax::dense_rows(
-      ex, g.num_nodes(), static_cast<u32>(sources.size()), /*vias=*/true);
-  relax::run(ex, rows, {&sources, /*by_index=*/true}, h,
-             relax::graph_edges{g}, hook);
-  return rows;
-}
-
-/// Per node, the reached sources in index order with their vias.
-std::vector<std::vector<source_distance>> by_source_index(
-    round_executor& ex, const std::vector<relax::dense_row>& rows) {
-  std::vector<std::vector<source_distance>> out(rows.size());
-  ex.for_nodes(static_cast<u32>(rows.size()), [&](u32 v) {
-    const relax::dense_row& row = rows[v];
-    for (u32 i = 0; i < row.dist.size(); ++i)
-      if (row.dist[i] != kInfDist)
-        out[v].push_back({i, row.dist[i], row.via[i]});
-  });
-  return out;
-}
-
-std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
-    hybrid_net& net, const std::vector<u32>& sources, u32 h,
-    bool advance_rounds) {
-  const u32 n = net.n();
-  heal::pareto_rows<heal::by_position> rows(net.g(), h,
-                                            /*unit_weights=*/false);
-  for (heal::by_position& row : rows.rows) row.open_slots(sources.size());
-  for (u32 i = 0; i < sources.size(); ++i) {
-    HYB_REQUIRE(sources[i] < n, "source out of range");
-    rows.seed(sources[i], i);
-  }
-  u64 used = 0;
-  heal::run(net, rows, h, "limited_bellman_ford", used);
-  // Referee: rerun the reliable relaxation kernel as free local
-  // computation — no simulated traffic — including its via tie-breaking
-  // (first neighbor in adjacency order that strictly improves, per round),
-  // and require the healed distance fronts to match exactly. Any
-  // divergence means the stability heuristic fired before convergence. The
-  // referee's result is what gets returned: healed vias depend on which
-  // copy survived the drop pattern, while the callers' determinism contract
-  // promises labels bit-identical to the fault-free run.
-  const std::vector<relax::dense_row> ref =
-      bellman_ford_rows(net.executor(), net.g(), sources, h, relax::no_hook{});
-  for (u32 v = 0; v < n; ++v)
-    for (u32 i = 0; i < sources.size(); ++i)
-      if (rows.rows[v].front_dist(i) != ref[v].dist[i])
-        throw fault_failure(
-            "limited_bellman_ford healing stabilized before convergence");
-  // A frozen-round caller's nominal budget is zero rounds: healing needs
-  // real ones, and every one of them surfaces as extra_rounds.
-  heal::pad(net, used, advance_rounds ? h : 0);
-  return by_source_index(net.executor(), ref);
-}
-
 std::vector<std::vector<u32>> healed_table_flood(
     hybrid_net& net, const std::vector<u32>& publishers,
     const std::vector<u64>& table_words, u32 rounds) {
@@ -182,20 +116,6 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
   flood::run(net, st, rounds, early_exit, flood::all_edges{},
              flood::unit_cost{}, learn);
   return known;
-}
-
-std::vector<std::vector<source_distance>> limited_bellman_ford(
-    hybrid_net& net, const std::vector<u32>& sources, u32 h,
-    bool advance_rounds) {
-  // Under faults a frozen round counter would re-roll the same draws every
-  // round, so the healed path always advances real rounds (docs/FAULTS.md
-  // §3).
-  if (net.local_faults_active())
-    return healed_limited_bellman_ford(net, sources, h, advance_rounds);
-  return by_source_index(
-      net.executor(),
-      bellman_ford_rows(net.executor(), net.g(), sources, h,
-                        relax::net_hook{net, advance_rounds}));
 }
 
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,

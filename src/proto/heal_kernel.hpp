@@ -1,8 +1,8 @@
 // The self-healing re-offer round: the one loop behind every healed LOCAL
-// primitive (docs/FAULTS.md §3) — hop_discovery, table_flood,
-// limited_bellman_ford and the exploration engine behind every exploration
-// entry point. It is the collect/update/disseminate min-finding of PraSLE
-// (SNIPPETS.md #2) run over the paper's h-hop floods and explorations.
+// primitive (docs/FAULTS.md §3) — hop_discovery, table_flood and the
+// exploration engine behind every exploration entry point. It is the
+// collect/update/disseminate min-finding of PraSLE (SNIPPETS.md #2) run
+// over the paper's h-hop floods and explorations.
 //
 // Internal header. Under local-plane drops a frontier item lost once would
 // be lost forever, so every round every node offers its whole held set to
@@ -29,11 +29,9 @@
 //   * seen_rows — items in learn order plus the flood kernel's bitset
 //     seen-sets (the hop and table floods; each offer costs 1 or the
 //     table's word count);
-//   * pareto_rows<by_position> — Pareto (dist, hops) sets keyed by source
-//     position (limited_bellman_ford);
-//   * pareto_rows<by_discovery> — the same sets keyed in discovery order,
-//     a held source's slot found through a flat_u64_map index (the
-//     exploration engine).
+//   * pareto_rows — Pareto (dist, hops) sets keyed by source node id in
+//     discovery order, a held source's slot found through a flat_u64_map
+//     index (the exploration engine).
 // A row type provides `staged`; count(u), the offers node u makes on each
 // edge — O(1), and read before the first draw because the adversarial mode
 // needs it; pull(v, j, e, round, add, deliver), which enumerates v's j-th
@@ -62,8 +60,8 @@
 namespace hybrid {
 
 /// The healed exploration engine (proto/sparse_exploration.cpp): heal::run
-/// over pareto_rows<by_discovery>, refereed against the reliable relaxation
-/// kernel run as free local computation, retried up to four times with
+/// over pareto_rows, refereed against the reliable relaxation kernel run
+/// as free local computation, retried up to four times with
 /// fresh fault draws. It returns the referee's canonical triples, so the
 /// result is bit-identical to the fault-free run, vias and all. The nominal
 /// budget is h when advancing rounds and 0 when not (healing needs real
@@ -252,10 +250,12 @@ struct pareto_candidate {
   u32 hops;
 };
 
-/// No slot: the key is not held (by_discovery::find).
+/// No slot: the key is not held (pareto_arena::find).
 inline constexpr u32 kNoSlot = ~u32{0};
 
-/// One node's Pareto (dist, hops) sets in one flat arena. Under drops a
+/// One node's Pareto (dist, hops) sets in one flat arena, one set (slot)
+/// per source node id in discovery order — a pure function of the merge
+/// history, so deterministic and thread-count-invariant. Under drops a
 /// smaller-dist/more-hops value can arrive before (or instead of) a
 /// fewer-hops one, and downstream nodes may only extend pairs with
 /// hops < h — keeping just the best dist would silently lose valid ≤h-hop
@@ -263,9 +263,10 @@ inline constexpr u32 kNoSlot = ~u32{0};
 /// convergence a set's front dist is d_h. Pairs never have hops > h.
 ///
 /// Layout: slot k's pairs with hops < h are offers[begin[k], begin[k+1]),
-/// dist ascending (hence hops strictly descending), and slots sit in the
-/// row's key order. A set holds at most one pair with hops == h, its front
-/// (smallest dist); capped[k] keeps that dist (kInfDist for none). Walking
+/// dist ascending (hence hops strictly descending). `index` maps a held
+/// key to its slot, `keys` back. A set holds at most one pair with
+/// hops == h, its front (smallest dist); capped[k] keeps that dist
+/// (kInfDist for none). Walking
 /// `offers` front to back is therefore the per-set enumeration the
 /// re-offer loop has always used — keys in order, dist ascending within a
 /// key, hops == h pairs skipped — which fixes every fault draw's index;
@@ -276,6 +277,8 @@ struct pareto_arena {
   std::vector<pareto_entry> offers;
   std::vector<u32> begin{0};
   std::vector<u64> capped;
+  flat_u64_map<u32> index;
+  std::vector<u32> keys;
 
   u32 slots() const { return static_cast<u32>(capped.size()); }
   u32 count() const { return static_cast<u32>(offers.size()); }
@@ -300,14 +303,27 @@ struct pareto_arena {
     }
     return false;
   }
-  void add_slot() {
+  u32 find(u32 key) const {
+    const auto* held = index.find(key);
+    return held ? held->value : kNoSlot;
+  }
+  /// The key's slot, appended (empty) on first sight.
+  u32 slot_of(u32 key) {
+    const u32 slot = slots();
+    const auto [held, fresh] = index.insert({key, slot});
+    if (!fresh) return held->value;
     if (capped.size() == capped.capacity()) {
-      capped.reserve(capped.size() + capped.size() / 4 + 4);
-      begin.reserve(capped.capacity() + 1);
+      const std::size_t grown = capped.size() + capped.size() / 4 + 4;
+      capped.reserve(grown);
+      keys.reserve(grown);
+      begin.reserve(grown + 1);
     }
+    keys.push_back(key);
     begin.push_back(begin.back());
     capped.push_back(kInfDist);
+    return slot;
   }
+  u32 key_of(u32 slot) const { return keys[slot]; }
 
   /// Merge `add` — candidate pairs whose `key` holds their slot, sorted by
   /// (slot, dist, hops) — stamping the ones that stay with `round`. Each
@@ -393,49 +409,9 @@ struct pareto_arena {
   }
 };
 
-/// A node's sets keyed by source position, offered in position order —
-/// limited_bellman_ford's index semantics (duplicate sources get their own
-/// keys). Every position's slot exists from the start (open_slots).
-struct by_position : pareto_arena {
-  void open_slots(u32 keys) {
-    begin.assign(keys + 1, 0);
-    capped.assign(keys, kInfDist);
-  }
-  u32 find(u32 key) const { return key; }
-  u32 slot_of(u32 key) { return key; }
-  u32 key_of(u32 slot) const { return slot; }
-};
-
-/// A node's sets keyed by source node id, offered in discovery order — a
-/// pure function of the merge history, so deterministic and
-/// thread-count-invariant. `index` maps a held key to its slot, `keys`
-/// back.
-struct by_discovery : pareto_arena {
-  flat_u64_map<u32> index;
-  std::vector<u32> keys;
-
-  u32 find(u32 key) const {
-    const auto* held = index.find(key);
-    return held ? held->value : kNoSlot;
-  }
-  /// The key's slot, appended (empty) on first sight.
-  u32 slot_of(u32 key) {
-    const u32 slot = slots();
-    const auto [held, fresh] = index.insert({key, slot});
-    if (!fresh) return held->value;
-    if (keys.size() == keys.capacity())
-      keys.reserve(keys.size() + keys.size() / 4 + 4);
-    keys.push_back(key);
-    add_slot();
-    return slot;
-  }
-  u32 key_of(u32 slot) const { return keys[slot]; }
-};
-
 /// The Bellman–Ford-shaped rows: every held pair that can still be
 /// extended within h hops is offered, and crosses an edge at its weight
 /// (1 with `unit_weights`).
-template <class Row>
 struct pareto_rows {
   using staged = pareto_candidate;
 
@@ -456,7 +432,7 @@ struct pareto_rows {
     std::vector<undelivered> pending;
   };
 
-  std::vector<Row> rows;
+  std::vector<pareto_arena> rows;
   /// Per node, per adjacency position: its in-edges' links.
   std::vector<std::vector<link>> links;
   u32 h;
@@ -490,8 +466,8 @@ struct pareto_rows {
             Deliver&& deliver) {
     thread_local std::vector<u32> pending_at;
     thread_local std::vector<undelivered> still;
-    const Row& from = rows[e.to];
-    const Row& to = rows[v];
+    const pareto_arena& from = rows[e.to];
+    const pareto_arena& to = rows[v];
     link& in = links[v][j];
     // Where the pending offers sit in the sender's arena now, ascending.
     pending_at.clear();
@@ -533,7 +509,7 @@ struct pareto_rows {
   /// slot, are sorted into arena order and merged. Rewrites `add`.
   bool merge(u32 v, std::vector<staged>& add, u32 round) {
     if (add.empty()) return false;
-    Row& row = rows[v];
+    pareto_arena& row = rows[v];
     for (staged& s : add) s.key = row.slot_of(s.key);
     std::sort(add.begin(), add.end(), [](const staged& a, const staged& b) {
       if (a.key != b.key) return a.key < b.key;

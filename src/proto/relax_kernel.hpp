@@ -4,18 +4,17 @@
 // identical local phase).
 //
 // Internal header. Its instantiations are
-//   * sparse_local_exploration / dense_local_exploration — net, graph edges;
-//   * limited_bellman_ford — net, graph edges;
-//   * the referees of the healed limited_bellman_ford and of the healed
-//     exploration engine — pure, graph or unit edges;
+//   * sparse_local_exploration / dense_local_exploration — net, graph edges
+//     (all sources, or a source set such as the skeleton's);
+//   * the referee of the healed exploration engine — pure, graph or unit
+//     edges;
 //   * explore_adjacency — pure, explicit (to, w) lists;
 // and they differ only in three parameters:
 //   * the row type — sparse_row (a flat_map of exploration entries keyed
 //     by source, memory O(|ball_h(v)|)) or dense_row (K distances per
-//     node: K = n for all sources, or K = |sources| keyed by position,
-//     which keeps limited_bellman_ford's index semantics and its
-//     acceptance of duplicate sources); each row type provides relax,
-//     dist_of, reached_count and copy_reached below;
+//     node: K = n for all sources, or K = |sources| keyed by position);
+//     each row type provides relax, dist_of, reached_count and
+//     copy_reached below;
 //   * the neighbour source — graph edges with real or unit weights, or an
 //     explicit adjacency list, always read in its stored (sorted) order;
 //   * the per-round hook — traffic/round accounting for net callers, a
@@ -115,8 +114,8 @@ inline exploration_entry* copy_reached(const dense_row& row,
 
 /// Who explores and how rows key them: every node keyed by its id
 /// (`nodes` null), or `nodes` keyed by node id, or by position when
-/// `by_index` (limited_bellman_ford's semantics: duplicates get their own
-/// keys).
+/// `by_index` (dense_local_exploration's |sources|-wide rows); flatten maps
+/// positions back to node ids.
 struct sources {
   const std::vector<u32>* nodes = nullptr;
   bool by_index = false;

@@ -44,89 +44,26 @@ skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
 
   // h rounds of exploration from all skeleton nodes; every node learns d_h
   // to nearby skeletons, skeleton nodes derive their incident skeleton
-  // edges.
-  const auto derive_edges = [&]() {
-    sk.edges.assign(sk.nodes.size(), {});
-    for (u32 i = 0; i < sk.nodes.size(); ++i) {
-      for (const source_distance& sd : sk.near[sk.nodes[i]]) {
-        if (sd.source == i) continue;
-        sk.edges[i].push_back({sd.source, sd.dist});
-      }
-    }
-  };
-  if (!net.local_faults_active()) {
-    // Memory-sparse path: the dense limited Bellman–Ford keeps an n_s-wide
-    // row per node — O(n·n_s) words, which at n = 10⁵ with p ≈ 0.05 is the
-    // multi-GB blowup the two-level bench exposed. run_local_exploration
-    // produces the same triples with the same round/message charging (both
-    // run the relaxation kernel of proto/relax_kernel.hpp, below the dense
-    // cutoff even with the same dense rows), bounded by O(Σ|ball_h|) instead.
-    const sparse_exploration_result res = run_local_exploration(
-        net, sk.h, /*advance_rounds=*/true, &sk.nodes, /*first_hops=*/true);
-    sk.near.assign(n, {});
-    for (u32 v = 0; v < n; ++v) {
-      const auto slice = res.reached(v);
-      sk.near[v].reserve(slice.size());
-      // Entries are sorted by source node id; sk.nodes is ascending, so the
-      // converted list is sorted by skeleton index — the exact order the
-      // dense path produced (asserted by the API-surface suite).
-      for (const exploration_entry& e : slice)
-        sk.near[v].push_back({sk.index_of[e.source], e.dist, e.first_hop});
-    }
-    derive_edges();
-    return sk;
+  // edges. run_local_exploration keeps memory at O(Σ|ball_h|) past the
+  // dense cutoff, where an n_s-wide row per node (O(n·n_s) words — multi-GB
+  // at n = 10⁵ with p ≈ 0.05) would not fit. Under local-plane faults it
+  // heals through the exploration engine (referee, retries with fresh
+  // draws, docs/FAULTS.md §3): the same triples, or a fault_failure.
+  const sparse_exploration_result res = run_local_exploration(
+      net, sk.h, /*advance_rounds=*/true, &sk.nodes, /*first_hops=*/true);
+  sk.near.assign(n, {});
+  for (u32 v = 0; v < n; ++v) {
+    const auto slice = res.reached(v);
+    sk.near[v].reserve(slice.size());
+    // Entries are sorted by source node id; sk.nodes is ascending, so the
+    // converted list is sorted by skeleton index.
+    for (const exploration_entry& e : slice)
+      sk.near[v].push_back({sk.index_of[e.source], e.dist, e.first_hop});
   }
-  auto explore = [&]() {
-    sk.near = limited_bellman_ford(net, sk.nodes, sk.h,
-                                   /*advance_rounds=*/true);
-    derive_edges();
-  };
-  // Re-stabilization (docs/FAULTS.md): the healed Bellman–Ford can declare
-  // stability while a dropped update is still pending (~p^stability per
-  // entry under random drops); its built-in referee turns that into a
-  // fault_failure instead of a wrong skeleton. A re-run gets fresh fault
-  // draws — the round counter moved on — so retry a few times before giving
-  // up. The edge-symmetry check (a converged exploration has d_h(u, v) =
-  // d_h(v, u)) stays as an independent convergence witness.
-  auto symmetric = [&]() {
-    for (u32 i = 0; i < sk.edges.size(); ++i)
-      for (const auto& [j, w] : sk.edges[i]) {
-        bool found = false;
-        for (const auto& [bi, bw] : sk.edges[j])
-          if (bi == i && bw == w) {
-            found = true;
-            break;
-          }
-        if (!found) return false;
-      }
-    return true;
-  };
-  u32 attempts = 0;
-  for (;;) {
-    // Healing-overhead reconciliation: a failed attempt burns rounds the
-    // primitive never reports (it threw before its accounting epilogue), so
-    // top extra_rounds up to everything actually spent beyond what the
-    // attempt itself noted.
-    const u64 r0 = net.round();
-    const u64 x0 = net.raw_metrics().extra_rounds;
-    bool converged = true;
-    try {
-      explore();
-    } catch (const fault_failure&) {
-      converged = false;
-    }
-    const u64 spent = net.round() - r0;
-    const u64 noted = net.raw_metrics().extra_rounds - x0;
-    const bool done = converged && symmetric();
-    // A clean attempt's nominal budget (h rounds) is not overhead; anything
-    // else — failed attempts wholesale, and a clean attempt's overshoot —
-    // already is or becomes extra_rounds here.
-    const u64 covered = noted + (done ? sk.h : 0);
-    if (spent > covered) net.note_extra_rounds(spent - covered);
-    if (done) break;
-    if (++attempts >= 4)
-      throw fault_failure("skeleton re-stabilization failed to converge");
-  }
+  sk.edges.assign(sk.nodes.size(), {});
+  for (u32 i = 0; i < sk.nodes.size(); ++i)
+    for (const source_distance& sd : sk.near[sk.nodes[i]])
+      if (sd.source != i) sk.edges[i].push_back({sd.source, sd.dist});
   return sk;
 }
 

@@ -60,8 +60,6 @@ sparse_exploration_result reliable_exploration_reference(
   return reference_on(ex, g, rows, {sources}, h, first_hops, unit_weights);
 }
 
-using exploration_rows = heal::pareto_rows<heal::by_discovery>;
-
 /// One self-healing attempt: re-offer rounds until a crash-aware quiet
 /// window, then validate against the referee's fixed point. Returns normally
 /// on success; throws fault_failure on budget exhaustion or premature
@@ -72,9 +70,9 @@ using exploration_rows = heal::pareto_rows<heal::by_discovery>;
 void healed_exploration_attempt(
     hybrid_net& net, u32 h, const std::vector<u32>* sources,
     bool unit_weights, const sparse_exploration_result& ref,
-    heal::workspace<exploration_rows::staged>& ws, u64& rounds_spent) {
+    heal::workspace<heal::pareto_rows::staged>& ws, u64& rounds_spent) {
   const u32 n = net.n();
-  exploration_rows rows(net.g(), h, unit_weights);
+  heal::pareto_rows rows(net.g(), h, unit_weights);
   if (sources) {
     for (u32 s : *sources) rows.seed(s, s);
   } else {
@@ -86,7 +84,7 @@ void healed_exploration_attempt(
   // counts plus matching front distances on every referee entry means the
   // healed state IS the fixed point. Anything less is premature stability.
   for (u32 v = 0; v < n; ++v) {
-    const heal::by_discovery& row = rows.rows[v];
+    const heal::pareto_arena& row = rows.rows[v];
     const std::span<const exploration_entry> want = ref.reached(v);
     if (row.slots() != want.size())
       throw fault_failure(
@@ -113,7 +111,7 @@ sparse_exploration_result healed_local_exploration(
   // graph, so retries only redraw the fault schedule, never the target.
   const sparse_exploration_result ref = reliable_exploration_reference(
       net.executor(), net.g(), h, sources, first_hops, unit_weights);
-  heal::workspace<exploration_rows::staged> ws;
+  heal::workspace<heal::pareto_rows::staged> ws;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
     try {

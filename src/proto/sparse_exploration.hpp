@@ -55,7 +55,8 @@ struct sparse_exploration_result {
 };
 
 /// h rounds of exploration from `sources` (nullptr = every node explores,
-/// the all-pairs workload; otherwise the limited_bellman_ford workload —
+/// the all-pairs workload; otherwise an h-hop limited Bellman–Ford from a
+/// source set — the skeleton's edge discovery and the k-SSP sources;
 /// sources must be distinct). Per-node distance state lives in
 /// flat maps of reached entries, so memory is bounded by the h-ball sizes. Round and
 /// traffic accounting matches the dense primitives exactly; with

@@ -489,28 +489,32 @@ TEST(FaultHealing, FloodMatchesFaultFreeReachabilityAndBoundsHops) {
 }
 
 TEST(FaultHealing, BellmanFordExactDistancesUnderDrops) {
-  // Vias too: the unweighted grid is full of equal-distance ties, which
-  // the drop pattern would break differently from the fault-free run.
+  // Source-set exploration (the h-hop limited Bellman–Ford) heals to the
+  // fault-free triples, first hops too: the unweighted grid is full of
+  // equal-distance ties, which the drop pattern would break differently
+  // from the fault-free run.
   const graph graphs[] = {gen::erdos_renyi_connected(24, 3.0, 9, 21),
                           gen::grid(5, 5)};
   const std::vector<u32> sources = {0, 7};
   for (const graph& g : graphs) {
     const u32 n = g.num_nodes();
     hybrid_net clean(g, default_cfg(), 3);
-    const auto want = limited_bellman_ford(clean, sources, n);
+    const auto want = run_local_exploration(clean, n, true, &sources);
+    for (const u32 s : sources) {
+      const std::vector<u64> ref = limited_distance(g, s, n);
+      for (u32 v = 0; v < n; ++v) {
+        u64 mine = kInfDist;
+        for (const exploration_entry& e : want.reached(v))
+          if (e.source == s) mine = e.dist;
+        ASSERT_EQ(mine, ref[v]) << "source " << s << " node " << v;
+      }
+    }
     for (u64 fs = 0; fs < 10; ++fs) {
       hybrid_net net(g, default_cfg(), 3,
                      with_faults(drop_local_opts(0.3, fs), 2));
-      const auto got = limited_bellman_ford(net, sources, n);
+      const auto got = run_local_exploration(net, n, true, &sources);
       EXPECT_GT(net.raw_metrics().retransmitted, 0u) << fs;
-      for (u32 v = 0; v < n; ++v) {
-        ASSERT_EQ(got[v].size(), want[v].size()) << v << " fs=" << fs;
-        for (u32 i = 0; i < got[v].size(); ++i) {
-          EXPECT_EQ(got[v][i].source, want[v][i].source) << v;
-          EXPECT_EQ(got[v][i].dist, want[v][i].dist) << v << " fs=" << fs;
-          EXPECT_EQ(got[v][i].via, want[v][i].via) << v << " fs=" << fs;
-        }
-      }
+      ASSERT_EQ(got, want) << "fs=" << fs;
     }
   }
 }
@@ -524,20 +528,22 @@ TEST(FaultHealing, BellmanFordRespectsHopLimit) {
   for (u32 v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1, 2});
   const graph g = graph::from_edges(n, edges);
   const u32 h = 4;
+  const std::vector<u32> sources = {0};
+  const std::vector<u64> ref = limited_distance(g, 0, h);
   hybrid_net clean(g, default_cfg(), 5);
-  const auto want = limited_bellman_ford(clean, {0}, h);
+  const auto want = run_local_exploration(clean, h, true, &sources);
   for (u64 fs = 0; fs < 10; ++fs) {
     hybrid_net net(g, default_cfg(), 5, with_faults(drop_local_opts(0.3, fs)));
-    const auto got = limited_bellman_ford(net, {0}, h);
+    const auto got = run_local_exploration(net, h, true, &sources);
     for (u32 v = 0; v < n; ++v) {
-      ASSERT_EQ(got[v].size(), want[v].size())
+      ASSERT_EQ(got.reached(v).size(), ref[v] == kInfDist ? 0u : 1u)
           << "node " << v << " fs=" << fs;
-      if (!got[v].empty()) {
-        EXPECT_EQ(got[v][0].dist, want[v][0].dist) << v;
-        EXPECT_EQ(got[v][0].via, want[v][0].via) << v;
+      if (!got.reached(v).empty()) {
+        EXPECT_EQ(got.reached(v)[0].dist, ref[v]) << v;
+        EXPECT_EQ(got.reached(v)[0], want.reached(v)[0]) << v;
       }
     }
-    EXPECT_TRUE(got[h].size() == 1 && got[h + 1].empty());
+    EXPECT_TRUE(got.reached(h).size() == 1 && got.reached(h + 1).empty());
   }
 }
 
@@ -618,12 +624,13 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
   auto run = [&](u32 threads) {
     hybrid_net net(g, default_cfg(), 13,
                    with_faults(drop_local_opts(0.3, 4), threads));
-    const auto got = limited_bellman_ford(net, {0, 11, 30}, 10);
+    const std::vector<u32> sources = {0, 11, 30};
+    const auto got = run_local_exploration(net, 10, true, &sources);
     u64 digest = 1469598103934665603ull;
     for (u32 v = 0; v < n; ++v)
-      for (const auto& sd : got[v]) {
-        digest ^= (u64{v} << 40) ^ (u64{sd.source} << 32) ^ sd.dist ^
-                  (u64{sd.via} << 8);
+      for (const exploration_entry& e : got.reached(v)) {
+        digest ^= (u64{v} << 40) ^ (u64{e.source} << 32) ^ e.dist ^
+                  (u64{e.first_hop} << 8);
         digest *= 1099511628211ull;
       }
     const run_metrics m = net.raw_metrics();
@@ -643,11 +650,11 @@ TEST(FaultHealing, HealedFloodDeterministicAcrossThreads) {
 // recorded before the Pareto rows moved into per-node arenas: a weighted
 // ER graph (n = 96, average degree 6) whose exploration rows hold ≥ 64
 // sources and whose Pareto sets hold several pairs
-// (ParetoRowsTallyMatchesRecount asserts both), and a ten-source
-// Bellman–Ford row with a duplicate source. The "_crash" cases add three
-// crash windows inside the healing rounds, where a down node skips its
-// pulls; the "_adversarial" case drops adversarial prefixes, whose length
-// is read off the sender's offer count, until the referee gives up.
+// (ParetoRowsTallyMatchesRecount asserts both). The "_crash" case adds
+// three crash windows inside the healing rounds, where a down node skips
+// its pulls; the "_adversarial" case drops adversarial prefixes, whose
+// length is read off the sender's offer count, from a source-set
+// exploration until the referee gives up on every retry.
 struct heal_fingerprint {
   u64 rounds, local_items, extra_rounds, digest, local_dropped;
   friend bool operator==(const heal_fingerprint&,
@@ -685,22 +692,17 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
     const auto got = table_flood(net, {1, 9, 17}, {4, 2, 7}, n);
     for (u32 v = 0; v < n; ++v)
       for (const u32 i : got[v]) mix(u64{v} << 32 | i);
-  } else if (what.starts_with("limited_bellman_ford")) {
+  } else if (adversarial) {
+    // Distinct sources start as their node's only offer, so the prefix
+    // severs each of them every round, and the referee gives up after the
+    // engine's retries.
+    const std::vector<u32> sources = {7, 42, 60};
     try {
-      // Adversarial prefixes silence a node with one offer for good, so
-      // that case stacks sources on three nodes.
-      const auto got =
-          adversarial
-              ? limited_bellman_ford(
-                    net, {42, 42, 42, 42, 42, 7, 7, 7, 60, 60, 60, 60}, 4)
-          : dense ? limited_bellman_ford(
-                        net, {0, 5, 11, 17, 23, 42, 42, 60, 77, 95}, 4)
-                  : limited_bellman_ford(net, {0, 7, 7}, 6);
-      for (u32 v = 0; v < n; ++v)
-        for (const source_distance& sd : got[v]) {
-          mix(u64{v} << 40 | u64{sd.source} << 32 | sd.via);
-          mix(sd.dist);
-        }
+      for (const exploration_entry& e :
+           run_local_exploration(net, 4, true, &sources, true).entries) {
+        mix(u64{e.source} << 32 | e.first_hop);
+        mix(e.dist);
+      }
     } catch (const fault_failure&) {
       mix(~u64{0});  // an adversary that wins is pinned by its metrics
     }
@@ -740,8 +742,6 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
       {"hop_discovery", 8, {23, 2456, 0, 0x1ef782f4cd4ac42bull, 742}},
       {"table_flood", 3, {24, 13211, 0, 0x17b700a7155b0397ull, 0}},
       {"table_flood", 8, {24, 12484, 0, 0xf813337aa8a0c211ull, 0}},
-      {"limited_bellman_ford", 3, {19, 4023, 13, 0x25358521948a53dull, 1255}},
-      {"limited_bellman_ford", 8, {16, 3340, 10, 0x25358521948a53dull, 1006}},
       {"run_local_exploration", 3,
        {36, 36365, 31, 0x7f9fb9809e54baa7ull, 10985}},
       {"run_local_exploration", 8,
@@ -750,20 +750,14 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
        {19, 26792, 14, 0x7965c4130d0f64e9ull, 8117}},
       {"truncated_eccentricity", 8,
        {22, 31681, 17, 0x7965c4130d0f64e9ull, 9493}},
-      {"limited_bellman_ford_dense", 3,
-       {20, 105836, 16, 0xafd51c235cf4a83full, 31703}},
-      {"limited_bellman_ford_dense", 8,
-       {20, 106648, 16, 0xafd51c235cf4a83full, 32316}},
       {"run_local_exploration_dense", 3,
        {22, 1036968, 18, 0x192ab0adb522866full, 310415}},
       {"run_local_exploration_dense", 8,
        {27, 1308775, 23, 0x192ab0adb522866full, 392789}},
-      {"limited_bellman_ford_crash", 3,
-       {21, 110889, 17, 0xafd51c235cf4a83full, 33739}},
       {"run_local_exploration_crash", 3,
        {26, 1244031, 22, 0x192ab0adb522866full, 376624}},
-      {"limited_bellman_ford_adversarial", 0,
-       {15, 70013, 0, 0xbb42d32b8c3306b4ull, 7560}},
+      {"run_local_exploration_adversarial", 0,
+       {32, 608, 32, 0xbb42d32b8c3306b4ull, 608}},
   };
   for (const pinned& p : table)
     for (const u32 threads : {1u, 2u, 8u}) {
@@ -782,8 +776,7 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
 
 // The Pareto rows as they were before the arenas: one vector per set, kept
 // by one-by-one inserts (skip a dominated candidate, evict what it
-// dominates), sets in key order — discovery order, or position order when
-// `positional`.
+// dominates), sets in discovery order.
 struct reference_pair {
   u64 dist;
   u32 key;
@@ -792,12 +785,10 @@ struct reference_pair {
 };
 
 struct reference_sets {
-  bool positional = false;
   std::vector<u32> keys;
   std::vector<std::vector<reference_pair>> sets;
 
   u32 find(u32 key) const {
-    if (positional) return key;
     for (u32 k = 0; k < keys.size(); ++k)
       if (keys[k] == key) return k;
     return heal::kNoSlot;
@@ -825,10 +816,9 @@ struct reference_sets {
         [](const reference_pair& e, u64 d) { return e.dist < d; });
     set.insert(pos, {dist, key, hops, stamp});
   }
-  template <class Staged>
-  bool merge(const std::vector<Staged>& add, u32 round) {
+  bool merge(const std::vector<heal::pareto_candidate>& add, u32 round) {
     bool changed = false;
-    for (const Staged& c : add) {
+    for (const heal::pareto_candidate& c : add) {
       if (dominated(c.key, c.dist, c.hops)) continue;
       insert(c.key, c.dist, c.hops, round);
       changed = true;
@@ -840,9 +830,8 @@ struct reference_sets {
 // The arena against the reference: the offer count against a brute-force
 // recount, the offers against the old per-set enumeration (keys in order,
 // dist ascending, hops == h pairs skipped), and every set's front.
-template <class Row>
-::testing::AssertionResult same_sets(const Row& row, const reference_sets& ref,
-                                     u32 h) {
+::testing::AssertionResult same_sets(const heal::pareto_arena& row,
+                                     const reference_sets& ref, u32 h) {
   std::vector<reference_pair> want;
   for (const auto& set : ref.sets)
     for (const reference_pair& e : set)
@@ -880,24 +869,18 @@ template <class Row>
 
 // heal::run's rows with every merge checked against the reference, in a
 // real healed run (drops, the redelivery filter, parallel merges).
-template <class Row>
-struct checked_rows : heal::pareto_rows<Row> {
-  using base = heal::pareto_rows<Row>;
+struct checked_rows : heal::pareto_rows {
+  using base = heal::pareto_rows;
   std::vector<reference_sets> ref;
   std::vector<u8> bad;
 
-  checked_rows(const graph& g, u32 h, bool positional, u32 keys)
-      : base(g, h, false), ref(g.num_nodes()), bad(g.num_nodes(), 0) {
-    for (u32 v = 0; v < g.num_nodes(); ++v) {
-      ref[v].positional = positional;
-      if (positional) ref[v].sets.resize(keys);
-    }
-  }
+  checked_rows(const graph& g, u32 h)
+      : base(g, h, false), ref(g.num_nodes()), bad(g.num_nodes(), 0) {}
   void seed(u32 node, u32 key) {
     base::seed(node, key);
     ref[node].insert(key, 0, 0, 0);
   }
-  bool merge(u32 v, std::vector<typename base::staged>& add, u32 round) {
+  bool merge(u32 v, std::vector<staged>& add, u32 round) {
     const bool want = ref[v].merge(add, round);  // before merge reorders add
     const bool got = base::merge(v, add, round);
     if (got != want || !same_sets(this->rows[v], ref[v], this->h)) bad[v] = 1;
@@ -909,58 +892,35 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
   const u32 h = 4;
   const graph g = gen::path(4);  // four nodes; no edge is pulled here
   rng r(2024);
-  // Random staged merges into both row types, checked after each one.
-  const auto drive = [&](auto& rows, std::vector<reference_sets>& ref,
-                         u32 keys, const char* what) {
-    using staged = typename std::decay_t<decltype(rows)>::staged;
-    std::vector<staged> add;
-    for (u32 round = 1; round <= 1500; ++round) {
-      const u32 v = static_cast<u32>(r.next_below(4));
-      add.clear();
-      for (u64 m = r.next_below(12) + 1; m > 0; --m) {
-        const u32 key = static_cast<u32>(r.next_below(keys));
-        add.push_back(
-            {r.next_below(40), key, static_cast<u32>(r.next_below(h + 1))});
-      }
-      const bool want = ref[v].merge(add, round);
-      ASSERT_EQ(rows.merge(v, add, round), want) << what << " round " << round;
-      ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h))
-          << what << " round " << round;
-      ASSERT_EQ(rows.count(v), rows.rows[v].count());
-    }
-  };
+  // Random staged merges, checked after each one.
   {
-    heal::pareto_rows<heal::by_discovery> rows(g, h, false);
+    heal::pareto_rows rows(g, h, false);
     std::vector<reference_sets> ref(4);
     for (u32 v = 0; v < 4; ++v) {
       rows.seed(v, v);
       ref[v].insert(v, 0, 0, 0);
       ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h));
     }
-    drive(rows, ref, 10, "by_discovery");
-  }
-  {
-    const u32 keys = 6;
-    heal::pareto_rows<heal::by_position> rows(g, h, false);
-    std::vector<reference_sets> ref(4);
-    for (u32 v = 0; v < 4; ++v) {
-      rows.rows[v].open_slots(keys);
-      ref[v].positional = true;
-      ref[v].sets.resize(keys);
+    std::vector<heal::pareto_candidate> add;
+    for (u32 round = 1; round <= 1500; ++round) {
+      const u32 v = static_cast<u32>(r.next_below(4));
+      add.clear();
+      for (u64 m = r.next_below(12) + 1; m > 0; --m) {
+        const u32 key = static_cast<u32>(r.next_below(10));
+        add.push_back(
+            {r.next_below(40), key, static_cast<u32>(r.next_below(h + 1))});
+      }
+      const bool want = ref[v].merge(add, round);
+      ASSERT_EQ(rows.merge(v, add, round), want) << "round " << round;
+      ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h)) << "round " << round;
+      ASSERT_EQ(rows.count(v), rows.rows[v].count());
     }
-    rows.seed(2, 0);
-    rows.seed(2, 3);  // a duplicate source: two positions at one node
-    ref[2].insert(0, 0, 0, 0);
-    ref[2].insert(3, 0, 0, 0);
-    ASSERT_TRUE(same_sets(rows.rows[2], ref[2], h));
-    drive(rows, ref, keys, "by_position");
   }
   // The evictions that move the tally. A hops == h pair is never offered,
   // and it can only evict pairs with hops ≥ h — i.e. another capped pair.
-  heal::pareto_rows<heal::by_discovery> rows(g, h, false);
+  heal::pareto_rows rows(g, h, false);
   std::vector<reference_sets> ref(4);
-  using staged = heal::pareto_rows<heal::by_discovery>::staged;
-  const auto merge = [&](std::vector<staged> add, u32 round) {
+  const auto merge = [&](std::vector<heal::pareto_candidate> add, u32 round) {
     const bool want = ref[0].merge(add, round);
     EXPECT_EQ(rows.merge(0, add, round), want) << "round " << round;
     EXPECT_TRUE(same_sets(rows.rows[0], ref[0], h)) << "round " << round;
@@ -991,7 +951,7 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
   for (const u32 threads : {1u, 2u, 8u}) {
     hybrid_net net(dense, default_cfg(), 11,
                    with_faults(drop_local_opts(0.3, 3), threads));
-    checked_rows<heal::by_discovery> explore(dense, h, false, 0);
+    checked_rows explore(dense, h);
     for (u32 v = 0; v < n; ++v) explore.seed(v, v);
     u64 rounds = 0;
     heal::run(net, explore, h, "checked exploration", rounds);
@@ -1004,14 +964,6 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
     }
     EXPECT_GE(widest, 64u);
     EXPECT_GE(deepest, 2u);
-
-    const std::vector<u32> sources = {0, 5, 11, 17, 23, 42, 42, 60, 77, 95};
-    checked_rows<heal::by_position> bf(dense, h, true, sources.size());
-    for (heal::by_position& row : bf.rows) row.open_slots(sources.size());
-    for (u32 i = 0; i < sources.size(); ++i) bf.seed(sources[i], i);
-    heal::run(net, bf, h, "checked limited_bellman_ford", rounds);
-    for (u32 v = 0; v < n; ++v)
-      EXPECT_EQ(bf.bad[v], 0) << "node " << v << " threads=" << threads;
   }
 }
 
@@ -1022,7 +974,9 @@ TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
   // exploration-shaped heals now — pinned by the no-throw calls below.
   const graph g = gen::path(8);
   hybrid_net net(g, default_cfg(), 1, with_faults(drop_local_opts(0.1)));
-  EXPECT_NO_THROW(limited_bellman_ford(net, {0}, 3, /*advance_rounds=*/false));
+  const std::vector<u32> sources = {0};
+  EXPECT_NO_THROW(
+      run_local_exploration(net, 3, /*advance_rounds=*/false, &sources));
   EXPECT_NO_THROW(dense_local_exploration(net, 3, true));
   EXPECT_NO_THROW(truncated_eccentricity(net, 3));
   EXPECT_NO_THROW(run_local_exploration(net, 3, true));
@@ -1030,33 +984,34 @@ TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
 }
 
 TEST(FaultHealing, FrozenRoundBellmanFordHonorsItsRemediation) {
-  // The formerly refusing frozen-round Bellman–Ford (PR 8's documented
-  // leftover) now falls back to the advancing healed path automatically.
-  // Its results must match the fault-free frozen-round run exactly, and —
-  // because the caller's nominal budget with advance_rounds=false is zero
-  // rounds — every round the fallback consumed must be surfaced as
-  // extra_rounds.
+  // A frozen-round source-set exploration under local faults falls back to
+  // advancing rounds, since healing needs fresh draws. Its results must
+  // match the fault-free frozen-round run exactly, and — because the
+  // caller's nominal budget with advance_rounds=false is zero rounds —
+  // every round the fallback consumed must be surfaced as extra_rounds.
   const u32 n = 24;
   const graph g = gen::erdos_renyi_connected(n, 3.0, 9, 21);  // weighted
   const std::vector<u32> sources = {0, 7};
   const u32 h = 6;
   hybrid_net clean(g, default_cfg(), 3);
-  const auto want = limited_bellman_ford(clean, sources, h,
-                                         /*advance_rounds=*/false);
+  const auto want = run_local_exploration(clean, h, /*advance_rounds=*/false,
+                                          &sources);
   EXPECT_EQ(clean.round(), 0u);  // the trick really freezes the counter
+  for (const u32 s : sources) {
+    const std::vector<u64> ref = limited_distance(g, s, h);
+    for (u32 v = 0; v < n; ++v) {
+      u64 mine = kInfDist;
+      for (const exploration_entry& e : want.reached(v))
+        if (e.source == s) mine = e.dist;
+      ASSERT_EQ(mine, ref[v]) << "source " << s << " node " << v;
+    }
+  }
   for (u64 fs = 0; fs < 5; ++fs) {
     hybrid_net net(g, default_cfg(), 3,
                    with_faults(drop_local_opts(0.3, fs), 2));
-    const auto got = limited_bellman_ford(net, sources, h,
-                                          /*advance_rounds=*/false);
-    for (u32 v = 0; v < n; ++v) {
-      ASSERT_EQ(got[v].size(), want[v].size()) << v << " fs=" << fs;
-      for (u32 i = 0; i < got[v].size(); ++i) {
-        EXPECT_EQ(got[v][i].source, want[v][i].source) << v;
-        EXPECT_EQ(got[v][i].dist, want[v][i].dist) << v << " fs=" << fs;
-        EXPECT_EQ(got[v][i].via, want[v][i].via) << v << " fs=" << fs;
-      }
-    }
+    const auto got = run_local_exploration(net, h, /*advance_rounds=*/false,
+                                           &sources);
+    ASSERT_EQ(got, want) << "fs=" << fs;
     // Healing consumed real rounds, and all of them are accounted extra.
     const run_metrics m = net.raw_metrics();
     EXPECT_GT(net.round(), 0u) << fs;
@@ -1213,7 +1168,8 @@ TEST(FaultHealing, AdversarialPrefixFailsExplicitly) {
   hybrid_net net(g, default_cfg(), 1, with_faults(f));
   EXPECT_THROW(hop_discovery(net, {0}, 6), fault_failure);
   hybrid_net net2(g, default_cfg(), 1, with_faults(f));
-  EXPECT_THROW(limited_bellman_ford(net2, {0}, 6), fault_failure);
+  const std::vector<u32> sources = {0};
+  EXPECT_THROW(run_local_exploration(net2, 6, true, &sources), fault_failure);
   hybrid_net net3(g, default_cfg(), 1, with_faults(f));
   EXPECT_THROW(table_flood(net3, {0}, {4}, 6), fault_failure);
 }
@@ -1281,21 +1237,39 @@ TEST(FaultAggregation, DeterministicPerFaultSeedAcrossThreads) {
   EXPECT_GT(std::get<4>(base), 0u);
 }
 
-// ---- skeleton re-stabilization --------------------------------------------
+// ---- skeleton under local faults ------------------------------------------
+
+// A healed skeleton equals the fault-free one: the same nodes, h, edges and
+// `near` lists (source, dist, via), and the same rounds once the healing
+// overshoot surfaced as extra_rounds is taken off; the local ledger
+// balances.
+void expect_fault_free_skeleton(const skeleton_result& got,
+                                const skeleton_result& want,
+                                const hybrid_net& net, u64 want_rounds) {
+  EXPECT_EQ(got.nodes, want.nodes);  // sampling is fault-blind
+  EXPECT_EQ(got.h, want.h);
+  EXPECT_EQ(got.edges, want.edges);
+  EXPECT_EQ(got.near, want.near);
+  const run_metrics& m = net.raw_metrics();
+  EXPECT_EQ(net.round() - m.extra_rounds, want_rounds);
+  EXPECT_EQ(m.local_items, m.local_delivered + m.local_dropped);
+}
 
 TEST(FaultSkeleton, ConvergesToFaultFreeSkeletonOnFiftySeeds) {
   const u32 n = 24;
   const graph g = gen::erdos_renyi_connected(n, 3.0, 4, 19);
   hybrid_net clean(g, default_cfg(), 7);
   const skeleton_result want = compute_skeleton(clean, 0.4);
-  for (u64 fs = 0; fs < 50; ++fs) {
-    hybrid_net net(g, default_cfg(), 7,
-                   with_faults(drop_local_opts(0.3, fs), 2));
-    const skeleton_result got = compute_skeleton(net, 0.4);
-    ASSERT_EQ(got.nodes, want.nodes) << fs;  // sampling is fault-blind
-    ASSERT_EQ(got.h, want.h) << fs;
-    ASSERT_EQ(got.edges, want.edges) << fs;  // healed BF is exact
-  }
+  for (u64 fs = 0; fs < 50; ++fs)
+    for (const u32 threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "fs=" << fs << " threads=" << threads);
+      hybrid_net net(g, default_cfg(), 7,
+                     with_faults(drop_local_opts(0.3, fs), threads));
+      const skeleton_result got = compute_skeleton(net, 0.4);
+      expect_fault_free_skeleton(got, want, net, clean.round());
+      ASSERT_GT(net.raw_metrics().local_dropped, 0u);
+    }
 }
 
 TEST(FaultSkeleton, SurvivesCrashRecovery) {
@@ -1306,10 +1280,12 @@ TEST(FaultSkeleton, SurvivesCrashRecovery) {
   fault_options f = drop_local_opts(0.1, 3);
   f.crashes.push_back({5, 2, 6});
   f.crashes.push_back({14, 4, 7});
-  hybrid_net net(g, default_cfg(), 7, with_faults(f, 2));
-  const skeleton_result got = compute_skeleton(net, 0.4);
-  EXPECT_EQ(got.nodes, want.nodes);
-  EXPECT_EQ(got.edges, want.edges);
+  for (const u32 threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    hybrid_net net(g, default_cfg(), 7, with_faults(f, threads));
+    const skeleton_result got = compute_skeleton(net, 0.4);
+    expect_fault_free_skeleton(got, want, net, clean.round());
+  }
 }
 
 // ---- dissemination under faults -------------------------------------------

@@ -73,38 +73,39 @@ TEST(HopDiscovery, MultipleSeedsSameNode) {
   EXPECT_EQ(count_at_2, 2u);
 }
 
+// LimitedBellmanFord: the h-hop limited Bellman–Ford from a source set,
+// i.e. run_local_exploration with `sources`, against limited_distance.
+
 TEST(LimitedBellmanFord, WeightedShortcutBeyondHopBudget) {
   // d_1(0,2) uses the heavy direct edge; d_2 uses the light 2-hop path.
   const graph g = graph::from_edges(
       3, std::vector<edge_spec>{{0, 1, 2}, {1, 2, 2}, {0, 2, 10}});
-  {
+  const std::vector<u32> sources = {0};
+  const std::pair<u32, u64> cases[] = {{1, 10}, {2, 4}};
+  for (const auto& [h, want] : cases) {
     hybrid_net net(g, cfg(), 1);
-    const auto got = limited_bellman_ford(net, {0}, 1);
-    u64 d2 = kInfDist;
-    for (const source_distance& sd : got[2]) d2 = sd.dist;
-    EXPECT_EQ(d2, 10u);
-  }
-  {
-    hybrid_net net(g, cfg(), 1);
-    const auto got = limited_bellman_ford(net, {0}, 2);
-    u64 d2 = kInfDist;
-    for (const source_distance& sd : got[2]) d2 = sd.dist;
-    EXPECT_EQ(d2, 4u);
+    const auto got = run_local_exploration(net, h, true, &sources);
+    EXPECT_EQ(row_of(got, 2, 3)[0], want) << "h=" << h;
+    EXPECT_EQ(row_of(got, 2, 3)[0], limited_distance(g, 0, h)[2]) << h;
   }
 }
 
 TEST(LimitedBellmanFord, ZeroRoundsOnlySources) {
   const graph g = gen::path(5);
   hybrid_net net(g, cfg(), 1);
-  const auto got = limited_bellman_ford(net, {3}, 0);
+  const std::vector<u32> sources = {3};
+  const auto got = run_local_exploration(net, 0, true, &sources);
+  const std::vector<u64> ref = limited_distance(g, 3, 0);
   for (u32 v = 0; v < 5; ++v) {
     if (v == 3) {
-      ASSERT_EQ(got[v].size(), 1u);
-      EXPECT_EQ(got[v][0].dist, 0u);
+      ASSERT_EQ(got.reached(v).size(), 1u);
+      EXPECT_EQ(got.reached(v)[0], (exploration_entry{0, 3, 3}));
     } else {
-      EXPECT_TRUE(got[v].empty());
+      EXPECT_TRUE(got.reached(v).empty());
     }
+    EXPECT_EQ(row_of(got, v, 5)[3], ref[v]) << v;
   }
+  EXPECT_EQ(net.round(), 0u);
 }
 
 TEST(LimitedBellmanFord, ManySourcesMatchReference) {
@@ -113,53 +114,29 @@ TEST(LimitedBellmanFord, ManySourcesMatchReference) {
   std::vector<u32> sources;
   for (u32 v = 0; v < 81; v += 8) sources.push_back(v);
   const u32 h = 6;
-  const auto got = limited_bellman_ford(net, sources, h);
-  for (u32 i = 0; i < sources.size(); ++i) {
-    const auto ref = limited_distance(g, sources[i], h);
-    for (u32 v = 0; v < 81; ++v) {
-      u64 mine = kInfDist;
-      for (const source_distance& sd : got[v])
-        if (sd.source == i) mine = sd.dist;
-      ASSERT_EQ(mine, ref[v]) << "source " << i << " node " << v;
-    }
+  const auto got = run_local_exploration(net, h, true, &sources);
+  for (const u32 s : sources) {
+    const auto ref = limited_distance(g, s, h);
+    for (u32 v = 0; v < 81; ++v)
+      ASSERT_EQ(row_of(got, v, 81)[s], ref[v]) << "source " << s << " node "
+                                                << v;
   }
-}
-
-TEST(LimitedBellmanFord, DuplicateSourceGetsIdenticalRows) {
-  // Sources are indices: a node listed twice is explored once per index,
-  // and both indices come back with identical (dist, via) entries.
-  const graph g = gen::erdos_renyi_connected(30, 3.0, 7, 5);
-  const std::vector<u32> sources = {3, 3, 5};
-  const u32 h = 4;
-  for (u32 threads : {1u, 2u, 8u}) {
-    sim_options so;
-    so.threads = threads;
-    hybrid_net net(g, cfg(), 1, so);
-    const auto got = limited_bellman_ford(net, sources, h);
-    const auto ref = limited_distance(g, 3, h);
-    for (u32 v = 0; v < 30; ++v) {
-      std::vector<source_distance> first;
-      std::vector<source_distance> second;
-      for (const source_distance& sd : got[v]) {
-        if (sd.source == 0) first.push_back(sd);
-        if (sd.source == 1) second.push_back({0, sd.dist, sd.via});
-      }
-      EXPECT_EQ(first, second) << "node " << v << " threads " << threads;
-      EXPECT_EQ(first.size(), ref[v] < kInfDist ? 1u : 0u) << v;
-      if (!first.empty()) {
-        EXPECT_EQ(first[0].dist, ref[v]) << v;
-      }
-    }
-  }
+  for (u32 v = 0; v < 81; ++v)
+    for (const exploration_entry& e : got.reached(v))
+      ASSERT_EQ(e.source % 8, 0u) << "only sources are reached";
 }
 
 TEST(LimitedBellmanFord, ChargesTrafficInParallelMode) {
   const graph g = gen::grid(8, 8);
   hybrid_net net(g, cfg(), 1);
   const u64 before = net.raw_metrics().local_items;
-  limited_bellman_ford(net, {0}, 10, /*advance_rounds=*/false);
+  const std::vector<u32> sources = {0};
+  const auto got = run_local_exploration(net, 10, /*advance_rounds=*/false,
+                                         &sources);
   EXPECT_GT(net.raw_metrics().local_items, before);
   EXPECT_EQ(net.round(), 0u);
+  const std::vector<u64> ref = limited_distance(g, 0, 10);
+  for (u32 v = 0; v < 64; ++v) EXPECT_EQ(row_of(got, v, 64)[0], ref[v]) << v;
 }
 
 TEST(FullLocalExploration, SymmetricOnUndirected) {

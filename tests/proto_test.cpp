@@ -82,28 +82,31 @@ TEST(HopDiscovery, EarlyExitPaysOneAggregation) {
 }
 
 TEST(LimitedBellmanFord, MatchesReference) {
+  // The h-hop limited Bellman–Ford is run_local_exploration from a source
+  // set.
   const graph g = gen::erdos_renyi_connected(80, 5.0, 7, 3);
   hybrid_net net(g, cfg(), 1);
   const std::vector<u32> sources = {0, 17, 42};
   const u32 h = 4;
-  const auto got = limited_bellman_ford(net, sources, h);
-  for (u32 i = 0; i < sources.size(); ++i) {
-    const auto ref = limited_distance(g, sources[i], h);
-    for (u32 v = 0; v < g.num_nodes(); ++v) {
-      u64 mine = kInfDist;
-      for (const source_distance& sd : got[v])
-        if (sd.source == i) mine = sd.dist;
-      EXPECT_EQ(mine, ref[v]) << "source " << i << " node " << v;
-    }
+  const auto got = run_local_exploration(net, h, true, &sources);
+  for (const u32 s : sources) {
+    const auto ref = limited_distance(g, s, h);
+    for (u32 v = 0; v < g.num_nodes(); ++v)
+      EXPECT_EQ(row_of(got, v, g.num_nodes())[s], ref[v])
+          << "source " << s << " node " << v;
   }
 }
 
 TEST(LimitedBellmanFord, ParallelModeChargesNoRounds) {
   const graph g = gen::path(32);
   hybrid_net net(g, cfg(), 1);
-  limited_bellman_ford(net, {0}, 10, /*advance_rounds=*/false);
+  const std::vector<u32> sources = {0};
+  const auto got = run_local_exploration(net, 10, /*advance_rounds=*/false,
+                                         &sources);
   EXPECT_EQ(net.round(), 0u);
   EXPECT_GT(net.raw_metrics().local_items, 0u);
+  const auto ref = limited_distance(g, 0, 10);
+  for (u32 v = 0; v < 32; ++v) EXPECT_EQ(row_of(got, v, 32)[0], ref[v]) << v;
 }
 
 TEST(FullLocalExploration, MatchesLimitedDistanceAllPairs) {

@@ -157,12 +157,15 @@ TEST(RoutingTables, ChargesOneExtraRoundAndTraffic) {
 TEST(FirstHop, LimitedBellmanFordViaPointsBackward) {
   const graph g = gen::path(6);
   hybrid_net net(g, cfg(), 1);
-  const auto got = limited_bellman_ford(net, {0}, 5);
+  const std::vector<u32> sources = {0};
+  const auto got = run_local_exploration(net, 5, true, &sources);
+  const auto ref = limited_distance(g, 0, 5);
   for (u32 v = 1; v < 6; ++v) {
-    ASSERT_EQ(got[v].size(), 1u);
-    EXPECT_EQ(got[v][0].via, v - 1) << v;  // path goes back toward node 0
+    ASSERT_EQ(got.reached(v).size(), 1u);
+    EXPECT_EQ(got.reached(v)[0].dist, ref[v]) << v;
+    EXPECT_EQ(got.reached(v)[0].first_hop, v - 1) << v;  // back toward 0
   }
-  EXPECT_EQ(got[0][0].via, 0u);  // source points to itself
+  EXPECT_EQ(got.reached(0)[0].first_hop, 0u);  // source points to itself
 }
 
 TEST(FirstHop, FullExplorationMatrixConsistent) {

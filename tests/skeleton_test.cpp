@@ -117,24 +117,32 @@ TEST(Skeleton, ApspExecutorThreadCountsBitIdentical) {
 }
 
 TEST(Skeleton, SparseExplorationPathMatchesDenseBellmanFord) {
-  // compute_skeleton's fault-free path uses the ball-bounded sparse
-  // exploration; the exploration equivalence contract says its triples AND
-  // its round/traffic charging are bit-identical to the dense limited
-  // Bellman–Ford it replaced. Verify both against a direct BF run.
+  // compute_skeleton's skeleton-edge discovery is source-set exploration
+  // from sk.nodes. Both row types behind run_local_exploration — dense
+  // |sources|-wide rows keyed by position and ball-bounded sparse rows —
+  // must give its `near` lists, triples and round/traffic charging bit for
+  // bit.
   const graph g = gen::erdos_renyi_connected(220, 4.5, 8, 33);
   hybrid_net a(g, cfg(), 33);
   const skeleton_result sk = compute_skeleton(a, 0.12);
-  hybrid_net b(g, cfg(), 33);
-  const auto near = limited_bellman_ford(b, sk.nodes, sk.h,
-                                         /*advance_rounds=*/true);
-  EXPECT_EQ(a.round(), b.round());
-  EXPECT_EQ(a.raw_metrics().local_items, b.raw_metrics().local_items);
-  for (u32 v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(sk.near[v].size(), near[v].size()) << "node " << v;
-    for (u32 k = 0; k < near[v].size(); ++k) {
-      EXPECT_EQ(sk.near[v][k].source, near[v][k].source) << v << "/" << k;
-      EXPECT_EQ(sk.near[v][k].dist, near[v][k].dist) << v << "/" << k;
-      EXPECT_EQ(sk.near[v][k].via, near[v][k].via) << v << "/" << k;
+  using explore_fn = sparse_exploration_result (*)(
+      hybrid_net&, u32, bool, const std::vector<u32>*, bool);
+  for (const explore_fn explore :
+       {&dense_local_exploration, &sparse_local_exploration}) {
+    hybrid_net b(g, cfg(), 33);
+    const sparse_exploration_result res =
+        explore(b, sk.h, /*advance_rounds=*/true, &sk.nodes,
+                /*first_hops=*/true);
+    EXPECT_EQ(a.round(), b.round());
+    EXPECT_EQ(a.raw_metrics().local_items, b.raw_metrics().local_items);
+    for (u32 v = 0; v < g.num_nodes(); ++v) {
+      const auto near = res.reached(v);
+      ASSERT_EQ(sk.near[v].size(), near.size()) << "node " << v;
+      for (u32 k = 0; k < near.size(); ++k) {
+        const source_distance want{sk.index_of[near[k].source], near[k].dist,
+                                   near[k].first_hop};
+        EXPECT_EQ(sk.near[v][k], want) << v << "/" << k;
+      }
     }
   }
 }

@@ -125,7 +125,7 @@ TEST(SparseExplorationDiff, DisconnectedWithIsolatedVertices) {
 }
 
 TEST(SparseExplorationDiff, SourceSubset) {
-  // The limited_bellman_ford-shaped workload kssp_framework runs.
+  // The source-set workload compute_skeleton and kssp_framework run.
   const graph g = gen::erdos_renyi_connected(90, 4.0, 6, 5);
   const std::vector<u32> sources{3, 17, 42, 88};
   differential(g, 4, &sources);
