@@ -109,9 +109,9 @@ std::vector<std::vector<item128>> cluster_flood(
       if (st.seed(v, index_at[pos])) learn(v, index_at[pos], 0);
   // Saturating early pays one aggregation to detect it.
   flood::run(
-      net, st, rounds, /*early_exit=*/true,
+      net.executor(), net.g(), st, rounds, /*early_exit=*/true,
       [&](u32 v, u32 u) { return cd.cluster_of[u] == cd.cluster_of[v]; },
-      flood::unit_cost{}, learn);
+      flood::unit_cost{}, learn, flood::net_hook{net});
   return known;
 }
 

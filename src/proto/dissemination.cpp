@@ -29,6 +29,26 @@ struct node_state {
   }
 };
 
+/// The gossip schedule both paths share: copies seeded per token, gossip
+/// rounds between termination checks, and the first gossip budget — it
+/// fits every fault-free benched workload; the simulated path's doubling
+/// loop exists for adversarial token distributions.
+struct gossip_plan {
+  u32 seed_copies;
+  u32 cadence;
+  u64 budget;
+};
+
+gossip_plan first_budget(const hybrid_net& net, u32 k, u64 ell) {
+  const u32 seed_copies = std::max<u32>(
+      1, static_cast<u32>(std::ceil(net.config().dissemination_seed_mult *
+                                    id_bits(net.n()))));
+  const u32 cadence = 16;
+  return {seed_copies, cadence,
+          4 * (isqrt(k) + ceil_div(ell * seed_copies, net.global_cap())) +
+              cadence};
+}
+
 }  // namespace
 
 dissemination_result disseminate(hybrid_net& net,
@@ -65,10 +85,7 @@ dissemination_result disseminate(hybrid_net& net,
     return out;
   }
 
-  const u32 logn = id_bits(n);
-  const u32 seed_copies = std::max<u32>(
-      1, static_cast<u32>(
-             std::ceil(net.config().dissemination_seed_mult * logn)));
+  const gossip_plan plan = first_budget(net, k, ell);
   const u32 words = (k + 63) / 64;
 
   std::vector<node_state> st(n);
@@ -77,7 +94,7 @@ dissemination_result disseminate(hybrid_net& net,
     st[v].known_bit.assign(words, 0);
     for (u32 idx : owned[v]) {
       st[v].learn(idx);
-      st[v].seed_queue.push_back({idx, seed_copies});
+      st[v].seed_queue.push_back({idx, plan.seed_copies});
     }
   }
 
@@ -91,9 +108,7 @@ dissemination_result disseminate(hybrid_net& net,
     return true;
   };
 
-  const u32 cadence = 16;  // gossip rounds between termination checks
-  u64 budget = 4 * (isqrt(k) + ceil_div(ell * seed_copies, net.global_cap())) +
-               cadence;
+  u64 budget = plan.budget;
   // Fault degradation (docs/FAULTS.md): gossip is self-healing by nature —
   // every round each node re-offers uniformly random tokens from its whole
   // known set, so dropped copies get unlimited fresh chances and the
@@ -191,7 +206,7 @@ dissemination_result disseminate(hybrid_net& net,
       exec.for_nodes(n, receive);
       // Termination check at fixed cadence (aggregation rounds are charged
       // by global_aggregate itself).
-      if ((r + 1) % cadence == 0) done = everyone_done();
+      if ((r + 1) % plan.cadence == 0) done = everyone_done();
     }
     if (!done) {
       done = everyone_done();
@@ -242,16 +257,9 @@ dissemination_result disseminate_charged(
     return out;
   }
 
-  // The simulated path's guaranteed first budget (it fits every fault-free
-  // benched workload; the doubling loop exists for adversarial token
-  // distributions), charged as silent rounds.
-  const u32 logn = id_bits(n);
-  const u32 seed_copies = std::max<u32>(
-      1, static_cast<u32>(
-             std::ceil(net.config().dissemination_seed_mult * logn)));
-  const u32 cadence = 16;
-  const u64 budget =
-      4 * (isqrt(k) + ceil_div(ell * seed_copies, net.global_cap())) + cadence;
+  // The simulated path's first budget, charged as silent rounds.
+  const gossip_plan plan = first_budget(net, k, ell);
+  const u64 budget = plan.budget;
   net.charge_rounds(budget);
   // Gossip pushes: every node spends its γ budget each gossip round, three
   // payload words per push (the {a, b, idx} token message).
@@ -265,7 +273,7 @@ dissemination_result disseminate_charged(
   net.charge_local(items);
   net.note_local_delivered(items);
   // Termination AND-aggregations at the fixed cadence, plus the final one.
-  const u64 checks = budget / cadence + 1;
+  const u64 checks = budget / plan.cadence + 1;
   net.charge_rounds(checks * aggregation_rounds(n));
   net.charge_global(checks * 2 * u64{n}, checks * 2 * u64{n});
   out.rounds_used = net.round() - start_round;

@@ -1,6 +1,6 @@
-// The seen-set flood kernel: the one reliable "flood what you know" round
-// loop behind Algorithm 1's ruler flood (hop_discovery), the label flood to
-// the Õ(x)-neighbourhood (table_flood), Algorithm 9's hello flood
+// The seen-set flood kernel: the one "flood what you know" round loop
+// behind Algorithm 1's ruler flood (hop_discovery), the label flood to the
+// Õ(x)-neighbourhood (table_flood), Algorithm 9's hello flood
 // (truncated_eccentricity) and the helper sets' intra-cluster flood
 // (cluster_flood).
 //
@@ -11,12 +11,15 @@
 // frontier. A step writes only v's seen words, v's next frontier and what
 // on_learn writes for v, so runs are bit-identical at every thread count,
 // and sorted adjacency makes the pull order the sequential push order
-// (docs/CONCURRENCY.md §3). The round is charged and delivered as one sum
-// (nothing here is dropped), advances, and the frontiers swap. Once no
+// (docs/CONCURRENCY.md §3). The round goes to the hook — charged and
+// delivered as one sum (nothing here is dropped) and advanced for net
+// callers, nothing for pure ones — and the frontiers swap. Once no
 // frontier is left before the budget ends, the flood pays one
 // AND-aggregation to detect that (early exit, Lemma B.2) or lets the
-// budget's silent rest elapse. The healed floods keep their seen-sets in
-// seen_bits too (heal::seen_rows) but re-offer through heal_kernel.hpp.
+// budget's silent rest elapse. The hooks are the relaxation kernel's too
+// (proto/relax_kernel.hpp). Under local faults the floods run here as free
+// local computation, and the healed exploration engine
+// (proto/heal_kernel.hpp) pays for what healing them costs.
 #pragma once
 
 #include <concepts>
@@ -95,15 +98,46 @@ struct unit_cost {
   u64 operator()(u32) const { return 1; }
 };
 
+/// Net callers: every pulled item is charged and delivered (the local
+/// plane is reliable on these paths), and rounds advance only when the
+/// caller asked for them — otherwise traffic is charged but rounds are not
+/// (Lemma 4.3's run-in-parallel trick). At an early exit nothing charged
+/// was dropped, so the local ledger must balance; then the rounds a fixed
+/// budget still owes elapse silently.
+struct net_hook {
+  hybrid_net& net;
+  bool advance_rounds = true;
+  void round(u64 items) const {
+    net.charge_local(items);
+    net.note_local_delivered(items);
+    if (advance_rounds) net.advance_round();
+  }
+  void pad(u32 idle) const {
+    const run_metrics& m = net.raw_metrics();
+    HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
+                  "local plane ledger must balance at an early exit");
+    if (advance_rounds)
+      for (; idle > 0; --idle) net.advance_round();
+  }
+};
+
+/// Pure callers: free local computation, no rounds, no traffic.
+struct no_hook {
+  void round(u64) const {}
+  void pad(u32) const {}
+};
+
 /// Up to `rounds` flood rounds from the seeded state. keep(v, u) says
 /// whether v pulls from neighbour u, cost(i) is what item i costs per edge
 /// crossing, and on_learn(v, i, r) records that v learned i in round r.
-template <class Keep, class Cost, class Learn>
-void run(hybrid_net& net, state& st, u32 rounds, bool early_exit,
-         const Keep& keep, const Cost& cost, const Learn& on_learn) {
-  const graph& g = net.g();
+/// Returns the rounds the flood takes on a reliable net: the budget, or
+/// with `early_exit` the saturation round plus one AND-aggregation when
+/// that comes first.
+template <class Keep, class Cost, class Learn, class Hook>
+u32 run(round_executor& exec, const graph& g, state& st, u32 rounds,
+        bool early_exit, const Keep& keep, const Cost& cost,
+        const Learn& on_learn, const Hook& hook) {
   const u32 n = g.num_nodes();
-  round_executor& exec = net.executor();
   u32 r = 0;
   // Both steps are wrapped once, so no round builds a std::function.
   const std::function<u64(u32)> pull = [&](u32 v) -> u64 {
@@ -127,30 +161,16 @@ void run(hybrid_net& net, state& st, u32 rounds, bool early_exit,
     return !st.frontier[v].empty();
   };
   for (r = 1; r <= rounds; ++r) {
-    const u64 items = exec.sum_nodes(n, pull);
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
+    hook.round(exec.sum_nodes(n, pull));
     st.frontier.swap(st.next);
-    if (exec.any_node(n, active)) continue;
-    if (r < rounds) {
-      // Nothing this loop charges is dropped, so at saturation the local
-      // plane's ledger must balance.
-      const run_metrics& m = net.raw_metrics();
-      HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
-                    "local plane ledger must balance at flood saturation");
-      if (early_exit) {
-        // Detecting global saturation costs one AND-aggregation.
-        for (u32 extra = aggregation_rounds(n); extra > 0; --extra)
-          net.advance_round();
-      } else {
-        // Fixed round budgets are part of the protocols: the remaining
-        // rounds are silent but still elapse.
-        for (; r < rounds; ++r) net.advance_round();
-      }
-    }
-    return;
+    if (exec.any_node(n, active) || r == rounds) continue;
+    // Detecting global saturation costs one AND-aggregation; a fixed
+    // budget's remaining rounds are silent but still elapse.
+    const u32 idle = early_exit ? aggregation_rounds(n) : rounds - r;
+    hook.pad(idle);
+    return r + idle;
   }
+  return rounds;
 }
 
 }  // namespace hybrid::flood

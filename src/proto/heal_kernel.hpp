@@ -1,8 +1,8 @@
 // The self-healing re-offer round: the one loop behind every healed LOCAL
-// primitive (docs/FAULTS.md §3) — hop_discovery, table_flood and the
-// exploration engine behind every exploration entry point. It is the
-// collect/update/disseminate min-finding of PraSLE (SNIPPETS.md #2) run
-// over the paper's h-hop floods and explorations.
+// primitive (docs/FAULTS.md §3) — the exploration engine behind every
+// exploration entry point, truncated_eccentricity and the hop and table
+// floods. It is the collect/update/disseminate min-finding of PraSLE
+// (SNIPPETS.md #2) run over the paper's h-hop explorations.
 //
 // Internal header. Under local-plane drops a frontier item lost once would
 // be lost forever, so every round every node offers its whole held set to
@@ -23,26 +23,21 @@
 //   * the crash-aware quiet window (next_quiet).
 // The caller then referees the converged state against the reliable result
 // (premature stability surfaces as fault_failure, never as a silently
-// incomplete return) and settles its rounds with heal::pad.
+// incomplete return) and pads its rounds to the fault-free call's.
 //
-// The loop is a template over the rows (the state of every node):
-//   * seen_rows — items in learn order plus the flood kernel's bitset
-//     seen-sets (the hop and table floods; each offer costs 1 or the
-//     table's word count);
-//   * pareto_rows — Pareto (dist, hops) sets keyed by source node id in
-//     discovery order, a held source's slot found through a flat_u64_map
-//     index (the exploration engine).
-// A row type provides `staged`; count(u), the offers node u makes on each
-// edge — O(1), and read before the first draw because the adversarial mode
-// needs it; pull(v, j, e, round, add, deliver), which enumerates v's j-th
-// neighbour e.to's offers in order through `deliver(stamp, cost)` and
-// stages what v accepts; and merge(v, add, round), which may reorder add.
+// The rows (the state of every node) are pareto_rows: Pareto (dist, hops)
+// sets keyed by source node id in discovery order, a held source's slot
+// found through an n-wide array on small graphs and a flat_u64_map index
+// beyond. heal::run takes them as a template parameter so that a test can
+// check every merge (fault_test's checked_rows).
 //
 // A round costs O(offers) and reads contiguous memory: each Pareto row
 // keeps its sets in one arena whose array of extendable pairs IS the offer
-// sequence (pareto_arena), so count(u) is its size, and pull skips the
+// sequence (pareto_arena), so count(u) is its size — O(1), and read before
+// the first draw because the adversarial mode needs it — and pull skips the
 // accept check for every offer a copy of which already got through
-// (pareto_rows::link). No buffer of the round is allocated per round.
+// (pareto_rows::link); on a link where that is every offer, it only draws.
+// No buffer of the round is allocated per round.
 #pragma once
 
 #include <algorithm>
@@ -51,8 +46,6 @@
 #include <string>
 #include <vector>
 
-#include "proto/flood.hpp"
-#include "proto/flood_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
@@ -63,14 +56,18 @@ namespace hybrid {
 /// over pareto_rows, refereed against the reliable relaxation kernel run
 /// as free local computation, retried up to four times with
 /// fresh fault draws. It returns the referee's canonical triples, so the
-/// result is bit-identical to the fault-free run, vias and all. The nominal
-/// budget is h when advancing rounds and 0 when not (healing needs real
-/// rounds, so every one is then surfaced as extra_rounds). With
-/// `unit_weights` every edge counts 1 (truncated_eccentricity's hop flood).
+/// result is bit-identical to the fault-free run, vias and all. `nominal`
+/// is the fault-free call's round count: the rounds spent healing are
+/// padded up to it and any excess is surfaced as extra_rounds (an
+/// exploration passes h when advancing rounds and 0 when not — healing
+/// needs real rounds). With `unit_weights` every edge counts 1 (the hop
+/// floods of proto/flood.cpp); `offer_words`, indexed by node id, is what
+/// an offer of each source costs (1 each when null).
 sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
+    hybrid_net& net, u32 h, u64 nominal,
     const std::vector<u32>* sources = nullptr, bool first_hops = true,
-    bool unit_weights = false);
+    bool unit_weights = false,
+    const std::vector<u64>* offer_words = nullptr);
 
 namespace heal {
 
@@ -87,151 +84,6 @@ inline u32 next_quiet(const hybrid_net& net, u32 n, u32 quiet,
       if (!net.is_up(v)) return 0;
   return quiet + 1;
 }
-
-/// heal::run's per-node round buffers. A caller that retries (the
-/// exploration engine's ≤ 4 attempts) hands every attempt the same
-/// workspace, so the buffers keep their capacity.
-template <class Staged>
-struct workspace {
-  /// What a node offered, lost to drops and re-offered in one round.
-  struct traffic {
-    u64 offered, dropped, retx;
-  };
-  std::vector<std::vector<Staged>> add;
-  std::vector<u8> changed;
-  std::vector<traffic> sent;
-
-  void reset(u32 n) {
-    add.resize(n);
-    changed.assign(n, 0);
-    sent.assign(n, {});
-  }
-};
-
-/// Re-offer rounds until the quiet window closes. `nominal` is the
-/// fault-free round budget the healing budget scales. Every round advanced
-/// is added to `rounds`, also when the budget runs out and this throws.
-/// The round itself allocates nothing of its own: buffers live in `ws`, and
-/// the executor gets its steps by reference.
-template <class Rows>
-void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
-         u64& rounds, workspace<typename Rows::staged>& ws) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const fault_options& fo = net.faults();
-  round_executor& exec = net.executor();
-  ws.reset(n);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(nominal, 1) +
-                     fo.heal_stability_rounds;
-  u32 it = 0;
-  const auto offer = [&](u32 v) {
-    ws.add[v].clear();
-    u64 offered = 0, dropped = 0, retx = 0;
-    const std::span<const edge> nbrs = g.neighbors(v);
-    if (net.is_up(v))
-      for (u32 j = 0; j < nbrs.size(); ++j) {
-        const edge& e = nbrs[j];
-        const hybrid_net::local_drops link =
-            net.local_link(e.to, v, rows.count(e.to));
-        u32 idx = 0;
-        rows.pull(v, j, e, it, ws.add[v], [&](u32 stamp, u64 cost) {
-          offered += cost;
-          // An item first crosses edges in the round after its merge; any
-          // later crossing is a retransmission (counted whether or not this
-          // copy is then dropped — it did cross the edge).
-          if (stamp + 1 < it) ++retx;
-          if (link.drop(idx++)) {
-            dropped += cost;
-            return false;
-          }
-          return true;
-        });
-      }
-    ws.sent[v] = {offered, dropped, retx};
-  };
-  const auto merge = [&](u32 v) {
-    ws.changed[v] = rows.merge(v, ws.add[v], it);
-  };
-  for (u32 quiet = 0; quiet < fo.heal_stability_rounds;) {
-    if (++it > budget)
-      throw fault_failure(std::string(what) + " healing budget exhausted");
-    exec.for_nodes(n, std::cref(offer));
-    u64 items = 0, lost = 0, re = 0;
-    for (const auto& t : ws.sent) {
-      items += t.offered;
-      lost += t.dropped;
-      re += t.retx;
-    }
-    net.charge_local(items);
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.note_retransmitted(re);
-    net.advance_round();
-    ++rounds;
-    exec.for_nodes(n, std::cref(merge));
-    quiet = next_quiet(net, n, quiet, ws.changed);
-  }
-}
-
-/// heal::run with a workspace of its own (callers that do not retry).
-template <class Rows>
-void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
-         u64& rounds) {
-  workspace<typename Rows::staged> ws;
-  run(net, rows, nominal, what, rounds, ws);
-}
-
-/// Round-accounting parity with the reliable path: elapse the silent rounds
-/// a fixed budget of `nominal` still owes after `used`, and surface every
-/// round beyond it as healing overhead.
-inline void pad(hybrid_net& net, u64 used, u64 nominal) {
-  for (; used < nominal; ++used) net.advance_round();
-  if (used > nominal) net.note_extra_rounds(used - nominal);
-}
-
-/// The hop and table floods' rows: per node the held item indices in learn
-/// order, each stamped with its learn round (0 at its root) — for
-/// hop_discovery that stamp is the reported hop, an upper bound on the true
-/// one. An offer costs 1, or its table's word count when `words` is set.
-struct seen_rows {
-  using staged = u32;
-
-  std::vector<std::vector<discovered_seed>> held;
-  flood::seen_bits seen;
-  const std::vector<u64>* words = nullptr;
-
-  /// Item i starts at roots[i].
-  seen_rows(u32 n, const std::vector<u32>& roots, const char* out_of_range,
-            const std::vector<u64>* words_ = nullptr)
-      : held(n), seen(n, roots.size()), words(words_) {
-    for (u32 i = 0; i < roots.size(); ++i) {
-      HYB_REQUIRE(roots[i] < n, out_of_range);
-      seen.learn(roots[i], i);
-      held[roots[i]].push_back({i, 0});
-    }
-  }
-
-  u32 count(u32 u) const { return static_cast<u32>(held[u].size()); }
-
-  template <class Deliver>
-  void pull(u32 v, u32 /*j*/, const edge& e, u32 /*round*/,
-            std::vector<u32>& add, Deliver&& deliver) const {
-    for (const discovered_seed& d : held[e.to])
-      if (deliver(d.hop, words ? (*words)[d.seed] : 1) &&
-          !seen.test(v, d.seed))
-        add.push_back(d.seed);
-  }
-
-  bool merge(u32 v, const std::vector<u32>& add, u32 round) {
-    bool changed = false;
-    for (const u32 i : add)
-      if (seen.learn(v, i)) {
-        held[v].push_back({i, round});
-        changed = true;
-      }
-    return changed;
-  }
-};
 
 /// One held Pareto pair that can still be extended (hops < h), and so one
 /// offer: its (dist, hops) and the round that accepted it (0 at the
@@ -263,20 +115,32 @@ inline constexpr u32 kNoSlot = ~u32{0};
 /// convergence a set's front dist is d_h. Pairs never have hops > h.
 ///
 /// Layout: slot k's pairs with hops < h are offers[begin[k], begin[k+1]),
-/// dist ascending (hence hops strictly descending). `index` maps a held
-/// key to its slot, `keys` back. A set holds at most one pair with
-/// hops == h, its front (smallest dist); capped[k] keeps that dist
+/// dist ascending (hence hops strictly descending). `by_key` or `index`
+/// maps a held key to its slot, `keys` back. A set holds at most one pair
+/// with hops == h, its front (smallest dist); capped[k] keeps that dist
 /// (kInfDist for none). Walking
 /// `offers` front to back is therefore the per-set enumeration the
 /// re-offer loop has always used — keys in order, dist ascending within a
 /// key, hops == h pairs skipped — which fixes every fault draw's index;
 /// and its size is the tally of offers the node makes on each edge. The
-/// vectors grow by a quarter at a time: rows stop growing at convergence,
-/// so growth slack is resident memory.
+/// engine reserves the per-slot vectors at the referee's reached count
+/// (the healed support is a subset of it), so they never regrow; `offers`
+/// grows by a quarter at a time: rows stop growing at convergence, so
+/// growth slack is resident memory.
 struct pareto_arena {
   std::vector<pareto_entry> offers;
+  /// Each offer's stamp again, kept in step by merge_sorted: the pull
+  /// reads every offer's stamp but few offers' pairs, so it streams 4
+  /// bytes an offer instead of 16.
+  std::vector<u32> stamps;
+  /// No offer's stamp exceeds this: the last round a merge changed the row.
+  u32 newest = 0;
   std::vector<u32> begin{0};
   std::vector<u64> capped;
+  /// Key → slot: an array indexed by key (kNoSlot where none) when
+  /// `dense_keys`, else a hash index.
+  bool dense_keys = false;
+  std::vector<u32> by_key;
   flat_u64_map<u32> index;
   std::vector<u32> keys;
 
@@ -304,19 +168,20 @@ struct pareto_arena {
     return false;
   }
   u32 find(u32 key) const {
+    if (dense_keys) return key < by_key.size() ? by_key[key] : kNoSlot;
     const auto* held = index.find(key);
     return held ? held->value : kNoSlot;
   }
   /// The key's slot, appended (empty) on first sight.
   u32 slot_of(u32 key) {
     const u32 slot = slots();
-    const auto [held, fresh] = index.insert({key, slot});
-    if (!fresh) return held->value;
-    if (capped.size() == capped.capacity()) {
-      const std::size_t grown = capped.size() + capped.size() / 4 + 4;
-      capped.reserve(grown);
-      keys.reserve(grown);
-      begin.reserve(grown + 1);
+    if (dense_keys) {
+      if (key >= by_key.size()) by_key.resize(key + 1, kNoSlot);
+      if (by_key[key] != kNoSlot) return by_key[key];
+      by_key[key] = slot;
+    } else {
+      const auto [held, fresh] = index.insert({key, slot});
+      if (!fresh) return held->value;
     }
     keys.push_back(key);
     begin.push_back(begin.back());
@@ -405,13 +270,31 @@ struct pareto_arena {
     }
     std::copy(run.begin(), run.end(), offers.begin() + base);
     for (u32 q = last + 2; q <= slots(); ++q) begin[q] += new_end - old_end;
+    stamps.resize(offers.size());
+    for (std::size_t i = base; i < offers.size(); ++i)
+      stamps[i] = offers[i].stamp;
+    if (changed) newest = round;
     return changed;
+  }
+};
+
+/// What a node's pulls carried in one round, in the offers' cost unit:
+/// offered, lost to drops, and the offers retransmitted (counted in
+/// offers).
+struct traffic {
+  u64 offered = 0, dropped = 0, retx = 0;
+  traffic& operator+=(const traffic& t) {
+    offered += t.offered;
+    dropped += t.dropped;
+    retx += t.retx;
+    return *this;
   }
 };
 
 /// The Bellman–Ford-shaped rows: every held pair that can still be
 /// extended within h hops is offered, and crosses an edge at its weight
-/// (1 with `unit_weights`).
+/// (1 with `unit_weights`). An offer costs its source's `words` entry
+/// (indexed by node id; 1 when null).
 struct pareto_rows {
   using staged = pareto_candidate;
 
@@ -437,18 +320,41 @@ struct pareto_rows {
   std::vector<std::vector<link>> links;
   u32 h;
   bool unit_weights;
+  const std::vector<u64>* words;
+  /// What every offer costs while the seeded sources' words agree (1
+  /// without words); `varied` once they differ, when each offer's cost is
+  /// looked up by its key.
+  u64 unit = 1;
+  bool varied = false;
+  bool seeded = false;
 
-  pareto_rows(const graph& g, u32 h_, bool unit_weights_)
+  pareto_rows(const graph& g, u32 h_, bool unit_weights_,
+              const std::vector<u64>* words_ = nullptr)
       : rows(g.num_nodes()),
         links(g.num_nodes()),
         h(h_),
-        unit_weights(unit_weights_) {
-    for (u32 v = 0; v < g.num_nodes(); ++v)
+        unit_weights(unit_weights_),
+        words(words_) {
+    // Keys are node ids: on graphs small enough for the referee's dense
+    // rows, an n-wide slot array per node beats hashing them.
+    const u32 n = g.num_nodes();
+    for (u32 v = 0; v < n; ++v) {
       links[v].resize(g.neighbors(v).size());
+      if (n <= kDenseExplorationMaxNodes) {
+        rows[v].dense_keys = true;
+        rows[v].by_key.assign(n, kNoSlot);
+      }
+    }
   }
 
   /// `key` held at distance 0 by `node`.
   void seed(u32 node, u32 key) {
+    if (words) {
+      const u64 cost = (*words)[key];
+      varied |= seeded && cost != unit;
+      if (!seeded) unit = cost;
+      seeded = true;
+    }
     const staged s{0, rows[node].slot_of(key), 0};
     rows[node].merge_sorted({&s, 1}, 0, h);
   }
@@ -456,19 +362,31 @@ struct pareto_rows {
   /// O(1): the arena holds exactly the offers.
   u32 count(u32 u) const { return rows[u].count(); }
 
-  /// Node v pulls the offers of its j-th neighbour e.to in round `round`.
-  /// Every offer is drawn, but only the ones no copy of which has reached
-  /// v yet are checked against v's row — once a copy got through, v's row
+  /// Node v pulls the offers of its j-th neighbour e.to in round `round`,
+  /// each through the edge's drop draw in arena order — the order that fixes
+  /// every draw's index. Only the offers no copy of which has reached v yet
+  /// are checked against v's row — once a copy got through, v's row
   /// dominates it for good. Those are the pairs stamped at or after the
   /// link's last pull (never offered on it) and the link's pending ones.
-  template <class Deliver>
-  void pull(u32 v, u32 j, const edge& e, u32 round, std::vector<staged>& add,
-            Deliver&& deliver) {
+  traffic pull(u32 v, u32 j, const edge& e, u32 round,
+               std::vector<staged>& add,
+               const hybrid_net::local_drops drops) {
     thread_local std::vector<u32> pending_at;
     thread_local std::vector<undelivered> still;
     const pareto_arena& from = rows[e.to];
     const pareto_arena& to = rows[v];
     link& in = links[v][j];
+    const u32 count = from.count();
+    if (!varied && in.pending.empty() && from.newest < in.last) {
+      // Every offer crossed this link before (no stamp reaches the last
+      // pull) and none is pending: all are retransmissions whose draws
+      // only count.
+      traffic t{u64{count} * unit, 0, count};
+      for (u32 i = 0; i < count; ++i)
+        if (drops.drop(i)) t.dropped += unit;
+      in.last = round;
+      return t;
+    }
     // Where the pending offers sit in the sender's arena now, ascending.
     pending_at.clear();
     for (const undelivered& p : in.pending)
@@ -477,24 +395,41 @@ struct pareto_rows {
           pending_at.push_back(i);
     still.clear();
     const u64 w = unit_weights ? 1 : e.weight;
+    const std::vector<u64>* const cost_of = varied ? words : nullptr;
+    const u32 last = in.last;
+    // The next pending offer's position (count once none is left).
     std::size_t next = 0;
-    u32 k = 0;  // the slot of the last fresh offer
-    for (u32 i = 0; i < from.count(); ++i) {
-      const pareto_entry& pe = from.offers[i];
-      bool fresh = pe.stamp >= in.last;
-      if (next < pending_at.size() && pending_at[next] == i) {
+    u32 pending = pending_at.empty() ? count : pending_at[0];
+    traffic t;
+    u32 k = 0;  // the slot of the last fresh (or, with words, any) offer
+    const u32* const stamp = from.stamps.data();
+    for (u32 i = 0; i < count; ++i) {
+      bool fresh = stamp[i] >= last;
+      if (i == pending) {
         fresh = true;
-        ++next;
+        pending = ++next < pending_at.size() ? pending_at[next] : count;
       }
-      if (!deliver(pe.stamp, 1)) {
-        if (fresh) {
-          k = from.slot_at(i, k);
-          still.push_back({pe.dist, k, pe.hops});
-        }
+      u64 cost = unit;
+      if (cost_of) {
+        k = from.slot_at(i, k);
+        cost = (*cost_of)[from.key_of(k)];
+      }
+      t.offered += cost;
+      // A pair first crosses edges in the round after its merge; any later
+      // crossing is a retransmission (counted whether or not this copy is
+      // then dropped — it did cross the edge).
+      if (stamp[i] + 1 < round) ++t.retx;
+      if (!fresh) {
+        if (drops.drop(i)) t.dropped += cost;
         continue;
       }
-      if (!fresh) continue;
       k = from.slot_at(i, k);
+      const pareto_entry& pe = from.offers[i];
+      if (drops.drop(i)) {
+        t.dropped += cost;
+        still.push_back({pe.dist, k, pe.hops});
+        continue;
+      }
       const staged s{pe.dist + w, from.key_of(k), pe.hops + 1};
       const u32 slot = to.find(s.key);
       if (slot == kNoSlot || !to.dominated(slot, s.dist, s.hops, h))
@@ -502,23 +437,113 @@ struct pareto_rows {
     }
     in.pending.assign(still.begin(), still.end());
     in.last = round;
+    return t;
   }
 
   /// New keys take slots in first-arrival order — the discovery order
   /// one-by-one inserts would give them — then the candidates, keyed by
-  /// slot, are sorted into arena order and merged. Rewrites `add`.
+  /// slot, are sorted into arena order and merged. Rewrites `add`'s keys.
+  /// When the candidates' slots span little more than their count, a
+  /// counting sort by slot leaves only each slot's few candidates to
+  /// compare.
   bool merge(u32 v, std::vector<staged>& add, u32 round) {
     if (add.empty()) return false;
     pareto_arena& row = rows[v];
-    for (staged& s : add) s.key = row.slot_of(s.key);
-    std::sort(add.begin(), add.end(), [](const staged& a, const staged& b) {
+    u32 lo = ~u32{0}, hi = 0;
+    for (staged& s : add) {
+      s.key = row.slot_of(s.key);
+      lo = std::min(lo, s.key);
+      hi = std::max(hi, s.key);
+    }
+    const auto in_order = [](const staged& a, const staged& b) {
       if (a.key != b.key) return a.key < b.key;
       if (a.dist != b.dist) return a.dist < b.dist;
       return a.hops < b.hops;
-    });
-    return row.merge_sorted(add, round, h);
+    };
+    if (hi - lo >= 4 * add.size()) {
+      std::sort(add.begin(), add.end(), in_order);
+      return row.merge_sorted(add, round, h);
+    }
+    thread_local std::vector<u32> end;
+    thread_local std::vector<staged> sorted;
+    end.assign(hi - lo + 1, 0);
+    for (const staged& s : add) ++end[s.key - lo];
+    for (u32 k = 1; k < end.size(); ++k) end[k] += end[k - 1];
+    sorted.resize(add.size());
+    for (auto s = add.rbegin(); s != add.rend(); ++s)
+      sorted[--end[s->key - lo]] = *s;
+    // end[k] now starts slot lo + k's candidates, in arrival order.
+    end.push_back(static_cast<u32>(add.size()));
+    for (u32 k = 0; k + 1 < end.size(); ++k)
+      if (end[k + 1] - end[k] > 1)
+        std::sort(sorted.begin() + end[k], sorted.begin() + end[k + 1],
+                  in_order);
+    return row.merge_sorted(sorted, round, h);
   }
 };
+
+/// heal::run's per-node round buffers. A caller that retries (the
+/// exploration engine's ≤ 4 attempts) hands every attempt the same
+/// workspace, so the buffers keep their capacity.
+struct workspace {
+  std::vector<std::vector<pareto_candidate>> add;
+  std::vector<u8> changed;
+  std::vector<traffic> sent;
+
+  void reset(u32 n) {
+    add.resize(n);
+    changed.assign(n, 0);
+    sent.assign(n, {});
+  }
+};
+
+/// Re-offer rounds until the quiet window closes. `nominal` is the
+/// fault-free round budget the healing budget scales. Every round advanced
+/// is added to `rounds`, also when the budget runs out and this throws.
+/// The round itself allocates nothing of its own: buffers live in `ws`, and
+/// the executor gets its steps by reference.
+template <class Rows>
+void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
+         u64& rounds, workspace& ws) {
+  const graph& g = net.g();
+  const u32 n = g.num_nodes();
+  const fault_options& fo = net.faults();
+  round_executor& exec = net.executor();
+  ws.reset(n);
+  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(nominal, 1) +
+                     fo.heal_stability_rounds;
+  u32 it = 0;
+  const auto offer = [&](u32 v) {
+    ws.add[v].clear();
+    traffic sent;
+    const std::span<const edge> nbrs = g.neighbors(v);
+    if (net.is_up(v))
+      for (u32 j = 0; j < nbrs.size(); ++j) {
+        const edge& e = nbrs[j];
+        sent += rows.pull(v, j, e, it, ws.add[v],
+                          net.local_link(e.to, v, rows.count(e.to)));
+      }
+    ws.sent[v] = sent;
+  };
+  const auto merge = [&](u32 v) {
+    ws.changed[v] = rows.merge(v, ws.add[v], it);
+  };
+  for (u32 quiet = 0; quiet < fo.heal_stability_rounds;) {
+    if (++it > budget)
+      throw fault_failure(std::string(what) + " healing budget exhausted");
+    exec.for_nodes(n, std::cref(offer));
+    traffic all;
+    for (const traffic& t : ws.sent) all += t;
+    net.charge_local(all.offered);
+    net.note_local_delivered(all.offered - all.dropped);
+    net.note_local_dropped(all.dropped);
+    net.note_retransmitted(all.retx);
+    net.advance_round();
+    ++rounds;
+    exec.for_nodes(n, std::cref(merge));
+    quiet = next_quiet(net, n, quiet, ws.changed);
+  }
+}
 
 }  // namespace heal
 }  // namespace hybrid

@@ -18,7 +18,8 @@
 //   * the neighbour source — graph edges with real or unit weights, or an
 //     explicit adjacency list, always read in its stored (sorted) order;
 //   * the per-round hook — traffic/round accounting for net callers, a
-//     no-op for pure ones.
+//     no-op for pure ones (the flood kernel's hooks,
+//     proto/flood_kernel.hpp).
 //
 // One round: every node v pulls the round-frozen frontiers of its
 // neighbours in adjacency order and relaxes each (key, dist + w) into its
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "proto/flood.hpp"
+#include "proto/flood_kernel.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
@@ -146,31 +148,6 @@ struct adjacency_edges {
   void operator()(u32 v, F&& f) const {
     for (const auto& [to, w] : adj[v]) f(to, w);
   }
-};
-
-/// Net callers: every pulled frontier item is charged and delivered (the
-/// local plane is reliable on this path), and rounds advance only when the
-/// caller asked for them — otherwise traffic is charged but rounds are not
-/// (Lemma 4.3's run-in-parallel trick). An early exit still elapses the
-/// fixed budget's silent rounds.
-struct net_hook {
-  hybrid_net& net;
-  bool advance_rounds;
-  void round(u64 items) const {
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-  }
-  void pad(u32 idle) const {
-    if (advance_rounds)
-      for (; idle > 0; --idle) net.advance_round();
-  }
-};
-
-/// Pure callers: free local computation, no rounds, no traffic.
-struct no_hook {
-  void round(u64) const {}
-  void pad(u32) const {}
 };
 
 /// Seeds every source at distance 0 (via = itself) and runs up to h

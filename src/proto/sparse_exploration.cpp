@@ -34,9 +34,9 @@ sparse_exploration_result reference_on(round_executor& ex, const graph& g,
                                        const relax::sources& src, u32 h,
                                        bool first_hops, bool unit_weights) {
   if (unit_weights)
-    relax::run(ex, rows, src, h, relax::unit_edges{g}, relax::no_hook{});
+    relax::run(ex, rows, src, h, relax::unit_edges{g}, flood::no_hook{});
   else
-    relax::run(ex, rows, src, h, relax::graph_edges{g}, relax::no_hook{});
+    relax::run(ex, rows, src, h, relax::graph_edges{g}, flood::no_hook{});
   return relax::flatten(ex, rows, src, first_hops);
 }
 
@@ -69,10 +69,23 @@ sparse_exploration_result reliable_exploration_reference(
 /// loop's buffers, shared by every attempt.
 void healed_exploration_attempt(
     hybrid_net& net, u32 h, const std::vector<u32>* sources,
-    bool unit_weights, const sparse_exploration_result& ref,
-    heal::workspace<heal::pareto_rows::staged>& ws, u64& rounds_spent) {
+    bool unit_weights, const std::vector<u64>* offer_words,
+    const sparse_exploration_result& ref,
+    heal::workspace& ws, u64& rounds_spent) {
   const u32 n = net.n();
-  heal::pareto_rows rows(net.g(), h, unit_weights);
+  heal::pareto_rows rows(net.g(), h, unit_weights, offer_words);
+  // A node ends up holding a subset of its referee entries' sources, so
+  // its per-slot vectors never outgrow the referee's count; most sets end
+  // with one extendable pair, so the offers start at that count too.
+  for (u32 v = 0; v < n; ++v) {
+    heal::pareto_arena& row = rows.rows[v];
+    const std::size_t slots = ref.reached(v).size();
+    row.keys.reserve(slots);
+    row.capped.reserve(slots);
+    row.begin.reserve(slots + 1);
+    row.offers.reserve(slots);
+    row.stamps.reserve(slots);
+  }
   if (sources) {
     for (u32 s : *sources) rows.seed(s, s);
   } else {
@@ -101,8 +114,9 @@ void healed_exploration_attempt(
 }  // namespace
 
 sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
+    hybrid_net& net, u32 h, u64 nominal, const std::vector<u32>* sources,
+    bool first_hops, bool unit_weights,
+    const std::vector<u64>* offer_words) {
   HYB_REQUIRE(net.local_faults_active(),
               "healed exploration requires an injected local fault plane");
   const u32 n = net.n();
@@ -111,11 +125,12 @@ sparse_exploration_result healed_local_exploration(
   // graph, so retries only redraw the fault schedule, never the target.
   const sparse_exploration_result ref = reliable_exploration_reference(
       net.executor(), net.g(), h, sources, first_hops, unit_weights);
-  heal::workspace<heal::pareto_rows::staged> ws;
+  heal::workspace ws;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
     try {
-      healed_exploration_attempt(net, h, sources, unit_weights, ref, ws, spent);
+      healed_exploration_attempt(net, h, sources, unit_weights, offer_words,
+                                 ref, ws, spent);
       break;
     } catch (const fault_failure&) {
       // Each retry sees fresh fault draws (the round counter moved), so
@@ -127,10 +142,10 @@ sparse_exploration_result healed_local_exploration(
       }
     }
   }
-  // With advance_rounds=false the nominal budget is zero — the
-  // run-in-parallel trick is unavailable under faults, so every round spent
-  // is overhead.
-  heal::pad(net, spent, advance_rounds ? h : 0);
+  // Round parity with the fault-free call: its silent rest elapses, and
+  // every round beyond it is healing overhead.
+  for (u64 r = spent; r < nominal; ++r) net.advance_round();
+  if (spent > nominal) net.note_extra_rounds(spent - nominal);
   // Return the referee's canonical triples: bit-identical to the fault-free
   // run (the healed state was just validated to be the same fixed point,
   // but its first hops depend on the drop pattern; the referee's do not).
@@ -141,14 +156,14 @@ sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
   if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds, sources,
+    return healed_local_exploration(net, h, advance_rounds ? h : 0, sources,
                                     first_hops);
   const u32 n = net.n();
   if (sources) require_distinct(*sources, n);
   std::vector<relax::sparse_row> rows(n);
   const relax::sources src{sources};
   relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
-             relax::net_hook{net, advance_rounds});
+             flood::net_hook{net, advance_rounds});
   return relax::flatten(net.executor(), rows, src, first_hops);
 }
 
@@ -156,7 +171,7 @@ sparse_exploration_result dense_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
   if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds, sources,
+    return healed_local_exploration(net, h, advance_rounds ? h : 0, sources,
                                     first_hops);
   const u32 n = net.n();
   if (sources) require_distinct(*sources, n);
@@ -167,7 +182,7 @@ sparse_exploration_result dense_local_exploration(
       first_hops);
   const relax::sources src{sources, /*by_index=*/sources != nullptr};
   relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
-             relax::net_hook{net, advance_rounds});
+             flood::net_hook{net, advance_rounds});
   return relax::flatten(net.executor(), rows, src, first_hops);
 }
 
@@ -175,7 +190,7 @@ sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex) {
   std::vector<relax::sparse_row> rows(adj.size());
-  relax::run(ex, rows, {}, h, relax::adjacency_edges{adj}, relax::no_hook{});
+  relax::run(ex, rows, {}, h, relax::adjacency_edges{adj}, flood::no_hook{});
   return relax::flatten(ex, rows, {}, /*first_hops=*/true);
 }
 
@@ -187,7 +202,7 @@ sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,
   // local-plane faults the healed engine takes over before either runs, so
   // the dense/sparse choice never changes fault behavior (docs/FAULTS.md).
   if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds, sources,
+    return healed_local_exploration(net, h, advance_rounds ? h : 0, sources,
                                     first_hops);
   return net.n() <= kDenseExplorationMaxNodes
              ? dense_local_exploration(net, h, advance_rounds, sources,

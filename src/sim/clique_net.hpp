@@ -53,7 +53,7 @@ class clique_net {
   u64 total_sent() const { return total_sent_; }
   u64 total_dropped() const { return total_dropped_; }
   bool faults_active() const { return fault_on_; }
-  bool is_up(u32 v) const { return !has_crashes_ || !down_cur_[v]; }
+  bool is_up(u32 v) const { return !crashes_.down(v); }
 
   /// Node-parallel round executor; same determinism contract as the HYBRID
   /// simulator (docs/CONCURRENCY.md).
@@ -75,7 +75,6 @@ class clique_net {
 
  private:
   bool drop(u32 src, u32 idx, const clique_msg& m) const;
-  void fill_down(std::vector<u8>& down, u64 round) const;
 
   u32 n_;
   round_executor exec_;
@@ -87,10 +86,8 @@ class clique_net {
   flat_mailbox<clique_msg> mail_;
   fault_options faults_;
   bool fault_on_ = false;
-  bool has_crashes_ = false;
   u64 fault_base_ = 0;
-  std::vector<u8> down_cur_;
-  std::vector<u8> down_next_;
+  crash_schedule crashes_;
   flat_mailbox<clique_msg>::drop_filter drop_filter_;
   /// Per-shard receive-load maxima for advance_round's reduction; a member
   /// so steady-state rounds stay allocation-free.

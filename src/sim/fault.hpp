@@ -22,11 +22,13 @@
 // failed — never silently wrong.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +76,51 @@ struct fault_options {
   bool global_faulty() const { return drop_global > 0.0 || !crashes.empty(); }
   bool local_faulty() const { return drop_local > 0.0 || !crashes.empty(); }
   bool enabled() const { return global_faulty() || local_faulty(); }
+};
+
+/// The crash schedule of either simulator as per-round down bitmaps. At a
+/// round barrier, open() computes the round being opened before delivery
+/// and promote() makes it current after, so a message is lost when its
+/// sender was down in the send round or its receiver is down in the
+/// delivery round. Without crash events it holds nothing and every node is
+/// up.
+class crash_schedule {
+ public:
+  crash_schedule() = default;
+  crash_schedule(u32 n, const std::vector<crash_event>& events)
+      : events_(events) {
+    for (const crash_event& c : events_) {
+      HYB_REQUIRE(c.node < n, "crash event node out of range");
+      HYB_REQUIRE(c.down_round < c.up_round, "crash interval must be nonempty");
+    }
+    if (events_.empty()) return;
+    cur_.assign(n, 0);
+    next_.assign(n, 0);
+    fill(cur_, 0);
+  }
+
+  bool active() const { return !cur_.empty(); }
+  /// Node v is down in the current round.
+  bool down(u32 v) const { return active() && cur_[v] != 0; }
+  /// A message from src sent in the current round to dst is lost.
+  bool lost(u32 src, u32 dst) const {
+    return active() && (cur_[src] != 0 || next_[dst] != 0);
+  }
+  void open(u64 round) {
+    if (active()) fill(next_, round);
+  }
+  void promote() { cur_.swap(next_); }
+
+ private:
+  void fill(std::vector<u8>& down, u64 round) const {
+    std::fill(down.begin(), down.end(), 0);
+    for (const crash_event& c : events_)
+      if (round >= c.down_round && round < c.up_round) down[c.node] = 1;
+  }
+
+  std::vector<crash_event> events_;
+  std::vector<u8> cur_;
+  std::vector<u8> next_;
 };
 
 /// A self-healing stage exhausted its bounded retry/round budget (e.g. a

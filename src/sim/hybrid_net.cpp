@@ -62,10 +62,7 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
   HYB_REQUIRE(fo.drop_global >= 0.0 && fo.drop_global <= 1.0 &&
                   fo.drop_local >= 0.0 && fo.drop_local <= 1.0,
               "drop probabilities must lie in [0, 1]");
-  for (const crash_event& c : fo.crashes) {
-    HYB_REQUIRE(c.node < n(), "crash event node out of range");
-    HYB_REQUIRE(c.down_round < c.up_round, "crash interval must be nonempty");
-  }
+  crashes_ = crash_schedule(n(), fo.crashes);
   // A zero quiet window runs no healing round, and a zero multiplier leaves
   // no round budget: either setting could only fail under faults.
   if (fo.enabled()) {
@@ -76,35 +73,22 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
   }
   fault_global_ = fo.global_faulty();
   fault_local_ = fo.local_faulty();
-  has_crashes_ = !fo.crashes.empty();
   if (fault_global_)
     fault_base_global_ = fault_plane_base(seed, fo.fault_seed,
                                           kFaultPlaneGlobal);
   if (fault_local_)
     fault_base_local_ = fault_plane_base(seed, fo.fault_seed,
                                          kFaultPlaneLocal);
-  if (has_crashes_) {
-    down_cur_.assign(n(), 0);
-    down_next_.assign(n(), 0);
-    fill_down(down_cur_, 0);
-  }
   if (fault_global_)
     drop_filter_ = [this](u32 src, u32 idx, const global_msg& m) {
       return global_drop(src, idx, m);
     };
 }
 
-void hybrid_net::fill_down(std::vector<u8>& down, u64 round) const {
-  std::fill(down.begin(), down.end(), 0);
-  for (const crash_event& c : opts_.faults.crashes)
-    if (round >= c.down_round && round < c.up_round) down[c.node] = 1;
-}
-
 bool hybrid_net::global_drop(u32 src, u32 idx, const global_msg& m) const {
   // Called from inside mail_.deliver() while advance_round is closing round
-  // rounds-1: down_cur_ still describes the send round, down_next_ the
-  // round being opened (the delivery round).
-  if (has_crashes_ && (down_cur_[src] || down_next_[m.dst])) return true;
+  // rounds-1: the crash schedule's current round is still the send round.
+  if (crashes_.lost(src, m.dst)) return true;
   const fault_options& fo = opts_.faults;
   if (fo.drop_global <= 0.0) return false;
   if (fo.mode == fault_mode::kAdversarialPrefix)
@@ -118,13 +102,13 @@ hybrid_net::local_drops hybrid_net::local_link(u32 from, u32 to,
                                                u32 count) const {
   local_drops d;
   const fault_options& fo = opts_.faults;
-  if (has_crashes_ && (down_cur_[from] || down_cur_[to])) {
+  if (crashes_.down(from) || crashes_.down(to)) {
     d.cut_ = ~u64{0};  // an endpoint is down: every item is lost
   } else if (fo.drop_local > 0.0) {
     if (fo.mode == fault_mode::kAdversarialPrefix) {
       d.cut_ = adversarial_prefix_count(fo.drop_local, count);
     } else {
-      d.p_ = fo.drop_local;
+      d.below_ = static_cast<u64>(std::ceil(fo.drop_local * 0x1.0p53));
       d.prefix_ = fault_prefix(fault_base_local_, (u64{from} << 32) | to,
                                metrics_.rounds);
     }
@@ -141,9 +125,9 @@ void hybrid_net::advance_round() {
   // Crash schedule: compute the opening round's bitmap before delivery
   // (global_drop reads both — sender down at send time, receiver down at
   // delivery), then promote it to current.
-  if (has_crashes_) fill_down(down_next_, metrics_.rounds);
+  crashes_.open(metrics_.rounds);
   mail_.deliver(exec_, fault_global_ ? &drop_filter_ : nullptr);
-  if (has_crashes_) down_cur_.swap(down_next_);
+  crashes_.promote();
   // Aggregate metrics are accounted here rather than at send time so that
   // try_send_global writes only src-private state during parallel steps.
   // The executor's sum/max reductions are order-insensitive, so every

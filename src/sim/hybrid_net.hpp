@@ -152,7 +152,7 @@ class hybrid_net {
   bool local_faults_active() const { return fault_local_; }
   /// Whether v is up in the current round (crash schedule). Down nodes
   /// send and receive nothing on either plane but keep their state.
-  bool is_up(u32 v) const { return !has_crashes_ || !down_cur_[v]; }
+  bool is_up(u32 v) const { return !crashes_.down(v); }
 
   /// The drop decisions of one directed local edge in one round: which of
   /// the items pulled across it are lost. The crash check, the fault mode,
@@ -160,13 +160,16 @@ class hybrid_net {
   /// the fault stream are settled when it is made, so drop(idx) costs at
   /// most one finalizer call. drop(idx) equals
   /// fault_roll(fault_draw(local base, (from << 32) | to, round, idx), p)
-  /// in kRandom mode — the stream is the per-item one, only hoisted.
+  /// in kRandom mode — the stream is the per-item one, only hoisted, and
+  /// the roll is its integer form: a draw's top 53 bits scaled by 2^-53
+  /// fall below p exactly when they fall below ⌈p·2^53⌉, since scaling by
+  /// a power of two is exact.
   class local_drops {
    public:
     /// Whether the idx-th item pulled across the edge this round is lost.
     bool drop(u32 idx) const {
       if (idx < cut_) return true;
-      return p_ > 0.0 && fault_roll(derive_seed(prefix_, idx), p_);
+      return below_ != 0 && (derive_seed(prefix_, idx) >> 11) < below_;
     }
 
    private:
@@ -174,9 +177,9 @@ class hybrid_net {
     /// Items [0, cut_) are lost outright: all of them while an endpoint is
     /// down, the adversarial prefix otherwise.
     u64 cut_ = 0;
-    /// kRandom's drop probability (0 in every other case) and the edge's
-    /// stream prefix.
-    double p_ = 0.0;
+    /// kRandom's ⌈p·2^53⌉ (0 in every other case) and the edge's stream
+    /// prefix.
+    u64 below_ = 0;
     u64 prefix_ = 0;
   };
   /// The drop decisions for the `count` items `to` pulls from `from` across
@@ -240,8 +243,6 @@ class hybrid_net {
   /// advance_round is closing). Pure per (round, src, idx), so the mailbox
   /// may evaluate it from parallel shards, twice per message.
   bool global_drop(u32 src, u32 idx, const global_msg& m) const;
-  /// Recompute the crash bitmap for `round` into `down`.
-  void fill_down(std::vector<u8>& down, u64 round) const;
 
   const graph* g_;
   model_config cfg_;
@@ -281,14 +282,9 @@ class hybrid_net {
   // ---- fault state (all dormant when fault_options{} is default) ---------
   bool fault_global_ = false;
   bool fault_local_ = false;
-  bool has_crashes_ = false;
   u64 fault_base_global_ = 0;
   u64 fault_base_local_ = 0;
-  /// Crash bitmaps: down_cur_ describes the current round; during delivery
-  /// down_next_ already holds the upcoming round (messages are lost when
-  /// the sender was down at send time or the receiver is down at delivery).
-  std::vector<u8> down_cur_;
-  std::vector<u8> down_next_;
+  crash_schedule crashes_;
   /// The mailbox drop filter, bound once at construction (null when the
   /// global plane is reliable, which keeps delivery on the exact
   /// unfiltered path).

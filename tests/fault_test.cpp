@@ -444,18 +444,39 @@ TEST(CliqueNetFaults, CrashScheduleAppliesToBothDirections) {
 
 // ---- healed local floods ---------------------------------------------------
 
+// hop_discovery's lists compared field by field: seeds, hops and order.
+::testing::AssertionResult same_lists(
+    const std::vector<std::vector<discovered_seed>>& got,
+    const std::vector<std::vector<discovered_seed>>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure() << "node counts differ";
+  for (u32 v = 0; v < want.size(); ++v) {
+    if (got[v].size() != want[v].size())
+      return ::testing::AssertionFailure()
+             << "node " << v << " holds " << got[v].size() << " vs "
+             << want[v].size();
+    for (u32 i = 0; i < want[v].size(); ++i)
+      if (got[v][i].seed != want[v][i].seed || got[v][i].hop != want[v][i].hop)
+        return ::testing::AssertionFailure()
+               << "node " << v << " entry " << i << ": (" << got[v][i].seed
+               << ", " << got[v][i].hop << ") vs (" << want[v][i].seed << ", "
+               << want[v][i].hop << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FaultHealing, FloodReachesAllNodesOnFiftySeeds) {
   const u32 n = 24;
   const graph g = gen::erdos_renyi_connected(n, 3.0, 1, 42);
+  hybrid_net clean(g, default_cfg(), 17);
+  const auto want = hop_discovery(clean, {0}, 4);
   for (u64 fs = 0; fs < 50; ++fs) {
     hybrid_net net(g, default_cfg(), 17,
                    with_faults(drop_local_opts(0.3, fs), 2));
     // A 4-round budget is far below convergence + the stability window, so
-    // the healed flood must overshoot (extra_rounds) — and still reach
-    // every node, since it runs to saturation and referees the result.
-    const auto known = hop_discovery(net, {0}, 4);
-    for (u32 v = 0; v < n; ++v)
-      ASSERT_EQ(known[v].size(), 1u) << "node " << v << " fault_seed " << fs;
+    // the healed flood must overshoot (extra_rounds) — and still return
+    // the fault-free 4-hop lists exactly.
+    ASSERT_TRUE(same_lists(hop_discovery(net, {0}, 4), want)) << fs;
     ASSERT_GT(net.raw_metrics().extra_rounds, 0u) << fs;
     ASSERT_GT(net.raw_metrics().local_dropped, 0u) << fs;
     // Every re-offer of an item held since before the previous round is a
@@ -471,20 +492,36 @@ TEST(FaultHealing, FloodMatchesFaultFreeReachabilityAndBoundsHops) {
   hybrid_net clean(g, default_cfg(), 9);
   const auto want = hop_discovery(clean, seeds, n);
   hybrid_net net(g, default_cfg(), 9, with_faults(drop_local_opts(0.3, 2), 2));
-  const auto got = hop_discovery(net, seeds, n);
-  for (u32 v = 0; v < n; ++v) {
-    ASSERT_EQ(got[v].size(), want[v].size()) << v;
-    // Same seed sets; healed hop stamps are learn rounds, i.e. upper bounds
-    // on (and never below) the true hop distance.
-    std::set<u32> a, b;
-    for (const auto& d : got[v]) a.insert(d.seed);
-    for (const auto& d : want[v]) b.insert(d.seed);
-    EXPECT_EQ(a, b) << v;
-    for (const auto& dg : got[v])
-      for (const auto& dw : want[v])
-        if (dg.seed == dw.seed) {
-          EXPECT_GE(dg.hop, dw.hop) << v;
-        }
+  // Same seeds, same exact hops, same learn order.
+  EXPECT_TRUE(same_lists(hop_discovery(net, seeds, n), want));
+}
+
+TEST(FaultHealing, HopFloodsMatchFaultFreeBelowDiameter) {
+  // A budget below the diameter is a radius: the healed flood reaches
+  // exactly the fault-free ball, with exact hops, never the whole graph.
+  const graph path = gen::path(40);
+  hybrid_net clean_path(path, default_cfg(), 1);
+  const auto want = hop_discovery(clean_path, {0}, 3);
+  ASSERT_EQ(clean_path.round(), 3u);
+  const graph grid = gen::grid(12, 12);
+  hybrid_net clean_grid(grid, default_cfg(), 1);
+  const ruling_set_result rs = compute_ruling_set(clean_grid, 2);
+  const cluster_decomposition cd = compute_clusters(clean_grid, rs);
+  for (const u32 threads : {1u, 2u, 8u}) {
+    hybrid_net net(path, default_cfg(), 1,
+                   with_faults(drop_local_opts(0.05, 1), threads));
+    EXPECT_TRUE(same_lists(hop_discovery(net, {0}, 3), want)) << threads;
+    for (u64 fs = 1; fs <= 5; ++fs) {
+      hybrid_net lossy(grid, default_cfg(), 1,
+                       with_faults(drop_local_opts(0.05, fs), threads));
+      const ruling_set_result got_rs = compute_ruling_set(lossy, 2);
+      EXPECT_EQ(got_rs.rulers, rs.rulers) << fs << " threads " << threads;
+      const cluster_decomposition got = compute_clusters(lossy, got_rs);
+      EXPECT_EQ(got.cluster_of, cd.cluster_of) << fs << " threads " << threads;
+      EXPECT_EQ(got.hops_to_ruler, cd.hops_to_ruler) << fs;
+      EXPECT_EQ(got.max_radius, cd.max_radius) << fs;
+      EXPECT_GT(lossy.raw_metrics().local_dropped, 0u) << fs;
+    }
   }
 }
 
@@ -555,12 +592,7 @@ TEST(FaultHealing, TableFloodDeliversEveryTableUnderDrops) {
   hybrid_net clean(g, default_cfg(), 2);
   const auto want = table_flood(clean, publishers, words, n);
   hybrid_net net(g, default_cfg(), 2, with_faults(drop_local_opts(0.3, 5), 2));
-  const auto got = table_flood(net, publishers, words, n);
-  for (u32 v = 0; v < n; ++v) {
-    std::set<u32> a(got[v].begin(), got[v].end());
-    std::set<u32> b(want[v].begin(), want[v].end());
-    EXPECT_EQ(a, b) << v;
-  }
+  EXPECT_EQ(table_flood(net, publishers, words, n), want);  // order too
   EXPECT_GT(net.raw_metrics().local_dropped, 0u);
   EXPECT_GT(net.raw_metrics().retransmitted, 0u);
 }
@@ -661,8 +693,9 @@ struct heal_fingerprint {
                          const heal_fingerprint&) = default;
 };
 
+// `reliable` runs the same call without faults.
 heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
-                                    u32 threads) {
+                                    u32 threads, bool reliable = false) {
   const bool crash = what.ends_with("_crash");
   const bool adversarial = what.ends_with("_adversarial");
   const bool dense = crash || adversarial || what.ends_with("_dense");
@@ -677,6 +710,7 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
     f.crashes.push_back({40, 6, 12});
     f.crashes.push_back({77, 2, 4});
   }
+  if (reliable) f = fault_options{};
   hybrid_net net(g, default_cfg(), 11, with_faults(f, threads));
   u64 digest = 1469598103934665603ull;
   const auto mix = [&](u64 x) {
@@ -731,17 +765,20 @@ heal_fingerprint healed_fingerprint(const std::string& what, u64 fs,
 TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
   // {rounds, local_items, extra_rounds, digest, local_dropped}. table_flood
   // leaves local_dropped out: it now counts each dropped table at its word
-  // cost (TableFloodDropsCountedInWords).
+  // cost (TableFloodDropsCountedInWords). The flood rows were re-recorded
+  // when the floods moved onto the exploration engine: their digests are
+  // the reliable call's, and their rounds are max(healing rounds, the
+  // reliable call's 15 or 24).
   struct pinned {
     const char* what;
     u64 fs;
     heal_fingerprint want;
   };
   const pinned table[] = {
-      {"hop_discovery", 3, {24, 2691, 0, 0x250f8c2f9093e8bfull, 846}},
-      {"hop_discovery", 8, {23, 2456, 0, 0x1ef782f4cd4ac42bull, 742}},
-      {"table_flood", 3, {24, 13211, 0, 0x17b700a7155b0397ull, 0}},
-      {"table_flood", 8, {24, 12484, 0, 0xf813337aa8a0c211ull, 0}},
+      {"hop_discovery", 3, {15, 2691, 0, 0x659212272ac55f29ull, 846}},
+      {"hop_discovery", 8, {17, 3104, 2, 0x659212272ac55f29ull, 936}},
+      {"table_flood", 3, {24, 13211, 0, 0x2ad5780b9568b1bfull, 0}},
+      {"table_flood", 8, {24, 13420, 0, 0x2ad5780b9568b1bfull, 0}},
       {"run_local_exploration", 3,
        {36, 36365, 31, 0x7f9fb9809e54baa7ull, 10985}},
       {"run_local_exploration", 8,
@@ -762,7 +799,14 @@ TEST(FaultHealing, HealedPrimitivesMatchParentFingerprints) {
   for (const pinned& p : table)
     for (const u32 threads : {1u, 2u, 8u}) {
       heal_fingerprint got = healed_fingerprint(p.what, p.fs, threads);
-      if (std::string(p.what) == "table_flood") got.local_dropped = 0;
+      const std::string what = p.what;
+      // The healed floods return the reliable call's result.
+      if (what == "hop_discovery" || what == "table_flood") {
+        EXPECT_EQ(got.digest,
+                  healed_fingerprint(p.what, p.fs, threads, true).digest)
+            << p.what << " fs=" << p.fs << " threads=" << threads;
+      }
+      if (what == "table_flood") got.local_dropped = 0;
       EXPECT_EQ(got, p.want) << p.what << " fs=" << p.fs
                              << " threads=" << threads << " got {"
                              << got.rounds << ", " << got.local_items << ", "
@@ -892,11 +936,13 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
   const u32 h = 4;
   const graph g = gen::path(4);  // four nodes; no edge is pulled here
   rng r(2024);
-  // Random staged merges, checked after each one.
-  {
+  // Random staged merges, checked after each one, with either slot index
+  // (small graphs get the key-indexed array, large ones the hash index).
+  for (const bool dense_keys : {true, false}) {
     heal::pareto_rows rows(g, h, false);
     std::vector<reference_sets> ref(4);
     for (u32 v = 0; v < 4; ++v) {
+      rows.rows[v].dense_keys = dense_keys;
       rows.seed(v, v);
       ref[v].insert(v, 0, 0, 0);
       ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h));
@@ -911,7 +957,8 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
             {r.next_below(40), key, static_cast<u32>(r.next_below(h + 1))});
       }
       const bool want = ref[v].merge(add, round);
-      ASSERT_EQ(rows.merge(v, add, round), want) << "round " << round;
+      ASSERT_EQ(rows.merge(v, add, round), want)
+          << "round " << round << " dense_keys " << dense_keys;
       ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h)) << "round " << round;
       ASSERT_EQ(rows.count(v), rows.rows[v].count());
     }
@@ -954,7 +1001,8 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
     checked_rows explore(dense, h);
     for (u32 v = 0; v < n; ++v) explore.seed(v, v);
     u64 rounds = 0;
-    heal::run(net, explore, h, "checked exploration", rounds);
+    heal::workspace ws;
+    heal::run(net, explore, h, "checked exploration", rounds, ws);
     u32 widest = 0, deepest = 0;
     for (u32 v = 0; v < n; ++v) {
       EXPECT_EQ(explore.bad[v], 0) << "node " << v << " threads=" << threads;
