@@ -10,9 +10,9 @@
 // seen-set flood kernel (proto/flood_kernel.hpp), as cluster_flood does.
 // Fault healing (docs/FAULTS.md §3): under local-plane faults all three
 // heal through the exploration engine (proto/sparse_exploration.cpp) in
-// unit-weight, source-set mode with h = the round budget, and return the
-// flood kernel's run as free local computation — the fault-free result
-// bit for bit — or throw fault_failure.
+// unit-weight, source-set mode with h = the round budget, refereed against
+// the flood kernel's run as free local computation, and return that run —
+// the fault-free result bit for bit — or throw fault_failure.
 #include "proto/flood.hpp"
 
 #include <algorithm>
@@ -34,36 +34,60 @@ namespace {
 /// one by construction — and the net pays what healing the flood costs:
 /// the healed exploration engine from the distinct roots, unit weights,
 /// h = the budget, an offer costing the summed costs of the items rooted
-/// at its source. The engine throws fault_failure when the healed state
-/// never reaches the reliable one, pads its rounds to the fault-free
-/// flood's and surfaces any excess as extra_rounds.
+/// at its source. Its referee is the same free run: each node's distinct
+/// roots at their learn round, which is their hop distance. The engine
+/// throws fault_failure when the healed state never reaches it, pads its
+/// rounds to the fault-free flood's and surfaces any excess as
+/// extra_rounds.
 template <class Cost, class Learn>
 void set_flood(hybrid_net& net, const std::vector<u32>& roots,
                const Cost& cost, u32 rounds, bool early_exit,
                const char* out_of_range, const Learn& on_learn) {
   const u32 n = net.n();
+  const bool faulty = net.local_faults_active();
+  std::vector<std::vector<exploration_entry>> reach(faulty ? n : 0);
+  const auto learn = [&](u32 v, u32 i, u32 r) {
+    on_learn(v, i, r);
+    if (faulty) reach[v].push_back({r, roots[i], ~u32{0}});
+  };
   flood::state st(n, flood::seen_bits(n, roots.size()));
   for (u32 i = 0; i < roots.size(); ++i) {
     HYB_REQUIRE(roots[i] < n, out_of_range);
-    if (st.seed(roots[i], i)) on_learn(roots[i], i, 0);
+    if (st.seed(roots[i], i)) learn(roots[i], i, 0);
   }
   const auto flood_on = [&](const auto& hook) {
     return flood::run(net.executor(), net.g(), st, rounds, early_exit,
-                      flood::all_edges{}, cost, on_learn, hook);
+                      flood::all_edges{}, cost, learn, hook);
   };
-  if (!net.local_faults_active()) {
+  if (!faulty) {
     flood_on(flood::net_hook{net});
     return;
   }
   const u32 ff_rounds = flood_on(flood::no_hook{});
+  // Every item of a root reaches a node in the same round, so a node's
+  // entries for one root are equal.
+  sparse_exploration_result ref;
+  ref.offsets.assign(u64{n} + 1, 0);
+  for (u32 v = 0; v < n; ++v) {
+    std::vector<exploration_entry>& es = reach[v];
+    std::sort(es.begin(), es.end(),
+              [](const exploration_entry& a, const exploration_entry& b) {
+                return a.source < b.source;
+              });
+    es.erase(std::unique(es.begin(), es.end()), es.end());
+    ref.entries.insert(ref.entries.end(), es.begin(), es.end());
+    ref.offsets[v + 1] = ref.entries.size();
+  }
   std::vector<u32> sources(roots);
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   std::vector<u64> offer_words(n, 0);
   for (u32 i = 0; i < roots.size(); ++i) offer_words[roots[i]] += cost(i);
-  healed_local_exploration(net, rounds, ff_rounds, &sources,
-                           /*first_hops=*/false, /*unit_weights=*/true,
-                           &offer_words);
+  const bool unit = std::all_of(sources.begin(), sources.end(),
+                                [&](u32 s) { return offer_words[s] == 1; });
+  healed_local_exploration(net, rounds, ff_rounds, &sources, ref,
+                           /*unit_weights=*/true,
+                           unit ? nullptr : &offer_words);
   const run_metrics& m = net.raw_metrics();
   HYB_INVARIANT(m.local_items == m.local_delivered + m.local_dropped,
                 "local plane ledger must balance after a healed flood");

@@ -19,7 +19,8 @@
 // budget's silent rest elapse. The hooks are the relaxation kernel's too
 // (proto/relax_kernel.hpp). Under local faults the floods run here as free
 // local computation, and the healed exploration engine
-// (proto/heal_kernel.hpp) pays for what healing them costs.
+// (proto/heal_kernel.hpp) pays for what healing them costs, refereed
+// against that same run.
 #pragma once
 
 #include <concepts>

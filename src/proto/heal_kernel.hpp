@@ -27,17 +27,17 @@
 //
 // The rows (the state of every node) are pareto_rows: Pareto (dist, hops)
 // sets keyed by source node id in discovery order, a held source's slot
-// found through an n-wide array on small graphs and a flat_u64_map index
-// beyond. heal::run takes them as a template parameter so that a test can
-// check every merge (fault_test's checked_rows).
+// found through a flat_u64_map index. heal::run takes them as a template
+// parameter so that a test can check every merge (fault_test's
+// checked_rows).
 //
 // A round costs O(offers) and reads contiguous memory: each Pareto row
 // keeps its sets in one arena whose array of extendable pairs IS the offer
 // sequence (pareto_arena), so count(u) is its size — O(1), and read before
 // the first draw because the adversarial mode needs it — and pull skips the
 // accept check for every offer a copy of which already got through
-// (pareto_rows::link); on a link where that is every offer, it only draws.
-// No buffer of the round is allocated per round.
+// (pareto_rows::link); on a link where that is every offer and each costs
+// one, it only draws. No buffer of the round is allocated per round.
 #pragma once
 
 #include <algorithm>
@@ -53,21 +53,24 @@
 namespace hybrid {
 
 /// The healed exploration engine (proto/sparse_exploration.cpp): heal::run
-/// over pareto_rows, refereed against the reliable relaxation kernel run
-/// as free local computation, retried up to four times with
-/// fresh fault draws. It returns the referee's canonical triples, so the
-/// result is bit-identical to the fault-free run, vias and all. `nominal`
+/// over pareto_rows from `sources` (every node when null), refereed
+/// against `ref` — the fault-free call's result, which the caller computes
+/// as free local computation: the relaxation kernel's for an exploration,
+/// the flood kernel's for the floods of proto/flood.cpp — and retried up
+/// to four times with fresh fault draws. It returns once the healed rows
+/// hold exactly ref's (source, dist) pairs, so the caller may return ref
+/// as the fault-free result; otherwise it throws fault_failure. `nominal`
 /// is the fault-free call's round count: the rounds spent healing are
 /// padded up to it and any excess is surfaced as extra_rounds (an
 /// exploration passes h when advancing rounds and 0 when not — healing
-/// needs real rounds). With `unit_weights` every edge counts 1 (the hop
-/// floods of proto/flood.cpp); `offer_words`, indexed by node id, is what
-/// an offer of each source costs (1 each when null).
-sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, u64 nominal,
-    const std::vector<u32>* sources = nullptr, bool first_hops = true,
-    bool unit_weights = false,
-    const std::vector<u64>* offer_words = nullptr);
+/// needs real rounds). With `unit_weights` every edge counts 1 (the
+/// floods); `offer_words`, indexed by node id, is what an offer of each
+/// source costs (1 each when null).
+void healed_local_exploration(hybrid_net& net, u32 h, u64 nominal,
+                              const std::vector<u32>* sources,
+                              const sparse_exploration_result& ref,
+                              bool unit_weights = false,
+                              const std::vector<u64>* offer_words = nullptr);
 
 namespace heal {
 
@@ -115,10 +118,10 @@ inline constexpr u32 kNoSlot = ~u32{0};
 /// convergence a set's front dist is d_h. Pairs never have hops > h.
 ///
 /// Layout: slot k's pairs with hops < h are offers[begin[k], begin[k+1]),
-/// dist ascending (hence hops strictly descending). `by_key` or `index`
-/// maps a held key to its slot, `keys` back. A set holds at most one pair
-/// with hops == h, its front (smallest dist); capped[k] keeps that dist
-/// (kInfDist for none). Walking
+/// dist ascending (hence hops strictly descending). `index` maps a held
+/// key to its slot — its entries are in slot order, so entry k is slot k's
+/// key. A set holds at most one pair with hops == h, its front (smallest
+/// dist); capped[k] keeps that dist (kInfDist for none). Walking
 /// `offers` front to back is therefore the per-set enumeration the
 /// re-offer loop has always used — keys in order, dist ascending within a
 /// key, hops == h pairs skipped — which fixes every fault draw's index;
@@ -129,20 +132,11 @@ inline constexpr u32 kNoSlot = ~u32{0};
 /// growth slack is resident memory.
 struct pareto_arena {
   std::vector<pareto_entry> offers;
-  /// Each offer's stamp again, kept in step by merge_sorted: the pull
-  /// reads every offer's stamp but few offers' pairs, so it streams 4
-  /// bytes an offer instead of 16.
-  std::vector<u32> stamps;
-  /// No offer's stamp exceeds this: the last round a merge changed the row.
-  u32 newest = 0;
   std::vector<u32> begin{0};
   std::vector<u64> capped;
-  /// Key → slot: an array indexed by key (kNoSlot where none) when
-  /// `dense_keys`, else a hash index.
-  bool dense_keys = false;
-  std::vector<u32> by_key;
   flat_u64_map<u32> index;
-  std::vector<u32> keys;
+  /// No offer's stamp exceeds this: the last round a merge changed the row.
+  u32 newest = 0;
 
   u32 slots() const { return static_cast<u32>(capped.size()); }
   u32 count() const { return static_cast<u32>(offers.size()); }
@@ -168,27 +162,21 @@ struct pareto_arena {
     return false;
   }
   u32 find(u32 key) const {
-    if (dense_keys) return key < by_key.size() ? by_key[key] : kNoSlot;
     const auto* held = index.find(key);
     return held ? held->value : kNoSlot;
   }
   /// The key's slot, appended (empty) on first sight.
   u32 slot_of(u32 key) {
     const u32 slot = slots();
-    if (dense_keys) {
-      if (key >= by_key.size()) by_key.resize(key + 1, kNoSlot);
-      if (by_key[key] != kNoSlot) return by_key[key];
-      by_key[key] = slot;
-    } else {
-      const auto [held, fresh] = index.insert({key, slot});
-      if (!fresh) return held->value;
-    }
-    keys.push_back(key);
+    const auto [held, fresh] = index.insert({key, slot});
+    if (!fresh) return held->value;
     begin.push_back(begin.back());
     capped.push_back(kInfDist);
     return slot;
   }
-  u32 key_of(u32 slot) const { return keys[slot]; }
+  u32 key_of(u32 slot) const {
+    return static_cast<u32>(index.entries()[slot].key);
+  }
 
   /// Merge `add` — candidate pairs whose `key` holds their slot, sorted by
   /// (slot, dist, hops) — stamping the ones that stay with `round`. Each
@@ -270,9 +258,6 @@ struct pareto_arena {
     }
     std::copy(run.begin(), run.end(), offers.begin() + base);
     for (u32 q = last + 2; q <= slots(); ++q) begin[q] += new_end - old_end;
-    stamps.resize(offers.size());
-    for (std::size_t i = base; i < offers.size(); ++i)
-      stamps[i] = offers[i].stamp;
     if (changed) newest = round;
     return changed;
   }
@@ -321,12 +306,6 @@ struct pareto_rows {
   u32 h;
   bool unit_weights;
   const std::vector<u64>* words;
-  /// What every offer costs while the seeded sources' words agree (1
-  /// without words); `varied` once they differ, when each offer's cost is
-  /// looked up by its key.
-  u64 unit = 1;
-  bool varied = false;
-  bool seeded = false;
 
   pareto_rows(const graph& g, u32 h_, bool unit_weights_,
               const std::vector<u64>* words_ = nullptr)
@@ -335,26 +314,12 @@ struct pareto_rows {
         h(h_),
         unit_weights(unit_weights_),
         words(words_) {
-    // Keys are node ids: on graphs small enough for the referee's dense
-    // rows, an n-wide slot array per node beats hashing them.
-    const u32 n = g.num_nodes();
-    for (u32 v = 0; v < n; ++v) {
+    for (u32 v = 0; v < g.num_nodes(); ++v)
       links[v].resize(g.neighbors(v).size());
-      if (n <= kDenseExplorationMaxNodes) {
-        rows[v].dense_keys = true;
-        rows[v].by_key.assign(n, kNoSlot);
-      }
-    }
   }
 
   /// `key` held at distance 0 by `node`.
   void seed(u32 node, u32 key) {
-    if (words) {
-      const u64 cost = (*words)[key];
-      varied |= seeded && cost != unit;
-      if (!seeded) unit = cost;
-      seeded = true;
-    }
     const staged s{0, rows[node].slot_of(key), 0};
     rows[node].merge_sorted({&s, 1}, 0, h);
   }
@@ -377,13 +342,12 @@ struct pareto_rows {
     const pareto_arena& to = rows[v];
     link& in = links[v][j];
     const u32 count = from.count();
-    if (!varied && in.pending.empty() && from.newest < in.last) {
+    if (!words && in.pending.empty() && from.newest < in.last) {
       // Every offer crossed this link before (no stamp reaches the last
-      // pull) and none is pending: all are retransmissions whose draws
-      // only count.
-      traffic t{u64{count} * unit, 0, count};
-      for (u32 i = 0; i < count; ++i)
-        if (drops.drop(i)) t.dropped += unit;
+      // pull) and none is pending: all are retransmissions of unit cost
+      // whose draws only count.
+      traffic t{count, 0, count};
+      for (u32 i = 0; i < count; ++i) t.dropped += drops.drop(i);
       in.last = round;
       return t;
     }
@@ -395,41 +359,31 @@ struct pareto_rows {
           pending_at.push_back(i);
     still.clear();
     const u64 w = unit_weights ? 1 : e.weight;
-    const std::vector<u64>* const cost_of = varied ? words : nullptr;
-    const u32 last = in.last;
     // The next pending offer's position (count once none is left).
     std::size_t next = 0;
     u32 pending = pending_at.empty() ? count : pending_at[0];
     traffic t;
     u32 k = 0;  // the slot of the last fresh (or, with words, any) offer
-    const u32* const stamp = from.stamps.data();
     for (u32 i = 0; i < count; ++i) {
-      bool fresh = stamp[i] >= last;
+      const pareto_entry& pe = from.offers[i];
+      bool fresh = pe.stamp >= in.last;
       if (i == pending) {
         fresh = true;
         pending = ++next < pending_at.size() ? pending_at[next] : count;
       }
-      u64 cost = unit;
-      if (cost_of) {
-        k = from.slot_at(i, k);
-        cost = (*cost_of)[from.key_of(k)];
-      }
+      if (fresh || words) k = from.slot_at(i, k);
+      const u64 cost = words ? (*words)[from.key_of(k)] : 1;
       t.offered += cost;
       // A pair first crosses edges in the round after its merge; any later
       // crossing is a retransmission (counted whether or not this copy is
       // then dropped — it did cross the edge).
-      if (stamp[i] + 1 < round) ++t.retx;
-      if (!fresh) {
-        if (drops.drop(i)) t.dropped += cost;
-        continue;
-      }
-      k = from.slot_at(i, k);
-      const pareto_entry& pe = from.offers[i];
+      if (pe.stamp + 1 < round) ++t.retx;
       if (drops.drop(i)) {
         t.dropped += cost;
-        still.push_back({pe.dist, k, pe.hops});
+        if (fresh) still.push_back({pe.dist, k, pe.hops});
         continue;
       }
+      if (!fresh) continue;
       const staged s{pe.dist + w, from.key_of(k), pe.hops + 1};
       const u32 slot = to.find(s.key);
       if (slot == kNoSlot || !to.dominated(slot, s.dist, s.hops, h))
@@ -443,42 +397,16 @@ struct pareto_rows {
   /// New keys take slots in first-arrival order — the discovery order
   /// one-by-one inserts would give them — then the candidates, keyed by
   /// slot, are sorted into arena order and merged. Rewrites `add`'s keys.
-  /// When the candidates' slots span little more than their count, a
-  /// counting sort by slot leaves only each slot's few candidates to
-  /// compare.
   bool merge(u32 v, std::vector<staged>& add, u32 round) {
     if (add.empty()) return false;
     pareto_arena& row = rows[v];
-    u32 lo = ~u32{0}, hi = 0;
-    for (staged& s : add) {
-      s.key = row.slot_of(s.key);
-      lo = std::min(lo, s.key);
-      hi = std::max(hi, s.key);
-    }
-    const auto in_order = [](const staged& a, const staged& b) {
+    for (staged& s : add) s.key = row.slot_of(s.key);
+    std::sort(add.begin(), add.end(), [](const staged& a, const staged& b) {
       if (a.key != b.key) return a.key < b.key;
       if (a.dist != b.dist) return a.dist < b.dist;
       return a.hops < b.hops;
-    };
-    if (hi - lo >= 4 * add.size()) {
-      std::sort(add.begin(), add.end(), in_order);
-      return row.merge_sorted(add, round, h);
-    }
-    thread_local std::vector<u32> end;
-    thread_local std::vector<staged> sorted;
-    end.assign(hi - lo + 1, 0);
-    for (const staged& s : add) ++end[s.key - lo];
-    for (u32 k = 1; k < end.size(); ++k) end[k] += end[k - 1];
-    sorted.resize(add.size());
-    for (auto s = add.rbegin(); s != add.rend(); ++s)
-      sorted[--end[s->key - lo]] = *s;
-    // end[k] now starts slot lo + k's candidates, in arrival order.
-    end.push_back(static_cast<u32>(add.size()));
-    for (u32 k = 0; k + 1 < end.size(); ++k)
-      if (end[k + 1] - end[k] > 1)
-        std::sort(sorted.begin() + end[k], sorted.begin() + end[k + 1],
-                  in_order);
-    return row.merge_sorted(sorted, round, h);
+    });
+    return row.merge_sorted(add, round, h);
   }
 };
 

@@ -6,8 +6,7 @@
 // Internal header. Its instantiations are
 //   * sparse_local_exploration / dense_local_exploration — net, graph edges
 //     (all sources, or a source set such as the skeleton's);
-//   * the referee of the healed exploration engine — pure, graph or unit
-//     edges;
+//   * the referee of a healed exploration — pure, graph edges;
 //   * explore_adjacency — pure, explicit (to, w) lists;
 // and they differ only in three parameters:
 //   * the row type — sparse_row (a flat_map of exploration entries keyed
@@ -15,8 +14,8 @@
 //     node: K = n for all sources, or K = |sources| keyed by position);
 //     each row type provides relax, dist_of, reached_count and
 //     copy_reached below;
-//   * the neighbour source — graph edges with real or unit weights, or an
-//     explicit adjacency list, always read in its stored (sorted) order;
+//   * the neighbour source — graph edges or an explicit adjacency list,
+//     always read in its stored (sorted) order;
 //   * the per-round hook — traffic/round accounting for net callers, a
 //     no-op for pure ones (the flood kernel's hooks,
 //     proto/flood_kernel.hpp).
@@ -130,15 +129,6 @@ struct graph_edges {
   template <class F>
   void operator()(u32 v, F&& f) const {
     for (const edge& e : g.neighbors(v)) f(e.to, e.weight);
-  }
-};
-
-/// Hop counts instead of distances (truncated_eccentricity's hello flood).
-struct unit_edges {
-  const graph& g;
-  template <class F>
-  void operator()(u32 v, F&& f) const {
-    for (const edge& e : g.neighbors(v)) f(e.to, u64{1});
   }
 };
 

@@ -27,37 +27,40 @@ void require_distinct(const std::vector<u32>& sources, u32 n) {
   HYB_REQUIRE(sorted.empty() || sorted.back() < n, "source out of range");
 }
 
-/// The reliable kernel as free local computation over `rows`.
-template <class Row>
-sparse_exploration_result reference_on(round_executor& ex, const graph& g,
-                                       std::vector<Row>& rows,
-                                       const relax::sources& src, u32 h,
-                                       bool first_hops, bool unit_weights) {
-  if (unit_weights)
-    relax::run(ex, rows, src, h, relax::unit_edges{g}, flood::no_hook{});
-  else
-    relax::run(ex, rows, src, h, relax::graph_edges{g}, flood::no_hook{});
-  return relax::flatten(ex, rows, src, first_hops);
-}
-
-/// The healed engine's referee: the reliable kernel run as free local
+/// An exploration's referee: the reliable kernel run as free local
 /// computation (no simulated traffic, no randomness), so its flattened
 /// result is the canonical fixed point the fault-free run returns, vias
-/// included. `unit_weights` floods hop counts instead of weighted distances
-/// (truncated_eccentricity). The rows follow run_local_exploration's
-/// choice by n; both give identical triples.
+/// included. The rows follow run_local_exploration's choice by n; both
+/// give identical triples.
 sparse_exploration_result reliable_exploration_reference(
     round_executor& ex, const graph& g, u32 h,
-    const std::vector<u32>* sources, bool first_hops, bool unit_weights) {
+    const std::vector<u32>* sources, bool first_hops) {
   const u32 n = g.num_nodes();
   if (n <= kDenseExplorationMaxNodes) {
     std::vector<relax::dense_row> rows = relax::dense_rows(
         ex, n, sources ? static_cast<u32>(sources->size()) : n, first_hops);
-    return reference_on(ex, g, rows, {sources, /*by_index=*/sources != nullptr},
-                        h, first_hops, unit_weights);
+    const relax::sources src{sources, /*by_index=*/sources != nullptr};
+    relax::run(ex, rows, src, h, relax::graph_edges{g}, flood::no_hook{});
+    return relax::flatten(ex, rows, src, first_hops);
   }
   std::vector<relax::sparse_row> rows(n);
-  return reference_on(ex, g, rows, {sources}, h, first_hops, unit_weights);
+  relax::run(ex, rows, {sources}, h, relax::graph_edges{g}, flood::no_hook{});
+  return relax::flatten(ex, rows, {sources}, first_hops);
+}
+
+/// Under local faults every exploration entry point heals: the referee
+/// once, then the engine, whose success makes the referee's canonical
+/// triples the result — bit-identical to the fault-free run (the healed
+/// state is the same fixed point, but its first hops depend on the drop
+/// pattern; the referee's do not).
+sparse_exploration_result healed(hybrid_net& net, u32 h, bool advance_rounds,
+                                 const std::vector<u32>* sources,
+                                 bool first_hops) {
+  if (sources) require_distinct(*sources, net.n());
+  sparse_exploration_result ref = reliable_exploration_reference(
+      net.executor(), net.g(), h, sources, first_hops);
+  healed_local_exploration(net, h, advance_rounds ? h : 0, sources, ref);
+  return ref;
 }
 
 /// One self-healing attempt: re-offer rounds until a crash-aware quiet
@@ -80,11 +83,9 @@ void healed_exploration_attempt(
   for (u32 v = 0; v < n; ++v) {
     heal::pareto_arena& row = rows.rows[v];
     const std::size_t slots = ref.reached(v).size();
-    row.keys.reserve(slots);
     row.capped.reserve(slots);
     row.begin.reserve(slots + 1);
     row.offers.reserve(slots);
-    row.stamps.reserve(slots);
   }
   if (sources) {
     for (u32 s : *sources) rows.seed(s, s);
@@ -113,18 +114,15 @@ void healed_exploration_attempt(
 
 }  // namespace
 
-sparse_exploration_result healed_local_exploration(
-    hybrid_net& net, u32 h, u64 nominal, const std::vector<u32>* sources,
-    bool first_hops, bool unit_weights,
-    const std::vector<u64>* offer_words) {
+void healed_local_exploration(hybrid_net& net, u32 h, u64 nominal,
+                              const std::vector<u32>* sources,
+                              const sparse_exploration_result& ref,
+                              bool unit_weights,
+                              const std::vector<u64>* offer_words) {
   HYB_REQUIRE(net.local_faults_active(),
               "healed exploration requires an injected local fault plane");
-  const u32 n = net.n();
-  if (sources) require_distinct(*sources, n);
-  // The referee fixed point is computed once — it is a pure function of the
-  // graph, so retries only redraw the fault schedule, never the target.
-  const sparse_exploration_result ref = reliable_exploration_reference(
-      net.executor(), net.g(), h, sources, first_hops, unit_weights);
+  // The referee is a pure function of the graph, so retries only redraw
+  // the fault schedule, never the target.
   heal::workspace ws;
   u64 spent = 0;
   for (u32 attempt = 1;; ++attempt) {
@@ -146,18 +144,13 @@ sparse_exploration_result healed_local_exploration(
   // every round beyond it is healing overhead.
   for (u64 r = spent; r < nominal; ++r) net.advance_round();
   if (spent > nominal) net.note_extra_rounds(spent - nominal);
-  // Return the referee's canonical triples: bit-identical to the fault-free
-  // run (the healed state was just validated to be the same fixed point,
-  // but its first hops depend on the drop pattern; the referee's do not).
-  return ref;
 }
 
 sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
   if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds ? h : 0, sources,
-                                    first_hops);
+    return healed(net, h, advance_rounds, sources, first_hops);
   const u32 n = net.n();
   if (sources) require_distinct(*sources, n);
   std::vector<relax::sparse_row> rows(n);
@@ -171,8 +164,7 @@ sparse_exploration_result dense_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
   if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds ? h : 0, sources,
-                                    first_hops);
+    return healed(net, h, advance_rounds, sources, first_hops);
   const u32 n = net.n();
   if (sources) require_distinct(*sources, n);
   // n-wide rows for all sources, |sources|-wide rows keyed by position for
@@ -202,8 +194,7 @@ sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,
   // local-plane faults the healed engine takes over before either runs, so
   // the dense/sparse choice never changes fault behavior (docs/FAULTS.md).
   if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds ? h : 0, sources,
-                                    first_hops);
+    return healed(net, h, advance_rounds, sources, first_hops);
   return net.n() <= kDenseExplorationMaxNodes
              ? dense_local_exploration(net, h, advance_rounds, sources,
                                        first_hops)

@@ -936,13 +936,11 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
   const u32 h = 4;
   const graph g = gen::path(4);  // four nodes; no edge is pulled here
   rng r(2024);
-  // Random staged merges, checked after each one, with either slot index
-  // (small graphs get the key-indexed array, large ones the hash index).
-  for (const bool dense_keys : {true, false}) {
+  // Random staged merges, checked after each one.
+  {
     heal::pareto_rows rows(g, h, false);
     std::vector<reference_sets> ref(4);
     for (u32 v = 0; v < 4; ++v) {
-      rows.rows[v].dense_keys = dense_keys;
       rows.seed(v, v);
       ref[v].insert(v, 0, 0, 0);
       ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h));
@@ -957,8 +955,7 @@ TEST(FaultHealing, ParetoRowsTallyMatchesRecount) {
             {r.next_below(40), key, static_cast<u32>(r.next_below(h + 1))});
       }
       const bool want = ref[v].merge(add, round);
-      ASSERT_EQ(rows.merge(v, add, round), want)
-          << "round " << round << " dense_keys " << dense_keys;
+      ASSERT_EQ(rows.merge(v, add, round), want) << "round " << round;
       ASSERT_TRUE(same_sets(rows.rows[v], ref[v], h)) << "round " << round;
       ASSERT_EQ(rows.count(v), rows.rows[v].count());
     }
