@@ -120,17 +120,18 @@ void bench_aggregation(bench_recorder& rec) {
   for (u32 n : {64u, 512u, 4096u}) {
     const graph g = gen::path(n);
     std::vector<u64> vals(n, 3);
-    u64 rounds = 0;
+    u64 rounds = 0, messages = 0;
     const double ms = best_ms([&] {
       hybrid_net net(g, model_config{}, 23);
       global_aggregate(net, agg_op::max, vals);
       rounds = net.round();
+      messages = net.raw_metrics().global_messages;
     });
     t.add_row({table::integer(n), table::integer(static_cast<long long>(rounds)),
                table::integer(id_bits(n)), table::num(ms, 2)});
     rec.add("aggregation",
-            {{"n", n}, {"sim_rounds", rounds}, {"log2_n", id_bits(n)},
-             {"wall_ms", ms}});
+            {{"n", n}, {"sim_rounds", rounds}, {"messages", messages},
+             {"log2_n", id_bits(n)}, {"wall_ms", ms}});
   }
   t.print();
   std::cout << "\n";

@@ -525,6 +525,31 @@ TEST(Aggregation, StaysWithinSendCap) {
   EXPECT_LE(net.raw_metrics().max_global_recv_per_round, 3u);
 }
 
+// Reliable-plane aggregation, pinned: the nominal round count, one up and one
+// down message of one word per tree edge, at most two receipts per node and
+// round, and no healing setting read — a faults-off net with zero healing
+// settings aggregates exactly like a default one.
+TEST(Aggregation, ReliablePlaneCostIsPinned) {
+  for (u32 n : {2u, 3u, 7u, 64u, 257u, 1000u}) {
+    const graph g = gen::path(n);
+    std::vector<u64> vals(n);
+    u64 sum = 0;
+    for (u32 v = 0; v < n; ++v) sum += vals[v] = (v * 31 + 7) % 101;
+    sim_options zero_heal;
+    zero_heal.faults.heal_budget_mult = 0;
+    zero_heal.faults.heal_stability_rounds = 0;
+    for (const sim_options& opts : {sim_options{}, zero_heal}) {
+      hybrid_net net(g, cfg(), 4, opts);
+      EXPECT_EQ(global_aggregate(net, agg_op::sum, vals), sum) << n;
+      const run_metrics& m = net.raw_metrics();
+      EXPECT_EQ(m.rounds, aggregation_rounds(n)) << n;
+      EXPECT_EQ(m.global_messages, 2 * u64{n - 1}) << n;
+      EXPECT_EQ(m.global_payload_words, 2 * u64{n - 1}) << n;
+      EXPECT_LE(m.max_global_recv_per_round, 2u) << n;
+    }
+  }
+}
+
 // ---- token dissemination (Lemma B.1) ---------------------------------------
 
 class DisseminationProperty
