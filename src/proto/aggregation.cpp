@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 
 #include "util/assert.hpp"
 
@@ -37,106 +38,17 @@ constexpr u32 kDownTag = 0xA662;
 constexpr u32 kUpAckTag = 0xA663;
 constexpr u32 kDownAckTag = 0xA664;
 
-/// Healed aggregation for faulty global planes (docs/FAULTS.md): the
-/// lockstep depth schedule above assumes every message arrives, so under
-/// drops/crashes we switch to an acknowledged retransmission protocol on the
-/// same tree. A node re-sends its child report every round until the parent
-/// acks it, and re-sends the result to each child until that child acks;
-/// duplicate child reports are deduplicated per child slot because sum is
-/// not idempotent. Every message carries the instance epoch (the round the
-/// aggregation started at) so back-to-back aggregations ignore each other's
-/// stragglers. Terminates when every node holds the result; throws
-/// fault_failure when heal_budget_mult times the fault-free round budget
-/// elapses first (e.g. a node that never recovers).
-u64 healed_global_aggregate(hybrid_net& net, agg_op op,
-                            const std::vector<u64>& values) {
-  const u32 n = net.n();
-  const fault_options& fo = net.faults();
-  const u64 epoch = net.round();
-  const u32 nominal = aggregation_rounds(n);
-  const u64 budget = u64{fo.heal_budget_mult} * nominal;
-
-  std::vector<u64> acc = values;
-  // Per-node protocol state; slot 0/1 = child 2v+1 / 2v+2.
-  std::vector<std::array<u8, 2>> got_child(n, {0, 0});
-  std::vector<std::array<u8, 2>> down_sent(n, {0, 0});
-  std::vector<std::array<u8, 2>> down_acked(n, {0, 0});
-  std::vector<u8> up_sent(n, 0);
-  std::vector<u8> up_acked(n, 0);
-  std::vector<u8> have(n, 0);
-  std::vector<u64> retx(n, 0);
-
-  round_executor& exec = net.executor();
-  u64 used = 0;
-  for (;;) {
-    if (used >= budget)
-      throw fault_failure("aggregation healing budget exhausted");
-    ++used;
-    exec.for_nodes(n, [&](u32 v) {
-      // A down node's inbox is empty (delivery dropped) and it sends
-      // nothing; its state freezes until recovery (fail-pause).
-      if (!net.is_up(v)) return;
-      for (const global_msg& m : net.global_inbox(v)) {
-        if (m.tag == kUpTag) {
-          if (m.w[1] != epoch) continue;
-          const u32 slot = (m.src == 2 * v + 1) ? 0 : 1;
-          if (!got_child[v][slot]) {
-            got_child[v][slot] = 1;
-            acc[v] = combine(op, acc[v], m.w[0]);
-          }
-          // Ack even duplicates: the child retransmits until one lands.
-          net.try_send_global(global_msg::make(v, m.src, kUpAckTag, {epoch}));
-        } else if (m.tag == kUpAckTag) {
-          if (m.w[0] == epoch) up_acked[v] = 1;
-        } else if (m.tag == kDownTag) {
-          if (m.w[1] != epoch) continue;
-          if (!have[v]) {
-            have[v] = 1;
-            acc[v] = m.w[0];
-          }
-          net.try_send_global(
-              global_msg::make(v, m.src, kDownAckTag, {epoch}));
-        } else if (m.tag == kDownAckTag) {
-          if (m.w[0] != epoch) continue;
-          down_acked[v][(m.src == 2 * v + 1) ? 0 : 1] = 1;
-        }
-      }
-      const bool kids_done = (2 * v + 1 >= n || got_child[v][0]) &&
-                             (2 * v + 2 >= n || got_child[v][1]);
-      if (v == 0) {
-        if (kids_done) have[v] = 1;
-      } else if (kids_done && !up_acked[v]) {
-        if (net.try_send_global(
-                global_msg::make(v, (v - 1) / 2, kUpTag, {acc[v], epoch})) &&
-            up_sent[v])
-          ++retx[v];
-        up_sent[v] = 1;
-      }
-      if (have[v]) {
-        for (u32 slot = 0; slot < 2; ++slot) {
-          const u32 c = 2 * v + 1 + slot;
-          if (c >= n || down_acked[v][slot]) continue;
-          if (net.try_send_global(
-                  global_msg::make(v, c, kDownTag, {acc[v], epoch})) &&
-              down_sent[v][slot])
-            ++retx[v];
-          down_sent[v][slot] = 1;
-        }
-      }
-    });
-    net.advance_round();
-    if (!exec.any_node(n, [&](u32 v) { return !have[v]; })) break;
-  }
-  u64 resent = 0;
-  for (u32 v = 0; v < n; ++v) resent += retx[v];
-  net.note_retransmitted(resent);
-  if (used > nominal) net.note_extra_rounds(used - nominal);
-
-  const u64 result = acc[0];
-  for (u32 v = 0; v < n; ++v)
-    HYB_INVARIANT(acc[v] == result, "aggregation failed to reach all nodes");
-  return result;
-}
+/// One node's protocol state; slot 0/1 of the pairs = child 2v+1 / 2v+2.
+struct agg_node {
+  u64 acc = 0;
+  u64 retx = 0;
+  std::array<u8, 2> got_child{};
+  std::array<u8, 2> down_sent{};
+  std::array<u8, 2> down_acked{};
+  u8 up_sent = 0;
+  u8 up_acked = 0;
+  u8 have = 0;
+};
 
 }  // namespace
 
@@ -144,81 +56,109 @@ u32 aggregation_rounds(u32 n) {
   return 2 * tree_depth_of(n - 1) + 1;
 }
 
+/// One protocol for both planes (docs/FAULTS.md): a node re-sends its child
+/// report every round until the parent acks it, and re-sends the result to
+/// each child until that child acks; duplicate child reports are
+/// deduplicated per child slot because sum is not idempotent. On a faulty
+/// plane receivers ack every copy, and every message carries the instance
+/// epoch (the round the aggregation started at) so back-to-back
+/// aggregations ignore each other's stragglers; a run that outlasts
+/// heal_budget_mult times the nominal budget (e.g. a node that never
+/// recovers) throws fault_failure. On a reliable plane a send that got
+/// through is its own ack: no ack is sent, no epoch is carried, each tree
+/// edge carries one report and one result, and the run takes exactly
+/// aggregation_rounds(n).
 u64 global_aggregate(hybrid_net& net, agg_op op,
                      const std::vector<u64>& values) {
   const u32 n = net.n();
   HYB_REQUIRE(values.size() == n, "need one value per node");
-  if (net.global_faults_active())
-    return healed_global_aggregate(net, op, values);
+  const bool faulty = net.global_faults_active();
+  const u64 epoch = net.round();
+  const u32 nominal = aggregation_rounds(n);
+  const u64 budget =
+      faulty ? u64{net.faults().heal_budget_mult} * nominal : nominal;
 
-  const u32 max_depth = tree_depth_of(n - 1);
-  std::vector<u32> depth(n);
-  std::vector<u32> pending_children(n, 0);
-  for (u32 v = 0; v < n; ++v) depth[v] = tree_depth_of(v);
-  for (u32 v = 1; v < n; ++v) ++pending_children[(v - 1) / 2];
+  std::vector<agg_node> st(n);
+  for (u32 v = 0; v < n; ++v) st[v].acc = values[v];
+  // Sends v's value to `to`; a repeat counts as a retransmission.
+  auto transmit = [&](u32 v, u32 to, u32 tag, u8& sent, u8& acked) {
+    const global_msg m = faulty
+                             ? global_msg::make(v, to, tag, {st[v].acc, epoch})
+                             : global_msg::make(v, to, tag, {st[v].acc});
+    const bool ok = net.try_send_global(m);
+    if (ok && sent) ++st[v].retx;
+    sent = 1;
+    if (ok && !faulty) acked = 1;
+  };
 
+  // The round's step, wrapped once so no round builds a std::function. It
+  // returns 1 while the node still lacks the result, so the round's sum is
+  // the termination check.
+  const std::function<u64(u32)> step = [&](u32 v) -> u64 {
+    agg_node& s = st[v];
+    // A down node's inbox is empty (delivery dropped) and it sends
+    // nothing; its state freezes until recovery (fail-pause).
+    if (!net.is_up(v)) return !s.have;
+    for (const global_msg& m : net.global_inbox(v)) {
+      const u32 slot = (m.src == 2 * v + 1) ? 0 : 1;
+      if (m.tag == kUpTag || m.tag == kDownTag) {
+        if (faulty && m.w[1] != epoch) continue;
+        if (m.tag == kUpTag && !s.got_child[slot]) {
+          s.got_child[slot] = 1;
+          s.acc = combine(op, s.acc, m.w[0]);
+        } else if (m.tag == kDownTag && !s.have) {
+          s.have = 1;
+          s.acc = m.w[0];
+        }
+        // Ack even duplicates: the sender re-sends until one lands.
+        if (faulty)
+          net.try_send_global(global_msg::make(
+              v, m.src, m.tag == kUpTag ? kUpAckTag : kDownAckTag,
+              {epoch}));
+      } else if (m.tag == kUpAckTag && m.w[0] == epoch) {
+        s.up_acked = 1;
+      } else if (m.tag == kDownAckTag && m.w[0] == epoch) {
+        s.down_acked[slot] = 1;
+      }
+    }
+    const bool kids_done = (2 * v + 1 >= n || s.got_child[0]) &&
+                           (2 * v + 2 >= n || s.got_child[1]);
+    if (v == 0) {
+      if (kids_done) s.have = 1;
+    } else if (kids_done && !s.up_acked) {
+      transmit(v, (v - 1) / 2, kUpTag, s.up_sent, s.up_acked);
+    }
+    if (s.have) {
+      for (u32 slot = 0; slot < 2; ++slot) {
+        const u32 c = 2 * v + 1 + slot;
+        if (c < n && !s.down_acked[slot])
+          transmit(v, c, kDownTag, s.down_sent[slot], s.down_acked[slot]);
+      }
+    }
+    return !s.have;
+  };
   round_executor& exec = net.executor();
-  std::vector<u64> acc = values;
-  // Convergecast: a node sends up once all children have reported; leaves
-  // at the deepest level go first, so the whole up-phase takes max_depth
-  // rounds in lockstep. Each node's step touches only its own accumulator,
-  // child counter, and send budget, so the rounds run node-parallel.
-  for (u32 r = 0; r < max_depth; ++r) {
-    exec.for_nodes(n, [&](u32 v) {
-      for (const global_msg& m : net.global_inbox(v))
-        if (m.tag == kUpTag) {
-          acc[v] = combine(op, acc[v], m.w[0]);
-          HYB_INVARIANT(pending_children[v] > 0, "unexpected child report");
-          --pending_children[v];
-        }
-      if (v != 0 && depth[v] == max_depth - r && pending_children[v] == 0) {
-        const bool ok = net.try_send_global(
-            global_msg::make(v, (v - 1) / 2, kUpTag, {acc[v]}));
-        HYB_INVARIANT(ok, "aggregation exceeded the global send cap");
-      }
-    });
+  u64 used = 0;
+  for (;;) {
+    if (used >= budget) {
+      // A reliable plane misses the nominal schedule only when the γ cap
+      // refuses a send.
+      HYB_INVARIANT(faulty, "aggregation exceeded the global send cap");
+      throw fault_failure("aggregation healing budget exhausted");
+    }
+    ++used;
+    const u64 missing = exec.sum_nodes(n, step);
     net.advance_round();
+    if (missing == 0) break;
   }
-  // Drain reports that arrived in the final up round (children at depth 1).
-  exec.for_nodes(n, [&](u32 v) {
-    for (const global_msg& m : net.global_inbox(v))
-      if (m.tag == kUpTag) acc[v] = combine(op, acc[v], m.w[0]);
-  });
+  u64 resent = 0;
+  for (u32 v = 0; v < n; ++v) resent += st[v].retx;
+  net.note_retransmitted(resent);
+  if (used > nominal) net.note_extra_rounds(used - nominal);
 
-  // Broadcast down.
-  std::vector<char> have(n, 0);
-  have[0] = 1;
-  for (u32 r = 0; r <= max_depth; ++r) {
-    const u64 sent = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      for (const global_msg& m : net.global_inbox(v))
-        if (m.tag == kDownTag) {
-          acc[v] = m.w[0];
-          have[v] = 1;
-        }
-      if (!have[v] || depth[v] != r) return 0;
-      u64 mine = 0;
-      for (u32 c : {2 * v + 1, 2 * v + 2}) {
-        if (c < n) {
-          const bool ok = net.try_send_global(
-              global_msg::make(v, c, kDownTag, {acc[v]}));
-          HYB_INVARIANT(ok, "aggregation exceeded the global send cap");
-          ++mine;
-        }
-      }
-      return mine;
-    });
-    net.advance_round();
-    if (sent == 0 && r == max_depth) break;
-  }
-  // Deliver the last hop.
-  exec.for_nodes(n, [&](u32 v) {
-    for (const global_msg& m : net.global_inbox(v))
-      if (m.tag == kDownTag) acc[v] = m.w[0];
-  });
-
-  const u64 result = acc[0];
+  const u64 result = st[0].acc;
   for (u32 v = 0; v < n; ++v)
-    HYB_INVARIANT(acc[v] == result, "aggregation failed to reach all nodes");
+    HYB_INVARIANT(st[v].acc == result, "aggregation failed to reach all nodes");
   return result;
 }
 

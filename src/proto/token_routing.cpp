@@ -34,6 +34,29 @@ struct helper_task {
   u64 payload;  // valid only on the sender side
 };
 
+/// Where a routed label sits in token routing's pending-work flags: its
+/// sender-helper task slot and its receiver-helper label slot.
+struct label_slots {
+  u64 task = 0;
+  u64 want = 0;
+};
+
+/// Pending-work flag bits: a task pushed / a label requested (kSent), and
+/// its ack / answer received (kAcked).
+constexpr u8 kSent = 1;
+constexpr u8 kAcked = 2;
+
+/// The intra-cluster flood a hand-off stands in for (docs/DESIGN.md §4 on
+/// simulator shortcuts): `tokens` records flood for `rounds` rounds. The
+/// traffic is charged and, as a budgeted flood with no per-item drop model,
+/// counted delivered in full to keep the local ledger balanced; the rounds
+/// elapse.
+void charge_cluster_flood(hybrid_net& net, u64 tokens, u32 rounds) {
+  net.charge_local(tokens * rounds);
+  net.note_local_delivered(tokens * rounds);
+  for (u32 r = 0; r < rounds; ++r) net.advance_round();
+}
+
 /// Canonical balanced share: tasks sorted by label, helper with position
 /// `pos` among `count` takes indices ≡ pos (mod count). Both the owner and
 /// its helpers can compute this locally (Fact 2.4's "balanced assignment").
@@ -211,8 +234,11 @@ std::vector<std::vector<routed_token>> route_tokens(
           "message-level healed path (docs/FAULTS.md)");
     return charged_route_tokens(net, ctx, by_sender);
   }
-  // Fault degradation (docs/FAULTS.md): under a faulty global plane the
-  // push/request/answer triangle gains an acknowledgement layer. An
+  // One protocol for both planes (docs/FAULTS.md): the push/request/answer
+  // triangle is acknowledged. Each pushed token stays pending until acked
+  // and each wanted label until answered; routing ends when nothing is
+  // pending. On a reliable plane a push that goes out is its own ack and
+  // every answer arrives once. A faulty plane adds what loss needs: an
   // intermediate acks every kTokenTag it receives and keeps answered tokens
   // in its store (re-requests must stay answerable); sender-helpers re-push
   // unacked tokens and receiver-helpers re-request unanswered labels every
@@ -272,7 +298,7 @@ std::vector<std::vector<routed_token>> route_tokens(
   // exactly those rounds and the flood's traffic, but deliver each helper's
   // canonical share directly — the flood gives all cluster members strictly
   // more knowledge than the share the helpers extract from it, so outcomes
-  // are identical (see docs/DESIGN.md §4 on simulator shortcuts).
+  // are identical.
   auto distribute = [&](const helper_family& fam,
                         const std::vector<u32>& owners,
                         std::vector<std::vector<helper_task>>& tasks,
@@ -284,7 +310,6 @@ std::vector<std::vector<routed_token>> route_tokens(
       }
       return;
     }
-    const u32 flood_rounds = fam.clusters.flood_budget();
     u64 token_count = 0;
     for (u32 i = 0; i < owners.size(); ++i) {
       token_count += tasks[i].size();
@@ -296,11 +321,7 @@ std::vector<std::vector<routed_token>> route_tokens(
       }
       std::vector<helper_task>().swap(tasks[i]);  // handed over; release
     }
-    net.charge_local(token_count * flood_rounds);
-    // Budgeted intra-cluster flood (no per-item drop model): delivered in
-    // full to keep the local ledger balanced.
-    net.note_local_delivered(token_count * flood_rounds);
-    for (u32 r = 0; r < flood_rounds; ++r) net.advance_round();
+    charge_cluster_flood(net, token_count, fam.clusters.flood_budget());
   };
   distribute(ctx.sender_helpers, spec.senders, sender_tokens, send_tasks);
   distribute(ctx.receiver_helpers, spec.receivers, receiver_labels, want);
@@ -326,47 +347,35 @@ std::vector<std::vector<routed_token>> route_tokens(
   std::vector<u64> send_cursor(n, 0), req_cursor(n, 0);
   for (u32 v = 0; v < n; ++v) want_left[v] = want[v].size();
 
-  // Retransmission bookkeeping, allocated only under faults: per-task
-  // pushed/acked flags and a label→index map to resolve acks (sender side),
-  // per-label answered flags to dedup duplicate answers (receiver side).
-  std::vector<std::vector<u8>> pushed, acked, requested, answered;
-  std::vector<flat_u64_map<u32>> task_of, want_of;
-  std::vector<u64> acked_left(n, 0), retx;
-  if (faulty) {
-    pushed.resize(n);
-    acked.resize(n);
-    requested.resize(n);
-    answered.resize(n);
-    task_of.resize(n);
-    want_of.resize(n);
-    retx.assign(n, 0);
-    for (u32 v = 0; v < n; ++v) {
-      pushed[v].assign(send_tasks[v].size(), 0);
-      acked[v].assign(send_tasks[v].size(), 0);
-      acked_left[v] = send_tasks[v].size();
-      for (u32 i = 0; i < send_tasks[v].size(); ++i)
-        task_of[v][send_tasks[v][i].label].value = i;
-      requested[v].assign(want[v].size(), 0);
-      answered[v].assign(want[v].size(), 0);
-      for (u32 i = 0; i < want[v].size(); ++i)
-        want_of[v][want[v][i].label].value = i;
-    }
+  // Pending-work bookkeeping, one flag byte per slot: the sender-helper
+  // tasks laid out node by node (v's first at task_at[v]) are pushed/acked,
+  // the receiver-helper labels (v's first at want_at[v]) requested/
+  // answered. Each routed label is one task and one wanted label, so one
+  // map resolves an ack or an answer to its slots. Flags and map outlive
+  // the queues, so a late duplicate still resolves.
+  std::vector<u64> task_at(n + 1, 0), want_at(n + 1, 0);
+  std::vector<u64> acked_left(n, 0), retx(n, 0);
+  for (u32 v = 0; v < n; ++v) {
+    acked_left[v] = send_tasks[v].size();
+    task_at[v + 1] = task_at[v] + send_tasks[v].size();
+    want_at[v + 1] = want_at[v] + want[v].size();
+  }
+  std::vector<u8> task_flags(task_at[n], 0), want_flags(want_at[n], 0);
+  flat_u64_map<label_slots> slots_of;
+  for (u32 v = 0; v < n; ++v) {
+    for (u32 i = 0; i < send_tasks[v].size(); ++i)
+      slots_of[send_tasks[v][i].label].value.task = task_at[v] + i;
+    for (u32 i = 0; i < want[v].size(); ++i)
+      slots_of[want[v][i].label].value.want = want_at[v] + i;
   }
 
   round_executor& exec = net.executor();
+  // Done = every token acked by its intermediate AND every label answered.
   // Read-only early-exit scan between barriers; cheaper sequential than as
   // a pool dispatch (it usually bails at the first busy node).
   auto phase_done = [&]() {
-    if (faulty) {
-      // Done = every token acked by its intermediate AND every label
-      // answered; cursor position alone means nothing when sends can drop.
-      for (u32 v = 0; v < n; ++v)
-        if (acked_left[v] != 0 || want_left[v] != 0) return false;
-      return true;
-    }
     for (u32 v = 0; v < n; ++v)
-      if (send_cursor[v] < send_tasks[v].size() || want_left[v] != 0)
-        return false;
+      if (acked_left[v] != 0 || want_left[v] != 0) return false;
     return true;
   };
 
@@ -380,15 +389,12 @@ std::vector<std::vector<routed_token>> route_tokens(
   // send budget; the public hash is immutable, so both halves of the round
   // run node-parallel on the executor.
   while (!phase_done()) {
-    if (faulty) {
-      if (spent++ >= guard_rounds)
-        throw fault_failure("token routing healing budget exhausted");
-    } else {
-      HYB_INVARIANT(spent++ < guard_rounds,
-                    "token routing failed to make progress");
+    if (spent++ >= guard_rounds) {
+      HYB_INVARIANT(faulty, "token routing failed to make progress");
+      throw fault_failure("token routing healing budget exhausted");
     }
     exec.for_nodes(n, [&](u32 v) {
-      if (faulty && !net.is_up(v)) return;  // fail-pause: queues freeze
+      if (!net.is_up(v)) return;  // fail-pause: queues freeze
       // Intermediate role first: answer what we can.
       while (!answer_queue[v].empty() && net.global_budget(v) > 0) {
         auto [lbl, dst] = answer_queue[v].front();
@@ -405,37 +411,37 @@ std::vector<std::vector<routed_token>> route_tokens(
       const u32 reserve = net.global_cap() / 4;
       while (send_cursor[v] < send_tasks[v].size() &&
              net.global_budget(v) > reserve) {
-        const u32 i = static_cast<u32>(send_cursor[v]++);
-        if (faulty && acked[v][i]) continue;
+        const u64 i = send_cursor[v]++;
+        u8& flags = task_flags[task_at[v] + i];
+        if (flags & kAcked) continue;
         const helper_task& t = send_tasks[v][i];
         net.try_send_global(global_msg::make(
             v, intermediate_of(t.label), kTokenTag, {t.label, t.payload}));
-        if (faulty) {
-          if (pushed[v][i]) ++retx[v];
-          pushed[v][i] = 1;
+        if (flags & kSent) ++retx[v];
+        flags |= kSent;
+        if (!faulty) {  // a push that cannot be lost is its own ack
+          flags |= kAcked;
+          --acked_left[v];
         }
       }
-      // v-private release of a drained queue (an empty vector satisfies the
-      // cursor checks above and in phase_done, so this is memory only).
-      // Under faults the queue must survive for retransmission.
-      if (!faulty && !send_tasks[v].empty() &&
-          send_cursor[v] == send_tasks[v].size()) {
+      // v-private release of a finished queue (an empty vector satisfies
+      // the cursor checks, so this is memory only).
+      if (acked_left[v] == 0 && !send_tasks[v].empty()) {
         std::vector<helper_task>().swap(send_tasks[v]);
         send_cursor[v] = 0;
       }
       // Receiver-helper role: request labels.
       while (req_cursor[v] < want[v].size() && net.global_budget(v) > 0) {
-        const u32 i = static_cast<u32>(req_cursor[v]++);
-        if (faulty && answered[v][i]) continue;
+        const u64 i = req_cursor[v]++;
+        u8& flags = want_flags[want_at[v] + i];
+        if (flags & kAcked) continue;
         const u64 lbl = want[v][i].label;
         net.try_send_global(
             global_msg::make(v, intermediate_of(lbl), kRequestTag, {lbl}));
-        if (faulty) {
-          if (requested[v][i]) ++retx[v];
-          requested[v][i] = 1;
-        }
+        if (flags & kSent) ++retx[v];
+        flags |= kSent;
       }
-      if (!faulty && !want[v].empty() && req_cursor[v] == want[v].size()) {
+      if (want_left[v] == 0 && !want[v].empty()) {
         std::vector<helper_task>().swap(want[v]);
         req_cursor[v] = 0;
       }
@@ -451,7 +457,7 @@ std::vector<std::vector<routed_token>> route_tokens(
     });
     net.advance_round();
     exec.for_nodes(n, [&](u32 v) {
-      if (faulty && !net.is_up(v)) return;
+      if (!net.is_up(v)) return;
       for (const global_msg& m : net.global_inbox(v)) {
         switch (m.tag) {
           case kTokenTag: {
@@ -476,25 +482,28 @@ std::vector<std::vector<routed_token>> route_tokens(
             break;
           }
           case kAnswerTag: {
-            if (faulty) {
-              const auto* wanted = want_of[v].find(m.w[0]);
-              HYB_INVARIANT(wanted != nullptr,
-                            "answer for an unrequested label");
-              const u32 idx = wanted->value;
-              if (answered[v][idx]) break;  // duplicate answer
-              answered[v][idx] = 1;
-            }
+            const auto* slots = slots_of.find(m.w[0]);
+            HYB_INVARIANT(slots != nullptr &&
+                              slots->value.want >= want_at[v] &&
+                              slots->value.want < want_at[v + 1],
+                          "answer for an unrequested label");
+            u8& flags = want_flags[slots->value.want];
+            if (flags & kAcked) break;  // duplicate answer
+            flags |= kAcked;
             fetched[v].push_back({m.w[0], m.w[1]});
             HYB_INVARIANT(want_left[v] > 0, "unexpected answer");
             --want_left[v];
             break;
           }
           case kTokAckTag: {
-            const auto* task = task_of[v].find(m.w[0]);
-            HYB_INVARIANT(task != nullptr, "ack for an unknown token");
-            const u32 idx = task->value;
-            if (!acked[v][idx]) {
-              acked[v][idx] = 1;
+            const auto* slots = slots_of.find(m.w[0]);
+            HYB_INVARIANT(slots != nullptr &&
+                              slots->value.task >= task_at[v] &&
+                              slots->value.task < task_at[v + 1],
+                          "ack for an unknown token");
+            u8& flags = task_flags[slots->value.task];
+            if (!(flags & kAcked)) {
+              flags |= kAcked;
               HYB_INVARIANT(acked_left[v] > 0, "ack bookkeeping underflow");
               --acked_left[v];
             }
@@ -506,11 +515,9 @@ std::vector<std::vector<routed_token>> route_tokens(
       }
     });
   }
-  if (faulty) {
-    u64 resent = 0;
-    for (u32 v = 0; v < n; ++v) resent += retx[v];
-    net.note_retransmitted(resent);
-  }
+  u64 resent = 0;
+  for (u32 v = 0; v < n; ++v) resent += retx[v];
+  net.note_retransmitted(resent);
   // Distributed completion detection, charged as one AND-aggregation.
   global_aggregate(net, agg_op::logical_and, std::vector<u64>(n, 1));
 
@@ -523,7 +530,6 @@ std::vector<std::vector<routed_token>> route_tokens(
         delivered[ri].push_back({label_s(t.label), label_r(t.label),
                                  label_i(t.label), t.payload});
   } else {
-    const u32 flood_rounds = ctx.receiver_helpers.clusters.flood_budget();
     u64 token_count = 0;
     for (u32 v = 0; v < n; ++v) {
       token_count += fetched[v].size();
@@ -535,11 +541,8 @@ std::vector<std::vector<routed_token>> route_tokens(
       }
       std::vector<helper_task>().swap(fetched[v]);  // handed over; release
     }
-    net.charge_local(token_count * flood_rounds);
-    // Budgeted intra-cluster flood (no per-item drop model): delivered in
-    // full to keep the local ledger balanced.
-    net.note_local_delivered(token_count * flood_rounds);
-    for (u32 r = 0; r < flood_rounds; ++r) net.advance_round();
+    charge_cluster_flood(net, token_count,
+                         ctx.receiver_helpers.clusters.flood_budget());
   }
   return delivered;
 }

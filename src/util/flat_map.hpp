@@ -2,7 +2,7 @@
 // hash map of the codebase. It replaces per-node std::unordered_map state
 // and keeps the sparse exploration rows:
 //   * flat_u64_map<V> — u64 keys to V, for token routing's exact path
-//     (store / pending / task_of / want_of, src/proto/token_routing.cpp,
+//     (store / pending / slots_of, src/proto/token_routing.cpp,
 //     hundreds of thousands of tiny per-node maps) and the healed
 //     exploration engine's source index (proto/heal_kernel.hpp);
 //   * relax::sparse_row — exploration_entry keyed by its source, one per
