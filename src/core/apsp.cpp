@@ -31,20 +31,15 @@ apsp_result hybrid_apsp_exact(const graph& g, const model_config& cfg,
   // ---- 2. make E_S public ------------------------------------------------
   net.begin_phase("skeleton_dissemination");
   const bool two_level = opts.hierarchy == oracle_hierarchy::kTwoLevel;
-  std::vector<std::vector<token2>> edge_tokens(n);
-  for (u32 i = 0; i < n_s; ++i)
-    for (const auto& [j, w] : sk.edges[i])
-      if (i < j)  // each edge announced once, by its smaller endpoint
-        edge_tokens[sk.nodes[i]].push_back({(u64{i} << 32) | j, w});
   // Two level runs a dense level-1 skeleton (p₁ ≫ 1/√n), so the gossip
   // simulation's Θ(n·|E_S|) per-node known sets are the memory wall; the
   // charged stand-in keeps the accounting and drops the state (E_S is
   // consumed only inside the skeleton there — DESIGN.md deviation 10).
   // Under active faults the stand-in cannot heal, so the real gossip runs.
   if (two_level && !net.faults_active())
-    disseminate_charged(net, std::move(edge_tokens));
+    disseminate_charged(net, sk.edge_tokens());
   else
-    disseminate(net, std::move(edge_tokens));
+    disseminate(net, sk.edge_tokens());
   super_skeleton_result ss;
   if (!two_level) {
     // ---- 3. single level: solve APSP on S locally, then token routing:

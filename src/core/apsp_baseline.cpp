@@ -28,11 +28,7 @@ apsp_baseline_result baseline_apsp_ahkss(const graph& g,
 
   // ---- 2. make E_S public ----------------------------------------------
   net.begin_phase("skeleton_dissemination");
-  std::vector<std::vector<token2>> edge_tokens(n);
-  for (u32 i = 0; i < n_s; ++i)
-    for (const auto& [j, w] : sk.edges[i])
-      if (i < j) edge_tokens[sk.nodes[i]].push_back({(u64{i} << 32) | j, w});
-  disseminate(net, std::move(edge_tokens));
+  disseminate(net, sk.edge_tokens());
   const std::vector<std::vector<u64>> dist_s = skeleton_apsp(sk, net.executor());
 
   // ---- 3. broadcast ALL h-limited labels d_h(v, s) ------------------------

@@ -73,17 +73,11 @@ kssp_result hybrid_kssp(const graph& g, const model_config& cfg, u64 seed,
   out.clique_rounds = alg.declared_rounds(n_s);
   charge_clique_rounds(net, emb, out.clique_rounds);
 
-  u64 max_skel_weight = 1;
-  for (const auto& adj : sk.edges)
-    for (const auto& [to, w] : adj) {
-      (void)to;
-      max_skel_weight = std::max(max_skel_weight, w);
-    }
   clique_problem prob;
   prob.n_s = n_s;
   prob.edges = &sk.edges;
   prob.sources = rep_nodes;
-  prob.max_edge_weight = max_skel_weight;
+  prob.max_edge_weight = sk.max_edge_weight();
   // est[slot][u] = d̃(u, rep) under A's (α, β) contract.
   const std::vector<std::vector<u64>> est = alg.solve(prob);
 
@@ -126,7 +120,7 @@ kssp_result hybrid_kssp(const graph& g, const model_config& cfg, u64 seed,
 
   out.metrics = net.snapshot();
   const double t_b = static_cast<double>(out.metrics.rounds);
-  const approx_contract c = alg.contract(max_skel_weight);
+  const approx_contract c = alg.contract(prob.max_edge_weight);
   out.bound_weighted = 2.0 * c.alpha + 1.0 + static_cast<double>(c.beta) / t_b;
   out.bound_unweighted =
       c.alpha + 2.0 / alg.eta() + static_cast<double>(c.beta) / t_b;

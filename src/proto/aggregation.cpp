@@ -65,9 +65,7 @@ u32 aggregation_rounds(u32 n) {
 /// aggregations ignore each other's stragglers; a run that outlasts
 /// heal_budget_mult times the nominal budget (e.g. a node that never
 /// recovers) throws fault_failure. On a reliable plane a send that got
-/// through is its own ack: no ack is sent, no epoch is carried, each tree
-/// edge carries one report and one result, and the run takes exactly
-/// aggregation_rounds(n).
+/// through is its own ack.
 u64 global_aggregate(hybrid_net& net, agg_op op,
                      const std::vector<u64>& values) {
   const u32 n = net.n();

@@ -3,8 +3,13 @@
 // and make the result known to every node in O(log n) rounds.
 //
 // Implementation: convergecast up a static binary tree over node IDs
-// (parent(v) = (v−1)/2), then broadcast down. Each node sends at most one
-// message per round, well within the γ cap.
+// (parent(v) = (v−1)/2), then broadcast down; each report and result is
+// re-sent until acked. On a reliable plane a send that got through is its
+// own ack: the run is aggregation_rounds(n) rounds and 2(n−1) one-word
+// messages, and in any round a node sends at most two (its report, or the
+// result to each of its two children) and receives at most two, well
+// within the γ cap. A faulty global plane adds acks and an epoch word and
+// heals (docs/FAULTS.md §3).
 #pragma once
 
 #include <vector>

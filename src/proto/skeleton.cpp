@@ -119,6 +119,21 @@ void dijkstra_on_csr(const skeleton_csr& csr, u32 src,
 
 }  // namespace
 
+std::vector<std::vector<token2>> skeleton_result::edge_tokens() const {
+  std::vector<std::vector<token2>> out(index_of.size());
+  for (u32 i = 0; i < nodes.size(); ++i)
+    for (const auto& [j, w] : edges[i])
+      if (i < j) out[nodes[i]].push_back({(u64{i} << 32) | j, w});
+  return out;
+}
+
+u64 skeleton_result::max_edge_weight() const {
+  u64 heaviest = 1;
+  for (const auto& adj : edges)
+    for (const auto& e : adj) heaviest = std::max(heaviest, e.second);
+  return heaviest;
+}
+
 std::vector<std::vector<u64>> skeleton_apsp(const skeleton_result& sk,
                                             round_executor& ex) {
   const u32 n_s = static_cast<u32>(sk.nodes.size());

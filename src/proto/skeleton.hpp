@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "proto/dissemination.hpp"
 #include "proto/flood.hpp"
 #include "proto/sparse_exploration.hpp"
 #include "sim/executor.hpp"
@@ -34,6 +35,11 @@ struct skeleton_result {
   std::vector<std::vector<source_distance>> near;
 
   bool is_skeleton(u32 v) const { return index_of[v] != npos; }
+  /// E_S as dissemination tokens ((i << 32) | j, w) held by node: each
+  /// edge is announced once, by its smaller endpoint.
+  std::vector<std::vector<token2>> edge_tokens() const;
+  /// The heaviest skeleton edge weight, at least 1.
+  u64 max_edge_weight() const;
 };
 
 /// Algorithm 6. `forced` nodes (e.g. the SSSP source, Lemma 4.5) are always

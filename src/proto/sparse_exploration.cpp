@@ -1,12 +1,13 @@
 // h-hop exploration entry points and the healed exploration engine. Every
-// reliable loop here — sparse, dense, explore_adjacency and the healed
-// engine's referee — is an instantiation of the one relaxation kernel in
-// proto/relax_kernel.hpp; the sparse path differs from the dense one only
-// in its row type (a flat_map of entries instead of an n-wide row), which is
-// what makes the two bit-identical (the differential suite asserts it,
-// triples and metrics both). The healed engine's rounds are the re-offer
-// kernel of proto/heal_kernel.hpp over Pareto rows keyed in discovery
-// order.
+// exploration here — sparse, dense and explore_adjacency — is an
+// instantiation of the one relaxation kernel in proto/relax_kernel.hpp; the
+// sparse path differs from the dense one only in its row type (a flat_map
+// of entries instead of an n-wide row), which is what makes the two
+// bit-identical (the differential suite asserts it, triples and metrics
+// both). Under local faults the kernel runs as free computation and its
+// result is the healed engine's referee; the engine's rounds are the
+// re-offer kernel of proto/heal_kernel.hpp over Pareto rows keyed in
+// discovery order.
 #include "proto/sparse_exploration.hpp"
 
 #include <algorithm>
@@ -25,42 +26,6 @@ void require_distinct(const std::vector<u32>& sources, u32 n) {
   HYB_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
               "exploration sources must be distinct");
   HYB_REQUIRE(sorted.empty() || sorted.back() < n, "source out of range");
-}
-
-/// An exploration's referee: the reliable kernel run as free local
-/// computation (no simulated traffic, no randomness), so its flattened
-/// result is the canonical fixed point the fault-free run returns, vias
-/// included. The rows follow run_local_exploration's choice by n; both
-/// give identical triples.
-sparse_exploration_result reliable_exploration_reference(
-    round_executor& ex, const graph& g, u32 h,
-    const std::vector<u32>* sources, bool first_hops) {
-  const u32 n = g.num_nodes();
-  if (n <= kDenseExplorationMaxNodes) {
-    std::vector<relax::dense_row> rows = relax::dense_rows(
-        ex, n, sources ? static_cast<u32>(sources->size()) : n, first_hops);
-    const relax::sources src{sources, /*by_index=*/sources != nullptr};
-    relax::run(ex, rows, src, h, relax::graph_edges{g}, flood::no_hook{});
-    return relax::flatten(ex, rows, src, first_hops);
-  }
-  std::vector<relax::sparse_row> rows(n);
-  relax::run(ex, rows, {sources}, h, relax::graph_edges{g}, flood::no_hook{});
-  return relax::flatten(ex, rows, {sources}, first_hops);
-}
-
-/// Under local faults every exploration entry point heals: the referee
-/// once, then the engine, whose success makes the referee's canonical
-/// triples the result — bit-identical to the fault-free run (the healed
-/// state is the same fixed point, but its first hops depend on the drop
-/// pattern; the referee's do not).
-sparse_exploration_result healed(hybrid_net& net, u32 h, bool advance_rounds,
-                                 const std::vector<u32>* sources,
-                                 bool first_hops) {
-  if (sources) require_distinct(*sources, net.n());
-  sparse_exploration_result ref = reliable_exploration_reference(
-      net.executor(), net.g(), h, sources, first_hops);
-  healed_local_exploration(net, h, advance_rounds ? h : 0, sources, ref);
-  return ref;
 }
 
 /// One self-healing attempt: re-offer rounds until a crash-aware quiet
@@ -146,36 +111,58 @@ void healed_local_exploration(hybrid_net& net, u32 h, u64 nominal,
   if (spent > nominal) net.note_extra_rounds(spent - nominal);
 }
 
+namespace {
+
+/// The one exploration over a row type. On a reliable local plane the
+/// relaxation kernel is the protocol, charged round by round. Under local
+/// faults it runs as free local computation (no traffic, no randomness), so
+/// its flattened rows are the canonical fixed point the fault-free run
+/// returns, vias included, and the healed engine then pays for reaching
+/// it: its success makes these triples the result, bit-identical to the
+/// fault-free run (the healed state is the same fixed point, but its first
+/// hops depend on the drop pattern; the kernel's do not).
+template <class Row>
+sparse_exploration_result explore(hybrid_net& net, std::vector<Row> rows,
+                                  relax::sources src, u32 h,
+                                  bool advance_rounds, bool first_hops) {
+  if (src.nodes) require_distinct(*src.nodes, net.n());
+  round_executor& ex = net.executor();
+  const relax::graph_edges edges{net.g()};
+  const bool healed = net.local_faults_active();
+  if (healed)
+    relax::run(ex, rows, src, h, edges, flood::no_hook{});
+  else
+    relax::run(ex, rows, src, h, edges, flood::net_hook{net, advance_rounds});
+  sparse_exploration_result out = relax::flatten(ex, rows, src, first_hops);
+  if (healed) {
+    std::vector<Row>().swap(rows);  // the engine needs only the triples
+    healed_local_exploration(net, h, advance_rounds ? h : 0, src.nodes, out);
+  }
+  return out;
+}
+
+}  // namespace
+
 sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
-  if (net.local_faults_active())
-    return healed(net, h, advance_rounds, sources, first_hops);
-  const u32 n = net.n();
-  if (sources) require_distinct(*sources, n);
-  std::vector<relax::sparse_row> rows(n);
-  const relax::sources src{sources};
-  relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
-             flood::net_hook{net, advance_rounds});
-  return relax::flatten(net.executor(), rows, src, first_hops);
+  return explore(net, std::vector<relax::sparse_row>(net.n()), {sources}, h,
+                 advance_rounds, first_hops);
 }
 
 sparse_exploration_result dense_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
-  if (net.local_faults_active())
-    return healed(net, h, advance_rounds, sources, first_hops);
-  const u32 n = net.n();
-  if (sources) require_distinct(*sources, n);
   // n-wide rows for all sources, |sources|-wide rows keyed by position for
   // a subset; vias are only stored when asked for.
-  std::vector<relax::dense_row> rows = relax::dense_rows(
-      net.executor(), n, sources ? static_cast<u32>(sources->size()) : n,
-      first_hops);
-  const relax::sources src{sources, /*by_index=*/sources != nullptr};
-  relax::run(net.executor(), rows, src, h, relax::graph_edges{net.g()},
-             flood::net_hook{net, advance_rounds});
-  return relax::flatten(net.executor(), rows, src, first_hops);
+  const u32 n = net.n();
+  return explore(net,
+                 relax::dense_rows(
+                     net.executor(), n,
+                     sources ? static_cast<u32>(sources->size()) : n,
+                     first_hops),
+                 {sources, /*by_index=*/sources != nullptr}, h,
+                 advance_rounds, first_hops);
 }
 
 sparse_exploration_result explore_adjacency(
@@ -190,11 +177,6 @@ sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,
                                                 bool advance_rounds,
                                                 const std::vector<u32>* sources,
                                                 bool first_hops) {
-  // Both message-level paths assume reliable neighborhood reads; under
-  // local-plane faults the healed engine takes over before either runs, so
-  // the dense/sparse choice never changes fault behavior (docs/FAULTS.md).
-  if (net.local_faults_active())
-    return healed(net, h, advance_rounds, sources, first_hops);
   return net.n() <= kDenseExplorationMaxNodes
              ? dense_local_exploration(net, h, advance_rounds, sources,
                                        first_hops)

@@ -81,12 +81,13 @@ sparse_exploration_result dense_local_exploration(
 /// sparse rows beyond. Both paths return identical triples and charge
 /// identical rounds/messages, so the choice is a memory/speed trade only
 /// (docs/ARCHITECTURE.md §6.2). Under
-/// local-plane faults every entry point routes to the healed exploration
-/// engine instead (proto/heal_kernel.hpp, docs/FAULTS.md §3): Pareto
-/// (dist, hops) sets re-offered until quiet, refereed against this kernel's
-/// fixed point and retried with fresh draws; it returns the fault-free
-/// triples or throws fault_failure. So the choice of path never changes
-/// fault behavior either.
+/// local-plane faults every entry point runs its kernel as free
+/// computation and then pays through the healed exploration engine
+/// (proto/heal_kernel.hpp, docs/FAULTS.md §3): Pareto (dist, hops) sets
+/// re-offered until quiet, refereed against the kernel's fixed point and
+/// retried with fresh draws; it returns the fault-free triples or throws
+/// fault_failure. So the choice of path never changes fault behavior
+/// either.
 sparse_exploration_result run_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
