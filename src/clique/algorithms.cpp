@@ -2,34 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
+#include "graph/shortest_paths.hpp"
 #include "util/assert.hpp"
 
 namespace hybrid {
 
 namespace {
-
-std::vector<u64> dijkstra_idx(
-    const std::vector<std::vector<std::pair<u32, u64>>>& edges, u32 src) {
-  std::vector<u64> dist(edges.size(), kInfDist);
-  using item = std::pair<u64, u32>;
-  std::priority_queue<item, std::vector<item>, std::greater<>> pq;
-  dist[src] = 0;
-  pq.push({0, src});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d != dist[v]) continue;
-    for (const auto& [to, w] : edges[v]) {
-      if (d + w < dist[to]) {
-        dist[to] = d + w;
-        pq.push({d + w, to});
-      }
-    }
-  }
-  return dist;
-}
 
 u64 inflate(u64 d, const approx_contract& c) {
   if (d == kInfDist || d == 0) return d;
@@ -69,17 +48,16 @@ approx_contract clique_sp_algorithm::contract(u64 max_skeleton_weight) const {
 
 std::vector<std::vector<u64>> clique_sp_algorithm::solve(
     const clique_problem& prob) const {
-  HYB_REQUIRE(prob.edges != nullptr && prob.edges->size() == prob.n_s,
-              "malformed clique problem");
+  HYB_REQUIRE(prob.g != nullptr, "malformed clique problem");
   std::vector<u32> sources = prob.sources;
   if (sources.empty())
-    for (u32 i = 0; i < prob.n_s; ++i) sources.push_back(i);
-  const approx_contract c = contract(prob.max_edge_weight);
+    for (u32 i = 0; i < prob.n_s(); ++i) sources.push_back(i);
+  const approx_contract c = contract(prob.max_edge_weight());
   std::vector<std::vector<u64>> out;
   out.reserve(sources.size());
   for (u32 s : sources) {
-    HYB_REQUIRE(s < prob.n_s, "source index out of range");
-    std::vector<u64> row = dijkstra_idx(*prob.edges, s);
+    HYB_REQUIRE(s < prob.n_s(), "source index out of range");
+    std::vector<u64> row = dijkstra(*prob.g, s);
     if (inj_ == injection::worst_case)
       for (u64& d : row) d = inflate(d, c);
     out.push_back(std::move(row));
@@ -107,18 +85,17 @@ approx_contract clique_diameter_algorithm::contract(
 }
 
 u64 clique_diameter_algorithm::solve(const clique_problem& prob) const {
-  HYB_REQUIRE(prob.edges != nullptr && prob.edges->size() == prob.n_s,
-              "malformed clique problem");
+  HYB_REQUIRE(prob.g != nullptr, "malformed clique problem");
   u64 diam = 0;
-  for (u32 i = 0; i < prob.n_s; ++i) {
-    for (u64 d : dijkstra_idx(*prob.edges, i)) {
+  for (u32 i = 0; i < prob.n_s(); ++i) {
+    for (u64 d : dijkstra(*prob.g, i)) {
       HYB_INVARIANT(d != kInfDist,
                     "skeleton is disconnected (Lemma C.2 event failed)");
       diam = std::max(diam, d);
     }
   }
   if (inj_ == injection::worst_case)
-    diam = inflate(diam, contract(prob.max_edge_weight));
+    diam = inflate(diam, contract(prob.max_edge_weight()));
   return diam;
 }
 
@@ -200,15 +177,14 @@ clique_diameter_algorithm make_clique_diameter_algebraic(double eps,
 
 std::vector<std::vector<u64>> naive_clique_apsp(clique_net& net,
                                                 const clique_problem& prob) {
-  const u32 n_s = prob.n_s;
+  const u32 n_s = prob.n_s();
   HYB_REQUIRE(net.n() == n_s, "clique size mismatch");
   // Each node i owns adjacency row i, padded to length n_s with kInfDist;
   // in round r it sends entry r of its row to every node. After n_s rounds
   // everyone holds the full weight matrix and solves locally.
   std::vector<std::vector<u64>> weight(n_s, std::vector<u64>(n_s, kInfDist));
   for (u32 i = 0; i < n_s; ++i)
-    for (const auto& [to, w] : (*prob.edges)[i])
-      weight[i][to] = std::min(weight[i][to], w);
+    for (const edge& e : prob.g->neighbors(i)) weight[i][e.to] = e.weight;
 
   // gathered[v][i][j]: what v has learned of the matrix.
   std::vector<std::vector<std::vector<u64>>> gathered(
@@ -241,14 +217,14 @@ std::vector<std::vector<u64>> naive_clique_apsp(clique_net& net,
       HYB_INVARIANT(gathered[0][i][j] == weight[i][j],
                     "full exchange failed to reproduce the weight matrix");
   std::vector<std::vector<u64>> out(n_s);
-  for (u32 i = 0; i < n_s; ++i) out[i] = dijkstra_idx(*prob.edges, i);
+  for (u32 i = 0; i < n_s; ++i) out[i] = dijkstra(*prob.g, i);
   return out;
 }
 
 std::vector<u64> bellman_ford_clique_sssp(clique_net& net,
                                           const clique_problem& prob,
                                           u32 source) {
-  const u32 n_s = prob.n_s;
+  const u32 n_s = prob.n_s();
   HYB_REQUIRE(net.n() == n_s, "clique size mismatch");
   HYB_REQUIRE(source < n_s, "source out of range");
   std::vector<u64> dist(n_s, kInfDist);
@@ -259,11 +235,10 @@ std::vector<u64> bellman_ford_clique_sssp(clique_net& net,
   while (any) {
     net.executor().for_nodes(n_s, [&](u32 v) {
       if (!changed[v]) return;
-      for (const auto& [to, w] : (*prob.edges)[v]) {
-        (void)w;
+      for (const edge& e : prob.g->neighbors(v)) {
         clique_msg m;
         m.src = v;
-        m.dst = to;
+        m.dst = e.to;
         m.w[0] = dist[v];
         m.nw = 1;
         net.send(m);
@@ -276,9 +251,9 @@ std::vector<u64> bellman_ford_clique_sssp(clique_net& net,
       // incident weights).
       u64 improved = 0;
       for (const clique_msg& m : net.inbox(v)) {
-        for (const auto& [to, w] : (*prob.edges)[v]) {
-          if (to != m.src) continue;
-          const u64 nd = m.w[0] + w;
+        for (const edge& e : prob.g->neighbors(v)) {
+          if (e.to != m.src) continue;
+          const u64 nd = m.w[0] + e.weight;
           if (nd < dist[v]) {
             dist[v] = nd;
             changed[v] = 1;

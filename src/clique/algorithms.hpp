@@ -21,6 +21,7 @@
 // ablation baseline of experiment E13.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,12 +35,14 @@ namespace hybrid {
 /// What the clique nodes jointly know: the skeleton graph and which of its
 /// nodes are (representatives of) sources.
 struct clique_problem {
-  u32 n_s = 0;
-  /// Skeleton adjacency: edges[i] = (other skeleton index, weight).
-  const std::vector<std::vector<std::pair<u32, u64>>>* edges = nullptr;
+  /// The skeleton graph G_S; the caller keeps it alive.
+  const graph* g = nullptr;
   /// Skeleton indices acting as sources; empty means "all" (APSP).
   std::vector<u32> sources;
-  u64 max_edge_weight = 1;
+
+  u32 n_s() const { return g->num_nodes(); }
+  /// The heaviest skeleton edge weight W_S, at least 1.
+  u64 max_edge_weight() const { return std::max<u64>(1, g->max_weight()); }
 };
 
 struct approx_contract {

@@ -40,9 +40,7 @@ diameter_result hybrid_diameter(const graph& g, const model_config& cfg,
   charge_clique_rounds(net, emb, alg.declared_rounds(n_s));
 
   clique_problem prob;
-  prob.n_s = n_s;
-  prob.edges = &sk.edges;
-  prob.max_edge_weight = sk.max_edge_weight();
+  prob.g = &sk.edges;
   out.skeleton_estimate = alg.solve(prob);
 
   // ---- 3. (ηh+1)-round hello flood: h_v, and D̃(S) rides along -------------
@@ -71,7 +69,7 @@ diameter_result hybrid_diameter(const graph& g, const model_config& cfg,
 
   out.metrics = net.snapshot();
   const double t_b = static_cast<double>(out.metrics.rounds);
-  const approx_contract c = alg.contract(prob.max_edge_weight);
+  const approx_contract c = alg.contract(prob.max_edge_weight());
   out.bound = c.alpha + 2.0 / alg.eta() + static_cast<double>(c.beta) / t_b;
   return out;
 }

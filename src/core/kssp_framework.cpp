@@ -74,10 +74,8 @@ kssp_result hybrid_kssp(const graph& g, const model_config& cfg, u64 seed,
   charge_clique_rounds(net, emb, out.clique_rounds);
 
   clique_problem prob;
-  prob.n_s = n_s;
-  prob.edges = &sk.edges;
+  prob.g = &sk.edges;
   prob.sources = rep_nodes;
-  prob.max_edge_weight = sk.max_edge_weight();
   // est[slot][u] = d̃(u, rep) under A's (α, β) contract.
   const std::vector<std::vector<u64>> est = alg.solve(prob);
 
@@ -120,7 +118,7 @@ kssp_result hybrid_kssp(const graph& g, const model_config& cfg, u64 seed,
 
   out.metrics = net.snapshot();
   const double t_b = static_cast<double>(out.metrics.rounds);
-  const approx_contract c = alg.contract(prob.max_edge_weight);
+  const approx_contract c = alg.contract(prob.max_edge_weight());
   out.bound_weighted = 2.0 * c.alpha + 1.0 + static_cast<double>(c.beta) / t_b;
   out.bound_unweighted =
       c.alpha + 2.0 / alg.eta() + static_cast<double>(c.beta) / t_b;

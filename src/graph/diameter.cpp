@@ -1,8 +1,7 @@
 #include "graph/diameter.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <tuple>
+#include <numeric>
 
 #include "graph/shortest_paths.hpp"
 #include "util/assert.hpp"
@@ -45,35 +44,27 @@ u64 weighted_diameter(const graph& g) {
 }
 
 u32 shortest_path_diameter(const graph& g) {
-  // Dijkstra ordered by (distance, hops): computes the minimum hop count
-  // among shortest paths from each source.
+  // The minimum hop count among shortest paths from each source: relax the
+  // shortest-path DAG of its Dijkstra in order of distance. Weights are at
+  // least 1, so every DAG predecessor of v is strictly closer than v and
+  // its count is final when v's turn comes.
+  const u32 n = g.num_nodes();
   u32 best = 0;
-  for (u32 s = 0; s < g.num_nodes(); ++s) {
-    const u32 n = g.num_nodes();
-    std::vector<u64> dist(n, kInfDist);
-    std::vector<u32> hops(n, ~u32{0});
-    using item = std::tuple<u64, u32, u32>;  // (dist, hops, node)
-    std::priority_queue<item, std::vector<item>, std::greater<>> pq;
-    dist[s] = 0;
+  std::vector<u32> order(n);
+  std::vector<u32> hops(n);
+  for (u32 s = 0; s < n; ++s) {
+    const std::vector<u64> dist = dijkstra(g, s);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](u32 a, u32 b) { return dist[a] < dist[b]; });
+    hops.assign(n, ~u32{0});
     hops[s] = 0;
-    pq.push({0, 0, s});
-    while (!pq.empty()) {
-      auto [d, h, v] = pq.top();
-      pq.pop();
-      if (d != dist[v] || h != hops[v]) continue;
-      for (const edge& e : g.neighbors(v)) {
-        const u64 nd = d + e.weight;
-        const u32 nh = h + 1;
-        if (nd < dist[e.to] || (nd == dist[e.to] && nh < hops[e.to])) {
-          dist[e.to] = nd;
-          hops[e.to] = nh;
-          pq.push({nd, nh, e.to});
-        }
-      }
-    }
-    for (u32 v = 0; v < n; ++v) {
+    for (u32 v : order) {
       HYB_REQUIRE(dist[v] != kInfDist, "requires a connected graph");
       best = std::max(best, hops[v]);
+      for (const edge& e : g.neighbors(v))
+        if (dist[v] + e.weight == dist[e.to])
+          hops[e.to] = std::min(hops[e.to], hops[v] + 1);
     }
   }
   return best;

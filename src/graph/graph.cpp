@@ -7,7 +7,8 @@
 
 namespace hybrid {
 
-graph graph::from_edges(u32 n, std::span<const edge_spec> edges) {
+graph graph::from_edges(u32 n, std::span<const edge_spec> edges,
+                        u64 max_weight) {
   HYB_REQUIRE(n > 0, "graph needs at least one node");
   // Collapse parallel edges keeping the minimum weight.
   std::map<std::pair<u32, u32>, u64> uniq;
@@ -15,8 +16,9 @@ graph graph::from_edges(u32 n, std::span<const edge_spec> edges) {
     HYB_REQUIRE(e.a < n && e.b < n, "edge endpoint out of range");
     HYB_REQUIRE(e.a != e.b, "self-loops are not allowed");
     HYB_REQUIRE(e.weight >= 1, "edge weights must be >= 1");
-    HYB_REQUIRE(e.weight <= max_edge_weight(n),
-                "edge weight too large: (n-1)*w must stay below kInfDist/8");
+    HYB_REQUIRE(e.weight <= max_weight,
+                "edge weight too large: above the graph's bound, by default "
+                "max_edge_weight(n) so that (n-1)*w stays below kInfDist/8");
     auto key = std::minmax(e.a, e.b);
     auto [it, inserted] = uniq.emplace(key, e.weight);
     if (!inserted) it->second = std::min(it->second, e.weight);

@@ -28,6 +28,7 @@ constexpr u64 max_edge_weight(u32 n) {
 struct edge {
   u32 to;
   u64 weight;
+  friend bool operator==(const edge&, const edge&) = default;
 };
 
 struct edge_spec {
@@ -41,9 +42,15 @@ class graph {
   graph() = default;
 
   /// Build from an undirected edge list. Parallel edges are collapsed to the
-  /// lightest; self-loops and weights outside [1, max_edge_weight(n)] are
-  /// rejected.
-  static graph from_edges(u32 n, std::span<const edge_spec> edges);
+  /// lightest; self-loops and weights outside [1, max_weight] are rejected.
+  /// The bound defaults to max_edge_weight(n); a graph whose weights are
+  /// already distances of another graph (the skeleton G_S, whose weights
+  /// G's own bound keeps below kInfDist/8) passes kInfDist/8 − 1 instead.
+  static graph from_edges(u32 n, std::span<const edge_spec> edges,
+                          u64 max_weight);
+  static graph from_edges(u32 n, std::span<const edge_spec> edges) {
+    return from_edges(n, edges, max_edge_weight(n));
+  }
 
   u32 num_nodes() const { return n_; }
   u64 num_edges() const { return adj_.size() / 2; }
@@ -52,12 +59,19 @@ class graph {
     return {adj_.data() + offset_[v], adj_.data() + offset_[v + 1]};
   }
 
+  /// neighbors(v), for the frozen benchmark driver `perfbench/hybench.cpp`
+  /// (it reads the skeleton's `edges[i]`); the next change to the
+  /// benchmark removes it.
+  std::span<const edge> operator[](u32 v) const { return neighbors(v); }
+
   u32 degree(u32 v) const { return offset_[v + 1] - offset_[v]; }
 
   u64 max_weight() const { return max_weight_; }
   bool is_unweighted() const { return max_weight_ <= 1; }
 
   bool is_connected() const;
+
+  friend bool operator==(const graph&, const graph&) = default;
 
  private:
   u32 n_ = 0;

@@ -1,7 +1,6 @@
 #include "proto/dissemination.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "proto/aggregation.hpp"
@@ -29,70 +28,76 @@ struct node_state {
   }
 };
 
-/// The gossip schedule both paths share: copies seeded per token, gossip
-/// rounds between termination checks, and the first gossip budget — it
-/// fits every fault-free benched workload; the simulated path's doubling
-/// loop exists for adversarial token distributions.
+/// The gossip schedule both paths share: copies seeded per token (Θ(log n)
+/// in the analysis), gossip rounds between termination checks, and the
+/// first gossip budget — it fits every fault-free benched workload; the
+/// simulated path's doubling loop exists for adversarial token
+/// distributions.
 struct gossip_plan {
   u32 seed_copies;
   u32 cadence;
   u64 budget;
 };
 
-gossip_plan first_budget(const hybrid_net& net, u32 k, u64 ell) {
-  const u32 seed_copies = std::max<u32>(
-      1, static_cast<u32>(std::ceil(net.config().dissemination_seed_mult *
-                                    id_bits(net.n()))));
-  const u32 cadence = 16;
-  return {seed_copies, cadence,
-          4 * (isqrt(k) + ceil_div(ell * seed_copies, net.global_cap())) +
-              cadence};
-}
+/// The enumerated token set: node v owns tokens[first[v] .. first[v+1]),
+/// and a token's index rides inside its O(log n)-bit message.
+struct token_set {
+  const std::vector<token2>& tokens;
+  const std::vector<u32>& first;
+  gossip_plan plan;
+};
 
-}  // namespace
-
-dissemination_result disseminate(hybrid_net& net,
-                                 std::vector<std::vector<token2>> initial) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+/// The opening and closing both paths share: enumerate the tokens node by
+/// node (simulator bookkeeping), make k known by a charged sum-aggregation
+/// (the protocols downstream need it for termination checks), run
+/// `gossip` unless k = 0, and report the rounds spent.
+dissemination_result run_dissemination(
+    hybrid_net& net, const std::vector<std::vector<token2>>& initial,
+    void (*gossip)(hybrid_net&, const token_set&)) {
+  const u32 n = net.n();
   HYB_REQUIRE(initial.size() == n, "initial tokens must cover every node");
-
-  // Global enumeration of tokens (simulator bookkeeping; nodes address
-  // tokens by this index, which rides inside the O(log n)-bit message).
-  std::vector<token2> tokens;
-  std::vector<std::vector<u32>> owned(n);
+  dissemination_result out;
+  std::vector<u32> first(u64{n} + 1, 0);
+  std::vector<u64> counts(n);
   u64 ell = 0;
   for (u32 v = 0; v < n; ++v) {
-    for (const token2& t : initial[v]) {
-      owned[v].push_back(static_cast<u32>(tokens.size()));
-      tokens.push_back(t);
-    }
+    out.tokens.insert(out.tokens.end(), initial[v].begin(), initial[v].end());
+    first[v + 1] = static_cast<u32>(out.tokens.size());
+    counts[v] = initial[v].size();
     ell = std::max<u64>(ell, initial[v].size());
   }
-  const u32 k = static_cast<u32>(tokens.size());
+  const u32 k = static_cast<u32>(out.tokens.size());
 
   const u64 start_round = net.round();
-  // Make k known (the protocols downstream need it for termination checks).
-  std::vector<u64> counts(n);
-  for (u32 v = 0; v < n; ++v) counts[v] = owned[v].size();
   const u64 k_agg = global_aggregate(net, agg_op::sum, counts);
   HYB_INVARIANT(k_agg == k, "token count aggregation mismatch");
-
-  dissemination_result out;
-  out.tokens = tokens;
-  if (k == 0) {
-    out.rounds_used = net.round() - start_round;
-    return out;
+  if (k != 0) {
+    const u32 seed_copies = id_bits(n);
+    const u32 cadence = 16;
+    const u64 budget =
+        4 * (isqrt(k) + ceil_div(ell * seed_copies, net.global_cap())) +
+        cadence;
+    gossip(net, {out.tokens, first, {seed_copies, cadence, budget}});
   }
+  out.rounds_used = net.round() - start_round;
+  return out;
+}
 
-  const gossip_plan plan = first_budget(net, k, ell);
+/// The simulated gossip: seeding, random pushes, the local fresh-list flood
+/// and the cadence termination checks, until every node knows all k tokens.
+void simulate_gossip(hybrid_net& net, const token_set& ts) {
+  const graph& g = net.g();
+  const u32 n = g.num_nodes();
+  const std::vector<token2>& tokens = ts.tokens;
+  const gossip_plan& plan = ts.plan;
+  const u32 k = static_cast<u32>(tokens.size());
   const u32 words = (k + 63) / 64;
 
   std::vector<node_state> st(n);
   for (u32 v = 0; v < n; ++v) {
     st[v].known.reserve(k);  // every node ends holding exactly k
     st[v].known_bit.assign(words, 0);
-    for (u32 idx : owned[v]) {
+    for (u32 idx = ts.first[v]; idx < ts.first[v + 1]; ++idx) {
       st[v].learn(idx);
       st[v].seed_queue.push_back({idx, plan.seed_copies});
     }
@@ -220,46 +225,15 @@ dissemination_result disseminate(hybrid_net& net,
   // doubling loop exists for adversarial token distributions).
   if (faulty && spent > budget0) net.note_extra_rounds(spent - budget0);
   HYB_INVARIANT(all_done(), "dissemination terminated before completion");
-  out.rounds_used = net.round() - start_round;
-  return out;
 }
 
-dissemination_result disseminate_charged(
-    hybrid_net& net, std::vector<std::vector<token2>> initial) {
-  if (net.faults_active())
-    throw fault_unsupported(
-        "charged dissemination is a closed-form stand-in and cannot heal "
-        "message loss; use disseminate() under active faults");
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  HYB_REQUIRE(initial.size() == n, "initial tokens must cover every node");
-
-  // Token enumeration identical to disseminate(): the shared vector is the
-  // exact content every node converges to on the simulated path.
-  std::vector<token2> tokens;
-  std::vector<u64> counts(n);
-  u64 ell = 0;
-  for (u32 v = 0; v < n; ++v) {
-    counts[v] = initial[v].size();
-    for (const token2& t : initial[v]) tokens.push_back(t);
-    ell = std::max<u64>(ell, initial[v].size());
-  }
-  const u32 k = static_cast<u32>(tokens.size());
-
-  const u64 start_round = net.round();
-  const u64 k_agg = global_aggregate(net, agg_op::sum, counts);
-  HYB_INVARIANT(k_agg == k, "token count aggregation mismatch");
-
-  dissemination_result out;
-  out.tokens = std::move(tokens);
-  if (k == 0) {
-    out.rounds_used = net.round() - start_round;
-    return out;
-  }
-
+/// The closed-form gossip: the simulated path's first budget and traffic,
+/// charged without moving a message.
+void charge_gossip(hybrid_net& net, const token_set& ts) {
+  const u32 n = net.n();
+  const u32 k = static_cast<u32>(ts.tokens.size());
   // The simulated path's first budget, charged as silent rounds.
-  const gossip_plan plan = first_budget(net, k, ell);
-  const u64 budget = plan.budget;
+  const u64 budget = ts.plan.budget;
   net.charge_rounds(budget);
   // Gossip pushes: every node spends its γ budget each gossip round, three
   // payload words per push (the {a, b, idx} token message).
@@ -269,15 +243,31 @@ dissemination_result disseminate_charged(
   // read once per incident edge side — exactly 2|E|·k items on any run
   // that converges, charged as delivered (closed-form budgets are
   // reliability-abstracted, see run_metrics::local_delivered).
-  const u64 items = 2 * g.num_edges() * u64{k};
+  const u64 items = 2 * net.g().num_edges() * u64{k};
   net.charge_local(items);
   net.note_local_delivered(items);
   // Termination AND-aggregations at the fixed cadence, plus the final one.
-  const u64 checks = budget / plan.cadence + 1;
+  const u64 checks = budget / ts.plan.cadence + 1;
   net.charge_rounds(checks * aggregation_rounds(n));
   net.charge_global(checks * 2 * u64{n}, checks * 2 * u64{n});
-  out.rounds_used = net.round() - start_round;
-  return out;
+}
+
+}  // namespace
+
+dissemination_result disseminate(hybrid_net& net,
+                                 std::vector<std::vector<token2>> initial) {
+  return run_dissemination(net, initial, simulate_gossip);
+}
+
+dissemination_result disseminate_charged(
+    hybrid_net& net, std::vector<std::vector<token2>> initial) {
+  if (net.faults_active())
+    throw fault_unsupported(
+        "charged dissemination is a closed-form stand-in and cannot heal "
+        "message loss; use disseminate() under active faults");
+  // The token set is the one the simulated path enumerates: the exact
+  // content every node converges to there.
+  return run_dissemination(net, initial, charge_gossip);
 }
 
 }  // namespace hybrid

@@ -4,21 +4,21 @@
 // identical local phase).
 //
 // Internal header. Its instantiations are
-//   * sparse_local_exploration / dense_local_exploration — net, graph edges
-//     (all sources, or a source set such as the skeleton's);
-//   * the referee of a healed exploration — pure, graph edges;
-//   * explore_adjacency — pure, explicit (to, w) lists;
-// and they differ only in three parameters:
+//   * sparse_local_exploration / dense_local_exploration — over G, all
+//     sources or a source set such as the skeleton's; charged round by
+//     round on a reliable plane, pure under local faults (the healed
+//     engine then pays for the same fixed point);
+//   * explore_graph — pure, over any graph (the skeleton graph G_S);
+// and they differ only in two parameters:
 //   * the row type — sparse_row (a flat_map of exploration entries keyed
 //     by source, memory O(|ball_h(v)|)) or dense_row (K distances per
 //     node: K = n for all sources, or K = |sources| keyed by position);
 //     each row type provides relax, dist_of, reached_count and
 //     copy_reached below;
-//   * the neighbour source — graph edges or an explicit adjacency list,
-//     always read in its stored (sorted) order;
 //   * the per-round hook — traffic/round accounting for net callers, a
 //     no-op for pure ones (the flood kernel's hooks,
 //     proto/flood_kernel.hpp).
+// Neighbours are always read in the graph's stored (ID-sorted) order.
 //
 // One round: every node v pulls the round-frozen frontiers of its
 // neighbours in adjacency order and relaxes each (key, dist + w) into its
@@ -124,29 +124,13 @@ struct sources {
   u32 source_of(u32 key) const { return by_index ? (*nodes)[key] : key; }
 };
 
-struct graph_edges {
-  const graph& g;
-  template <class F>
-  void operator()(u32 v, F&& f) const {
-    for (const edge& e : g.neighbors(v)) f(e.to, e.weight);
-  }
-};
-
-struct adjacency_edges {
-  const std::vector<std::vector<std::pair<u32, u64>>>& adj;
-  template <class F>
-  void operator()(u32 v, F&& f) const {
-    for (const auto& [to, w] : adj[v]) f(to, w);
-  }
-};
-
 /// Seeds every source at distance 0 (via = itself) and runs up to h
-/// relaxation rounds over `rows` (one per node, default state = nothing
-/// reached). Afterwards rows[v] holds d_h(v, s) and v's first hop toward s
-/// for every source s within h hops.
-template <class Row, class Nbrs, class Hook>
-void run(round_executor& ex, std::vector<Row>& rows, sources src, u32 h,
-         const Nbrs& nbrs, const Hook& hook) {
+/// relaxation rounds of `g` over `rows` (one per node of g, default state =
+/// nothing reached). Afterwards rows[v] holds d_h(v, s) and v's first hop
+/// toward s for every source s within h hops.
+template <class Row, class Hook>
+void run(round_executor& ex, const graph& g, std::vector<Row>& rows,
+         sources src, u32 h, const Hook& hook) {
   const u32 n = static_cast<u32>(rows.size());
   // Frontier entries carry the value of the round that produced them, so
   // information moves exactly one hop per round. Both buffers keep their
@@ -170,13 +154,15 @@ void run(round_executor& ex, std::vector<Row>& rows, sources src, u32 h,
       std::vector<source_distance>& out = next[v];
       out.clear();
       u64 pulled = 0;
-      nbrs(v, [&](u32 to, u64 w) {
+      for (const edge& e : g.neighbors(v)) {
+        const u32 to = e.to;
+        const u64 w = e.weight;
         const std::vector<source_distance>& from = frontier[to];
         pulled += from.size();
         for (const source_distance& f : from)
           if (relax(row, f.source, f.dist + w, to))
             out.push_back({f.source, f.dist + w, to});
-      });
+      }
       std::erase_if(out, [&](const source_distance& sd) {
         return sd.dist != dist_of(row, sd.source);
       });

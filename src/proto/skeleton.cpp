@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
+#include "graph/shortest_paths.hpp"
 #include "proto/dissemination.hpp"
 #include "util/assert.hpp"
 
@@ -60,102 +60,39 @@ skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
     for (const exploration_entry& e : slice)
       sk.near[v].push_back({sk.index_of[e.source], e.dist, e.first_hop});
   }
-  sk.edges.assign(sk.nodes.size(), {});
+  // d_h is symmetric, so each skeleton edge is read once, at its smaller
+  // endpoint. Its weight is a distance of G, which G's own weight bound
+  // keeps below kInfDist/8 — the headroom G_S is built with.
+  std::vector<edge_spec> es;
   for (u32 i = 0; i < sk.nodes.size(); ++i)
     for (const source_distance& sd : sk.near[sk.nodes[i]])
-      if (sd.source != i) sk.edges[i].push_back({sd.source, sd.dist});
+      if (i < sd.source) es.push_back({i, sd.source, sd.dist});
+  sk.edges = graph::from_edges(static_cast<u32>(sk.nodes.size()), es,
+                               kInfDist / 8 - 1);
   return sk;
 }
-
-namespace {
-
-/// The skeleton adjacency flattened once into CSR form, so the per-source
-/// Dijkstra loop shares one contiguous structure instead of re-walking the
-/// vector-of-vectors per call (hot path: it is the level-1/level-2 table
-/// builder in the two-level pipeline).
-struct skeleton_csr {
-  std::vector<u64> offsets;  ///< size n_s + 1
-  std::vector<u32> targets;
-  std::vector<u64> weights;
-
-  explicit skeleton_csr(
-      const std::vector<std::vector<std::pair<u32, u64>>>& edges) {
-    offsets.assign(edges.size() + 1, 0);
-    for (size_t i = 0; i < edges.size(); ++i)
-      offsets[i + 1] = offsets[i] + edges[i].size();
-    targets.resize(offsets.back());
-    weights.resize(offsets.back());
-    u64 at = 0;
-    for (const auto& adj : edges)
-      for (const auto& [to, w] : adj) {
-        targets[at] = to;
-        weights[at] = w;
-        ++at;
-      }
-  }
-};
-
-void dijkstra_on_csr(const skeleton_csr& csr, u32 src,
-                     std::vector<u64>& dist) {
-  dist.assign(csr.offsets.size() - 1, kInfDist);
-  using item = std::pair<u64, u32>;
-  std::priority_queue<item, std::vector<item>, std::greater<>> pq;
-  dist[src] = 0;
-  pq.push({0, src});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d != dist[v]) continue;
-    for (u64 k = csr.offsets[v]; k < csr.offsets[v + 1]; ++k) {
-      const u32 to = csr.targets[k];
-      const u64 nd = d + csr.weights[k];
-      if (nd < dist[to]) {
-        dist[to] = nd;
-        pq.push({nd, to});
-      }
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<std::vector<token2>> skeleton_result::edge_tokens() const {
   std::vector<std::vector<token2>> out(index_of.size());
   for (u32 i = 0; i < nodes.size(); ++i)
-    for (const auto& [j, w] : edges[i])
-      if (i < j) out[nodes[i]].push_back({(u64{i} << 32) | j, w});
+    for (const edge& e : edges.neighbors(i))
+      if (i < e.to) out[nodes[i]].push_back({(u64{i} << 32) | e.to, e.weight});
   return out;
-}
-
-u64 skeleton_result::max_edge_weight() const {
-  u64 heaviest = 1;
-  for (const auto& adj : edges)
-    for (const auto& e : adj) heaviest = std::max(heaviest, e.second);
-  return heaviest;
 }
 
 std::vector<std::vector<u64>> skeleton_apsp(const skeleton_result& sk,
                                             round_executor& ex) {
   const u32 n_s = static_cast<u32>(sk.nodes.size());
-  const skeleton_csr csr(sk.edges);
   std::vector<std::vector<u64>> out(n_s);
   // Each source's row is written only by its own item, so the parallel loop
   // is trivially deterministic (docs/CONCURRENCY.md node-parallel contract).
-  ex.for_nodes(n_s, [&](u32 i) { dijkstra_on_csr(csr, i, out[i]); });
+  ex.for_nodes(n_s, [&](u32 i) { out[i] = dijkstra(sk.edges, i); });
   return out;
 }
 
 std::vector<std::vector<u64>> skeleton_apsp(const skeleton_result& sk) {
   round_executor ex(sim_options{});
   return skeleton_apsp(sk, ex);
-}
-
-std::vector<u64> skeleton_sssp(const skeleton_result& sk, u32 src) {
-  HYB_REQUIRE(src < sk.nodes.size(), "skeleton index out of range");
-  const skeleton_csr csr(sk.edges);
-  std::vector<u64> dist;
-  dijkstra_on_csr(csr, src, dist);
-  return dist;
 }
 
 super_skeleton_result compute_super_skeleton(hybrid_net& net,
@@ -195,8 +132,8 @@ super_skeleton_result compute_super_skeleton(hybrid_net& net,
         {(u64{ss.members[j]} << 32) | j, 0});
   disseminate(net, std::move(tokens));
 
-  // ball1: h1-hop all-sources exploration over G_S (explicit adjacency).
-  sparse_exploration_result ball = explore_adjacency(sk.edges, h1, net.executor());
+  // ball1: h1-hop all-sources exploration over G_S.
+  sparse_exploration_result ball = explore_graph(sk.edges, h1, net.executor());
   ss.ball_offsets = std::move(ball.offsets);
   ss.ball_entries = std::move(ball.entries);
 
@@ -222,11 +159,9 @@ super_skeleton_result compute_super_skeleton(hybrid_net& net,
 
   // Exact super-pair distances: Dijkstra over the full skeleton graph from
   // each member (members' rows are disjoint — node-parallel).
-  const skeleton_csr csr(sk.edges);
   ss.pairs.assign(u64{n_s2} * n_s2, kInfDist);
   net.executor().for_nodes(n_s2, [&](u32 i) {
-    std::vector<u64> dist;
-    dijkstra_on_csr(csr, ss.members[i], dist);
+    const std::vector<u64> dist = dijkstra(sk.edges, ss.members[i]);
     u64* row = ss.pairs.data() + u64{i} * n_s2;
     for (u32 j = 0; j < n_s2; ++j) row[j] = dist[ss.members[j]];
   });

@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "proto/dissemination.hpp"
 #include "proto/flood.hpp"
 #include "proto/sparse_exploration.hpp"
@@ -28,8 +29,9 @@ struct skeleton_result {
   u32 h = 0;                  ///< hop budget used
   double sample_prob = 0.0;
 
-  /// Skeleton adjacency: edges[i] = (other skeleton index, weight d_h).
-  std::vector<std::vector<std::pair<u32, u64>>> edges;
+  /// The skeleton graph G_S over skeleton indices: edge (i, j) carries
+  /// weight d_h(nodes[i], nodes[j]).
+  graph edges;
   /// Per node: (skeleton index, d_h(v, skeleton)) for skeletons within h
   /// hops, exactly what the h-round exploration teaches v.
   std::vector<std::vector<source_distance>> near;
@@ -38,8 +40,6 @@ struct skeleton_result {
   /// E_S as dissemination tokens ((i << 32) | j, w) held by node: each
   /// edge is announced once, by its smaller endpoint.
   std::vector<std::vector<token2>> edge_tokens() const;
-  /// The heaviest skeleton edge weight, at least 1.
-  u64 max_edge_weight() const;
 };
 
 /// Algorithm 6. `forced` nodes (e.g. the SSSP source, Lemma 4.5) are always
@@ -50,17 +50,13 @@ skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
 
 /// Local (free) computation every node can do once the skeleton edge set is
 /// public: all-pairs distances within the skeleton graph. dist[i][j] indexed
-/// by skeleton indices. The adjacency is hoisted into one flat CSR and the
-/// per-source Dijkstras run node-parallel on `ex` — each source's row is
-/// private, so the result is bit-identical at every thread count (tested at
-/// threads {1,2,8}).
+/// by skeleton indices. The per-source Dijkstras over G_S run node-parallel
+/// on `ex` — each source's row is private, so the result is bit-identical at
+/// every thread count (tested at threads {1,2,8}).
 std::vector<std::vector<u64>> skeleton_apsp(const skeleton_result& sk,
                                             round_executor& ex);
 /// Convenience overload on a default executor (HYBRID_THREADS honored).
 std::vector<std::vector<u64>> skeleton_apsp(const skeleton_result& sk);
-
-/// Single-index variant: distances in S from skeleton index `src`.
-std::vector<u64> skeleton_sssp(const skeleton_result& sk, u32 src);
 
 /// The second sampling level (the recursion the paper's Section 4 machinery
 /// admits): V_S2 ⊆ V_S sampled with probability `sample_prob` from the

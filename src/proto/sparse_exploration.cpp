@@ -1,5 +1,5 @@
 // h-hop exploration entry points and the healed exploration engine. Every
-// exploration here — sparse, dense and explore_adjacency — is an
+// exploration here — sparse, dense and explore_graph — is an
 // instantiation of the one relaxation kernel in proto/relax_kernel.hpp; the
 // sparse path differs from the dense one only in its row type (a flat_map
 // of entries instead of an n-wide row), which is what makes the two
@@ -127,12 +127,12 @@ sparse_exploration_result explore(hybrid_net& net, std::vector<Row> rows,
                                   bool advance_rounds, bool first_hops) {
   if (src.nodes) require_distinct(*src.nodes, net.n());
   round_executor& ex = net.executor();
-  const relax::graph_edges edges{net.g()};
   const bool healed = net.local_faults_active();
   if (healed)
-    relax::run(ex, rows, src, h, edges, flood::no_hook{});
+    relax::run(ex, net.g(), rows, src, h, flood::no_hook{});
   else
-    relax::run(ex, rows, src, h, edges, flood::net_hook{net, advance_rounds});
+    relax::run(ex, net.g(), rows, src, h,
+               flood::net_hook{net, advance_rounds});
   sparse_exploration_result out = relax::flatten(ex, rows, src, first_hops);
   if (healed) {
     std::vector<Row>().swap(rows);  // the engine needs only the triples
@@ -165,11 +165,10 @@ sparse_exploration_result dense_local_exploration(
                  advance_rounds, first_hops);
 }
 
-sparse_exploration_result explore_adjacency(
-    const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
-    round_executor& ex) {
-  std::vector<relax::sparse_row> rows(adj.size());
-  relax::run(ex, rows, {}, h, relax::adjacency_edges{adj}, flood::no_hook{});
+sparse_exploration_result explore_graph(const graph& g, u32 h,
+                                        round_executor& ex) {
+  std::vector<relax::sparse_row> rows(g.num_nodes());
+  relax::run(ex, g, rows, {}, h, flood::no_hook{});
   return relax::flatten(ex, rows, {}, /*first_hops=*/true);
 }
 

@@ -92,18 +92,17 @@ sparse_exploration_result run_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
 
-/// h-hop all-sources exploration over an EXPLICIT adjacency list — free
-/// local computation, no hybrid_net, no rounds, no traffic charging. This
-/// is the level-1 table builder of the two-level hierarchy: once the
-/// skeleton edge set E_S is public (disseminated), every node can run this
-/// over G_S locally, exactly like skeleton_apsp. `adj[v]` holds (neighbor,
-/// weight) pairs; entries come back sorted by source INDEX (the vertices of
-/// `adj` are their own id space), first_hop = the producing neighbor index
-/// (self at the source). Deterministic and bit-identical at every thread
-/// count of `ex` — it is the relaxation kernel (proto/relax_kernel.hpp)
-/// with sparse rows and no round or traffic accounting.
-sparse_exploration_result explore_adjacency(
-    const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
-    round_executor& ex);
+/// h-hop all-sources exploration over any graph `g` — free local
+/// computation, no hybrid_net, no rounds, no traffic charging. This is the
+/// level-1 table builder of the two-level hierarchy: once the skeleton
+/// edge set E_S is public (disseminated), every node can run this over the
+/// skeleton graph G_S locally, exactly like skeleton_apsp. Entries come
+/// back sorted by source (a node of `g`), first_hop = the producing
+/// neighbour (self at the source). Deterministic and bit-identical at every
+/// thread count of `ex` — it is the relaxation kernel
+/// (proto/relax_kernel.hpp) with sparse rows and no round or traffic
+/// accounting.
+sparse_exploration_result explore_graph(const graph& g, u32 h,
+                                        round_executor& ex);
 
 }  // namespace hybrid

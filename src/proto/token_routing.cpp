@@ -69,6 +69,53 @@ void take_share(std::vector<helper_task>& all, u32 pos, u32 count,
   for (u32 j = pos; j < all.size(); j += count) out.push_back(all[j]);
 }
 
+/// Receiver node id → its position in spec.receivers, ~0 for non-receivers.
+std::vector<u32> receiver_positions(u32 n, const routing_spec& spec) {
+  std::vector<u32> pos(n, ~u32{0});
+  for (u32 i = 0; i < spec.receivers.size(); ++i) {
+    HYB_REQUIRE(spec.receivers[i] < n, "receiver out of range");
+    pos[spec.receivers[i]] = i;
+  }
+  return pos;
+}
+
+/// The input walk both routing paths share, so the charged stand-in
+/// validates exactly like the simulated path: in sender order, each
+/// sender's k_s bound, then per token its sender slot, its receiver and —
+/// for a routed token (sender ≠ receiver) — the packability of its label;
+/// after the walk each receiver's k_r bound over its routed tokens (self
+/// tokens are delivered directly and do not count). Every token goes to
+/// `take(si, ri, t)`, and each sender slab is released once absorbed (the
+/// n = 10⁵ memory budget). Returns the number of routed tokens.
+template <class Take>
+u64 walk_batch(const routing_spec& spec, const std::vector<u32>& receiver_pos,
+               std::vector<std::vector<routed_token>>& by_sender,
+               Take&& take) {
+  std::vector<u64> routed_to(spec.receivers.size(), 0);
+  u64 total_routed = 0;
+  for (u32 si = 0; si < by_sender.size(); ++si) {
+    HYB_REQUIRE(by_sender[si].size() <= spec.k_s, "sender exceeds k_s tokens");
+    for (const routed_token& t : by_sender[si]) {
+      HYB_REQUIRE(t.sender == spec.senders[si],
+                  "token sender does not match its slot");
+      const u32 ri = t.receiver < receiver_pos.size()
+                         ? receiver_pos[t.receiver]
+                         : ~u32{0};
+      HYB_REQUIRE(ri != ~u32{0}, "token addressed to a non-receiver");
+      if (t.sender != t.receiver) {
+        (void)pack_label(t.sender, t.receiver, t.index);
+        ++routed_to[ri];
+        ++total_routed;
+      }
+      take(si, ri, t);
+    }
+    std::vector<routed_token>().swap(by_sender[si]);
+  }
+  for (u32 ri = 0; ri < spec.receivers.size(); ++ri)
+    HYB_REQUIRE(routed_to[ri] <= spec.k_r, "receiver exceeds k_r tokens");
+  return total_routed;
+}
+
 }  // namespace
 
 namespace {
@@ -144,46 +191,23 @@ static std::vector<std::vector<routed_token>> charged_route_tokens(
     std::vector<std::vector<routed_token>>& by_sender) {
   const u32 n = net.n();
   const routing_spec& spec = ctx.spec;
-  std::vector<u32> receiver_pos(n, ~u32{0});
-  for (u32 i = 0; i < spec.receivers.size(); ++i)
-    receiver_pos[spec.receivers[i]] = i;
   // The γ-saturated phases before a charged route (dissemination) leave
   // n·γ-slot arenas behind; nothing global moves while the stand-in runs,
   // so release them (memory only, they regrow on demand).
   net.trim_mailboxes();
+  // One pass: validate, and hand each token to its receiver slot.
   std::vector<std::vector<routed_token>> delivered(spec.receivers.size());
-  // One pass: validate exactly like the simulated path, hand each token to
-  // its receiver slot, release each sender slab as it is absorbed (the
-  // whole point of this path is the n = 10⁵ memory budget).
-  std::vector<u64> routed_to(spec.receivers.size(), 0);
-  u64 total_routed = 0;
-  for (u32 si = 0; si < by_sender.size(); ++si) {
-    HYB_REQUIRE(by_sender[si].size() <= spec.k_s, "sender exceeds k_s tokens");
-    for (const routed_token& t : by_sender[si]) {
-      HYB_REQUIRE(t.sender == spec.senders[si],
-                  "token sender does not match its slot");
-      const u32 ri = receiver_pos[t.receiver];
-      HYB_REQUIRE(ri != ~u32{0}, "token addressed to a non-receiver");
-      // Self tokens are delivered directly and do not count against k_r,
-      // exactly as on the simulated path; the label of a routed token must
-      // be packable exactly as there too.
-      if (t.sender != t.receiver) {
-        (void)pack_label(t.sender, t.receiver, t.index);
-        ++routed_to[ri];
-        ++total_routed;
-      }
-      delivered[ri].push_back(t);
-    }
-    std::vector<routed_token>().swap(by_sender[si]);
-  }
-  for (u32 ri = 0; ri < spec.receivers.size(); ++ri) {
-    HYB_REQUIRE(routed_to[ri] <= spec.k_r, "receiver exceeds k_r tokens");
-    std::sort(delivered[ri].begin(), delivered[ri].end(),
+  const u64 total_routed =
+      walk_batch(spec, receiver_positions(n, spec), by_sender,
+                 [&](u32, u32 ri, const routed_token& t) {
+                   delivered[ri].push_back(t);
+                 });
+  for (std::vector<routed_token>& slot : delivered)
+    std::sort(slot.begin(), slot.end(),
               [](const routed_token& a, const routed_token& b) {
                 return a.sender != b.sender ? a.sender < b.sender
                                             : a.index < b.index;
               });
-  }
   if (total_routed == 0) return delivered;
 
   // Rounds: K/(n·γ) pipelined global rounds + the √k terms + the hand-off /
@@ -248,10 +272,7 @@ std::vector<std::vector<routed_token>> route_tokens(
   // fault_failure instead of tripping an invariant.
   const bool faulty = net.global_faults_active();
 
-  std::vector<u32> receiver_pos(n, ~u32{0});
-  for (u32 i = 0; i < spec.receivers.size(); ++i)
-    receiver_pos[spec.receivers[i]] = i;
-
+  const std::vector<u32> receiver_pos = receiver_positions(n, spec);
   std::vector<std::vector<routed_token>> delivered(spec.receivers.size());
 
   // ---- collect labels; deliver s == r tokens directly --------------------
@@ -259,31 +280,17 @@ std::vector<std::vector<routed_token>> route_tokens(
   std::vector<std::vector<helper_task>> sender_tokens(spec.senders.size());
   std::vector<std::vector<helper_task>> receiver_labels(
       spec.receivers.size());
-  u64 total_routed = 0;
-  for (u32 si = 0; si < by_sender.size(); ++si) {
-    HYB_REQUIRE(by_sender[si].size() <= spec.k_s,
-                "sender exceeds k_s tokens");
-    for (const routed_token& t : by_sender[si]) {
-      HYB_REQUIRE(t.sender == spec.senders[si],
-                  "token sender does not match its slot");
-      const u32 ri = receiver_pos[t.receiver];
-      HYB_REQUIRE(ri != ~u32{0}, "token addressed to a non-receiver");
-      if (t.sender == t.receiver) {
-        delivered[ri].push_back(t);
-        continue;
-      }
-      const u64 lbl = pack_label(t.sender, t.receiver, t.index);
-      sender_tokens[si].push_back({lbl, t.payload});
-      receiver_labels[ri].push_back({lbl, 0});
-      ++total_routed;
-    }
-    // The batch slab is fully absorbed; release it before the next grows
-    // the helper-side structures (memory only — nothing observable).
-    std::vector<routed_token>().swap(by_sender[si]);
-  }
-  for (u32 ri = 0; ri < spec.receivers.size(); ++ri)
-    HYB_REQUIRE(receiver_labels[ri].size() <= spec.k_r,
-                "receiver exceeds k_r tokens");
+  const u64 total_routed = walk_batch(
+      spec, receiver_pos, by_sender,
+      [&](u32 si, u32 ri, const routed_token& t) {
+        if (t.sender == t.receiver) {
+          delivered[ri].push_back(t);
+          return;
+        }
+        const u64 lbl = pack_label(t.sender, t.receiver, t.index);
+        sender_tokens[si].push_back({lbl, t.payload});
+        receiver_labels[ri].push_back({lbl, 0});
+      });
   if (total_routed == 0) return delivered;
 
   // ---- Algorithm 3: hand tokens to sender-helpers, labels to

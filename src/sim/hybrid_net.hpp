@@ -58,9 +58,6 @@ struct model_config {
   /// (Algorithm 1 uses 2; larger values harden the |H_w| ≥ µ event at
   /// simulation sizes).
   double helper_q_mult = 4.0;
-  /// Copies of each token seeded to random nodes before gossip in the token
-  /// dissemination protocol (Θ(log n) in the analysis).
-  double dissemination_seed_mult = 1.0;
   /// Charged stand-in for token routing's helper machinery (DESIGN.md §4,
   /// deviation 9): route_tokens charges the Theorem 2.2 / Algorithm 1
   /// round, message, and flood budgets in closed form and delivers tokens

@@ -141,9 +141,9 @@ TEST(SkeletonApi, EdgesAreSymmetricAcrossNodes) {
   hybrid_net net(g, cfg(), 9);
   const skeleton_result sk = compute_skeleton(net, 0.12);
   for (u32 i = 0; i < sk.nodes.size(); ++i)
-    for (const auto& [j, w] : sk.edges[i]) {
+    for (const auto& [j, w] : sk.edges.neighbors(i)) {
       bool found = false;
-      for (const auto& [back, w2] : sk.edges[j])
+      for (const auto& [back, w2] : sk.edges.neighbors(j))
         if (back == i && w2 == w) found = true;
       EXPECT_TRUE(found) << i << "<->" << j;
     }

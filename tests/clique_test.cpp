@@ -14,21 +14,15 @@
 namespace hybrid {
 namespace {
 
-// A small weighted graph reinterpreted as a "skeleton" adjacency.
+// A small weighted graph standing in for a skeleton graph.
 struct problem_fixture {
   graph g;
-  std::vector<std::vector<std::pair<u32, u64>>> edges;
   clique_problem prob;
   std::vector<std::vector<u64>> ref;
 
   explicit problem_fixture(u32 n, u64 seed) {
     g = gen::erdos_renyi_connected(n, 4.0, 9, seed);
-    edges.resize(n);
-    for (u32 v = 0; v < n; ++v)
-      for (const edge& e : g.neighbors(v)) edges[v].push_back({e.to, e.weight});
-    prob.n_s = n;
-    prob.edges = &edges;
-    prob.max_edge_weight = g.max_weight();
+    prob.g = &g;
     ref = apsp_reference(g);
   }
 };
@@ -55,7 +49,7 @@ TEST(CliqueSp, EmptySourcesMeansApsp) {
 TEST(CliqueSp, WorstCaseInjectionRespectsContract) {
   problem_fixture f(40, 7);
   const auto alg = make_clique_apsp_2eps(0.5, injection::worst_case);
-  const approx_contract c = alg.contract(f.prob.max_edge_weight);
+  const approx_contract c = alg.contract(f.prob.max_edge_weight());
   EXPECT_DOUBLE_EQ(c.alpha, 2.5);
   EXPECT_EQ(c.beta, static_cast<u64>(std::ceil(1.5 * f.g.max_weight())));
   f.prob.sources = {0};
@@ -97,7 +91,7 @@ TEST(CliqueDiameter, ExactAndInjected) {
   EXPECT_EQ(exact.solve(f.prob), true_diam);
 
   const auto inj = make_clique_diameter_32(0.25, injection::worst_case);
-  const approx_contract c = inj.contract(f.prob.max_edge_weight);
+  const approx_contract c = inj.contract(f.prob.max_edge_weight());
   const u64 got = inj.solve(f.prob);
   EXPECT_GE(got, true_diam);
   EXPECT_LE(got, static_cast<u64>(c.alpha * static_cast<double>(true_diam)) +
@@ -131,8 +125,7 @@ TEST(NaiveCliqueApsp, SizeMismatchRejected) {
 TEST(CliqueSp, RejectsBadProblem) {
   const auto alg = make_clique_sssp_exact();
   clique_problem bad;
-  bad.n_s = 4;
-  bad.edges = nullptr;
+  bad.g = nullptr;
   EXPECT_THROW(alg.solve(bad), std::invalid_argument);
 }
 
@@ -148,15 +141,11 @@ TEST(BellmanFordCliqueSssp, RoundsTrackShortestPathHops) {
   // On a path skeleton, synchronous BF needs ~n rounds — the cost that
   // motivates the fast (charged) CLIQUE algorithms.
   const u32 n = 24;
-  std::vector<std::vector<std::pair<u32, u64>>> edges(n);
-  for (u32 i = 0; i + 1 < n; ++i) {
-    edges[i].push_back({i + 1, 2});
-    edges[i + 1].push_back({i, 2});
-  }
+  std::vector<edge_spec> es;
+  for (u32 i = 0; i + 1 < n; ++i) es.push_back({i, i + 1, 2});
+  const graph g = graph::from_edges(n, es);
   clique_problem prob;
-  prob.n_s = n;
-  prob.edges = &edges;
-  prob.max_edge_weight = 2;
+  prob.g = &g;
   clique_net net(n);
   const auto got = bellman_ford_clique_sssp(net, prob, 0);
   for (u32 v = 0; v < n; ++v) EXPECT_EQ(got[v], 2u * v);

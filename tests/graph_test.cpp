@@ -224,6 +224,26 @@ TEST(Diameter, ShortestPathDiameter) {
   EXPECT_EQ(shortest_path_diameter(g), 4u);
 }
 
+TEST(Diameter, ShortestPathDiameterMatchesHopLimitedDefinition) {
+  // SPD = max over pairs of the least h with d_h(s, v) = d(s, v).
+  for (u64 seed : {3u, 4u, 5u}) {
+    const graph g = gen::erdos_renyi_connected(40, 3.0, 7, seed);
+    const u32 n = g.num_nodes();
+    u32 want = 0;
+    for (u32 s = 0; s < n; ++s) {
+      const std::vector<u64> dist = dijkstra(g, s);
+      std::vector<u32> least(n, ~u32{0});
+      for (u32 h = 0; h < n; ++h) {
+        const std::vector<u64> lim = limited_distance(g, s, h);
+        for (u32 v = 0; v < n; ++v)
+          if (least[v] == ~u32{0} && lim[v] == dist[v]) least[v] = h;
+      }
+      want = std::max(want, *std::max_element(least.begin(), least.end()));
+    }
+    EXPECT_EQ(shortest_path_diameter(g), want) << "seed " << seed;
+  }
+}
+
 // ---- Figure 2: Γ^{a,b} and Lemmas 7.1 / 7.2 -------------------------------
 
 lb::gamma_graph make_gamma(u32 k, u32 ell, u64 w, bool make_disjoint,

@@ -255,12 +255,10 @@ TEST(Integration, MessageLevelCliqueSsspMatchesSkeletonSolve) {
   hybrid_net net(g, cfg(), 9);
   const skeleton_result sk = compute_skeleton(net, 0.15);
   clique_problem prob;
-  prob.n_s = static_cast<u32>(sk.nodes.size());
-  prob.edges = &sk.edges;
-  prob.max_edge_weight = 6;
-  clique_net cnet(prob.n_s);
+  prob.g = &sk.edges;
+  clique_net cnet(prob.n_s());
   const auto msg_level = bellman_ford_clique_sssp(cnet, prob, 0);
-  EXPECT_EQ(msg_level, skeleton_sssp(sk, 0));
+  EXPECT_EQ(msg_level, dijkstra(sk.edges, 0));
 }
 
 }  // namespace

@@ -274,10 +274,13 @@ TEST(TokenRouting, RejectsUnknownReceiver) {
   spec.receivers = {2};
   spec.k_s = 1;
   spec.k_r = 1;
-  std::vector<std::vector<routed_token>> batch(1);
-  batch[0].push_back({1, 7, 0, 1});  // 7 is not a receiver
-  hybrid_net net(g, cfg(), 1);
-  EXPECT_THROW(run_token_routing(net, spec, batch), std::invalid_argument);
+  for (u32 receiver : {7u, 99u}) {  // not a receiver; not even a node
+    std::vector<std::vector<routed_token>> batch(1);
+    batch[0].push_back({1, receiver, 0, 1});
+    hybrid_net net(g, cfg(), 1);
+    EXPECT_THROW(run_token_routing(net, spec, batch), std::invalid_argument)
+        << "receiver " << receiver;
+  }
 }
 
 TEST(TokenRouting, RoundsScaleWithLoadNotTokens) {
@@ -350,11 +353,12 @@ TEST(ChargedTokenRouting, ValidatesLikeSimulatedPath) {
     hybrid_net net(g, c, 1);
     EXPECT_THROW(run_token_routing(net, spec, batch), std::invalid_argument);
   }
-  {
+  for (u32 receiver : {7u, 99u}) {  // not a receiver; not even a node
     std::vector<std::vector<routed_token>> batch(1);
-    batch[0].push_back({1, 7, 0, 1});  // 7 is not a receiver
+    batch[0].push_back({1, receiver, 0, 1});
     hybrid_net net(g, c, 1);
-    EXPECT_THROW(run_token_routing(net, spec, batch), std::invalid_argument);
+    EXPECT_THROW(run_token_routing(net, spec, batch), std::invalid_argument)
+        << "receiver " << receiver;
   }
 }
 

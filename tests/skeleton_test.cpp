@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "clique/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "proto/clique_embed.hpp"
@@ -46,8 +47,8 @@ TEST_P(SkeletonProperty, LemmasC1C2) {
   // Lemma C.2 part 1: skeleton edges carry d_h = true distance for pairs
   // within h hops... at minimum, edge weights never underestimate.
   for (u32 i = 0; i < sk.nodes.size(); ++i)
-    for (const auto& [j, w] : sk.edges[i]) {
-      EXPECT_GE(w, ref[sk.nodes[i]][sk.nodes[j]]);
+    for (const edge& e : sk.edges.neighbors(i)) {
+      EXPECT_GE(e.weight, ref[sk.nodes[i]][sk.nodes[e.to]]);
     }
 
   // Lemma C.2 part 2 (the load-bearing property): the skeleton graph
@@ -91,17 +92,8 @@ TEST(Skeleton, SizeConcentratesAroundPn) {
   EXPECT_LE(sk.nodes.size(), 64u);
 }
 
-TEST(Skeleton, SssPHelper) {
-  const graph g = gen::grid(8, 8, 3, 2);
-  hybrid_net net(g, cfg(), 2);
-  const skeleton_result sk = compute_skeleton(net, 0.2);
-  const auto all = skeleton_apsp(sk);
-  for (u32 i = 0; i < sk.nodes.size(); ++i)
-    EXPECT_EQ(skeleton_sssp(sk, i), all[i]);
-}
-
 TEST(Skeleton, ApspExecutorThreadCountsBitIdentical) {
-  // The hoisted-CSR skeleton APSP runs its per-source Dijkstras on the
+  // The skeleton APSP runs its per-source Dijkstras over G_S on the
   // deterministic executor: rows must be bit-identical at every thread
   // count (and to the convenience sequential overload).
   const graph g = gen::erdos_renyi_connected(300, 5.0, 8, 43);
@@ -147,45 +139,44 @@ TEST(Skeleton, SparseExplorationPathMatchesDenseBellmanFord) {
   }
 }
 
-// ---- explore_adjacency (the super-skeleton's ball builder) ------------------
+// ---- explore_graph (the super-skeleton's ball builder) ----------------------
 
-/// h-limited all-pairs reference over an explicit adjacency: h rounds of
-/// synchronous relaxation, the primitive's definition executed naively.
-std::vector<std::vector<u64>> limited_apsp_brute(
-    const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h) {
-  const u32 n = static_cast<u32>(adj.size());
+/// h-limited all-pairs reference: h rounds of synchronous relaxation, the
+/// primitive's definition executed naively.
+std::vector<std::vector<u64>> limited_apsp_brute(const graph& g, u32 h) {
+  const u32 n = g.num_nodes();
   std::vector<std::vector<u64>> d(n, std::vector<u64>(n, kInfDist));
   for (u32 v = 0; v < n; ++v) d[v][v] = 0;
   for (u32 it = 0; it < h; ++it) {
     auto next = d;
     for (u32 v = 0; v < n; ++v)
-      for (const auto& [to, w] : adj[v])
+      for (const edge& e : g.neighbors(v))
         for (u32 s = 0; s < n; ++s)
           if (d[v][s] < kInfDist)
-            next[to][s] = std::min(next[to][s], d[v][s] + w);
+            next[e.to][s] = std::min(next[e.to][s], d[v][s] + e.weight);
     d = next;
   }
   return d;
 }
 
 TEST(ExploreAdjacency, MatchesBruteForceAtEveryThreadCount) {
+  // A random multigraph: parallel edges collapse to the lightest.
   rng r(77);
-  std::vector<std::vector<std::pair<u32, u64>>> adj(40);
+  std::vector<edge_spec> es;
   for (u32 e = 0; e < 80; ++e) {
     const u32 u = static_cast<u32>(r.next_below(40));
     const u32 v = static_cast<u32>(r.next_below(40));
     if (u == v) continue;
-    const u64 w = 1 + r.next_below(9);
-    adj[u].push_back({v, w});
-    adj[v].push_back({u, w});
+    es.push_back({u, v, 1 + r.next_below(9)});
   }
+  const graph adj = graph::from_edges(40, es);
   const auto brute = limited_apsp_brute(adj, 3);
   sparse_exploration_result ref;
   for (u32 threads : {1u, 2u, 8u}) {
     sim_options so;
     so.threads = threads;
     round_executor ex(so);
-    const sparse_exploration_result res = explore_adjacency(adj, 3, ex);
+    const sparse_exploration_result res = explore_graph(adj, 3, ex);
     // Correct AND complete vs the brute force: exactly the finite pairs.
     u64 finite = 0;
     for (u32 v = 0; v < 40; ++v) {
@@ -204,19 +195,16 @@ TEST(ExploreAdjacency, MatchesBruteForceAtEveryThreadCount) {
 }
 
 TEST(ExploreAdjacency, GraphAdjacencyMatchesNetExplorations) {
-  // Over a graph's own (sorted) adjacency, the pure explicit-list
-  // instantiation must return exactly what both net-charged exploration
-  // paths return on that graph: same triples, first hops included.
+  // The pure instantiation must return exactly what both net-charged
+  // exploration paths return on the same graph: same triples, first hops
+  // included.
   const graph g = gen::erdos_renyi_connected(60, 3.5, 9, 12);
-  std::vector<std::vector<std::pair<u32, u64>>> adj(g.num_nodes());
-  for (u32 v = 0; v < g.num_nodes(); ++v)
-    for (const edge& e : g.neighbors(v)) adj[v].push_back({e.to, e.weight});
   const u32 h = 4;
   for (u32 threads : {1u, 2u, 8u}) {
     sim_options so;
     so.threads = threads;
     round_executor ex(so);
-    const sparse_exploration_result res = explore_adjacency(adj, h, ex);
+    const sparse_exploration_result res = explore_graph(g, h, ex);
     hybrid_net sparse_net(g, cfg(), 12, so);
     EXPECT_EQ(res, sparse_local_exploration(sparse_net, h, true))
         << "threads " << threads;
@@ -250,7 +238,7 @@ TEST(SuperSkeleton, TablesMatchSkeletonGraphReferences) {
 
   // Super-pair rows are exact skeleton-graph distances between members.
   for (u32 i = 0; i < n_s2; ++i) {
-    const std::vector<u64> dist = skeleton_sssp(sk, ss.members[i]);
+    const std::vector<u64> dist = dijkstra(sk.edges, ss.members[i]);
     for (u32 j = 0; j < n_s2; ++j)
       EXPECT_EQ(ss.pairs[u64{i} * n_s2 + j], dist[ss.members[j]])
           << i << "," << j;
@@ -281,6 +269,45 @@ TEST(SuperSkeleton, TablesMatchSkeletonGraphReferences) {
     }
     EXPECT_EQ(at, ss.gw_offsets[s1 + 1]) << "s1 " << s1;
   }
+}
+
+TEST(SkeletonHeavyWeights, AgreesWithDijkstraOnG) {
+  // Every weight of G is max_edge_weight(n), so a skeleton edge spanning k
+  // hops weighs k·max_edge_weight(n) — past max_edge_weight(n_s) once k
+  // exceeds (n − 1)/(n_s − 1). G_S must accept those weights (they are
+  // distances of G, below kInfDist/8), and every consumer of G_S must still
+  // agree with Dijkstra on G between skeleton nodes.
+  const u32 n = 96;
+  std::vector<edge_spec> es;
+  for (u32 v = 0; v + 1 < n; ++v) es.push_back({v, v + 1, max_edge_weight(n)});
+  const graph g = graph::from_edges(n, es);
+  hybrid_net net(g, cfg(), 5);
+  const skeleton_result sk = compute_skeleton(net, 0.2);
+  const u32 n_s = static_cast<u32>(sk.nodes.size());
+  ASSERT_GE(n_s, 2u);
+  ASSERT_GT(sk.edges.max_weight(), max_edge_weight(n_s));
+  const auto ref = apsp_reference(g);
+
+  const auto dist_s = skeleton_apsp(sk);
+  for (u32 i = 0; i < n_s; ++i)
+    for (u32 j = 0; j < n_s; ++j)
+      EXPECT_EQ(dist_s[i][j], ref[sk.nodes[i]][sk.nodes[j]]) << i << "," << j;
+
+  const super_skeleton_result ss = compute_super_skeleton(net, sk, 0.3, 2);
+  const u32 n_s2 = static_cast<u32>(ss.members.size());
+  for (u32 i = 0; i < n_s2; ++i)
+    for (u32 j = 0; j < n_s2; ++j)
+      EXPECT_EQ(ss.pairs[u64{i} * n_s2 + j],
+                ref[sk.nodes[ss.members[i]]][sk.nodes[ss.members[j]]])
+          << i << "," << j;
+
+  clique_problem prob;
+  prob.g = &sk.edges;
+  prob.sources = {0};
+  const auto solved = make_clique_sssp_exact().solve(prob);
+  ASSERT_EQ(solved.size(), 1u);
+  for (u32 j = 0; j < n_s; ++j)
+    EXPECT_EQ(solved[0][j], ref[sk.nodes[0]][sk.nodes[j]]) << j;
 }
 
 // ---- representatives --------------------------------------------------------
