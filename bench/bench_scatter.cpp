@@ -10,9 +10,10 @@
 //     γ-saturated delivery shape of bench_executor_scaling);
 //   * hotspot  — 50 % of traffic converges on 1 % of the nodes (stresses
 //     the histogram's hot columns and the slice imbalance in the scatter);
-//   * filtered — uniform plus a pure hash drop filter at p = 0.1 (the
-//     fault-injection path: key-stream extraction, sentinel column, trash
-//     region — docs/FAULTS.md).
+//   * filtered — uniform plus a pure hash drop predicate at p = 0.1, in
+//     the per-sender drawer form deliver() asks for (the fault-injection
+//     path: key-stream extraction, sentinel column, trash region —
+//     docs/FAULTS.md).
 //
 // Deterministic gated fields (bench/baseline/BENCH_scatter.json):
 //   * inbox_digest32 — 32 low bits of an order-insensitive fold over every
@@ -52,10 +53,14 @@ u32 send_dst(u32 n, u32 v, u32 i, u32 r, bool hot) {
   return static_cast<u32>(x % n);
 }
 
-/// Pure drop predicate (the fault path's shape): ~10 % of messages.
-bool hash_drop(u32 src, u32 idx, const global_msg& m) {
-  return derive_seed(derive_seed(src, idx), m.w[0]) % 10 == 0;
-}
+/// Pure drop predicate (the fault path's shape): ~10 % of messages, one
+/// sender's drawer at a time.
+struct hash_drops {
+  u32 src;
+  bool drop(u32 idx, const global_msg& m) const {
+    return derive_seed(derive_seed(src, idx), m.w[0]) % 10 == 0;
+  }
+};
 
 struct run_result {
   double deliver_ms = 0;  ///< wall time inside deliver() only
@@ -73,7 +78,12 @@ run_result run_kernel(u32 n, u32 fan, u32 rounds, u32 threads, bool hot,
   // Small initial stride so the warm-up exercises the re-stride path the
   // simulators rely on; steady state must then be allocation-free.
   flat_mailbox<global_msg> mail(n, fan, /*initial_stride=*/8);
-  const flat_mailbox<global_msg>::drop_filter drop = hash_drop;
+  const auto deliver = [&] {
+    if (filtered)
+      mail.deliver(exec, [](u32 src, u32) { return hash_drops{src}; });
+    else
+      mail.deliver(exec);
+  };
   const auto push_round = [&](u32 r) {
     exec.for_nodes(n, [&](u32 v) {
       for (u32 i = 0; i < fan; ++i)
@@ -83,7 +93,7 @@ run_result run_kernel(u32 n, u32 fan, u32 rounds, u32 threads, bool hot,
   };
   for (u32 r = 0; r < kWarmupRounds; ++r) {
     push_round(r);
-    mail.deliver(exec, filtered ? &drop : nullptr);
+    deliver();
   }
   for (u32 r = kWarmupRounds; r < kWarmupRounds + rounds; ++r) {
     push_round(r);
@@ -92,7 +102,7 @@ run_result run_kernel(u32 n, u32 fan, u32 rounds, u32 threads, bool hot,
     // heap allocation to the kernel and break the zero-alloc invariant.
     const u64 alloc0 = benchalloc::allocations();
     const auto t0 = std::chrono::steady_clock::now();
-    mail.deliver(exec, filtered ? &drop : nullptr);
+    deliver();
     res.deliver_ms += std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -166,8 +166,8 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
       const std::vector<u32>& from = st[e.to].fresh;
       const u32 cnt = static_cast<u32>(from.size());
       mine += cnt;
-      const hybrid_net::local_drops link =
-          lf ? net.local_link(e.to, v, cnt) : hybrid_net::local_drops{};
+      const local_drops link =
+          lf ? net.local_link(e.to, v, cnt) : local_drops{};
       for (u32 j = 0; j < cnt; ++j) {
         if (link.drop(j)) {
           ++dropped[v];

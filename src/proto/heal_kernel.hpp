@@ -334,8 +334,7 @@ struct pareto_rows {
   /// dominates it for good. Those are the pairs stamped at or after the
   /// link's last pull (never offered on it) and the link's pending ones.
   traffic pull(u32 v, u32 j, const edge& e, u32 round,
-               std::vector<staged>& add,
-               const hybrid_net::local_drops drops) {
+               std::vector<staged>& add, const local_drops drops) {
     thread_local std::vector<u32> pending_at;
     thread_local std::vector<undelivered> still;
     const pareto_arena& from = rows[e.to];

@@ -11,32 +11,16 @@ clique_net::clique_net(u32 n, sim_options opts)
     // workloads never pay n² memory, large enough that the unit-test
     // cliques (n ≤ 16) start overflow-free; heavier senders trigger one
     // re-stride at the next barrier and are slab-resident from then on.
-    : n_(n), exec_(opts), mail_(n, n, 16), faults_(opts.faults) {
+    : n_(n), exec_(opts), mail_(n, n, 16) {
+  const fault_options& fo = opts.faults;
   HYB_REQUIRE(n >= 2, "clique needs at least two nodes");
-  HYB_REQUIRE(faults_.drop_global >= 0.0 && faults_.drop_global <= 1.0,
+  HYB_REQUIRE(fo.drop_global >= 0.0 && fo.drop_global <= 1.0,
               "drop probability must lie in [0, 1]");
-  crashes_ = crash_schedule(n, faults_.crashes);
-  fault_on_ = faults_.global_faulty();
-  if (fault_on_) {
-    // No run seed on the clique simulator: the drop stream derives from
-    // fault_seed alone (documented in clique_net.hpp).
-    fault_base_ = fault_plane_base(0, faults_.fault_seed, kFaultPlaneClique);
-    drop_filter_ = [this](u32 src, u32 idx, const clique_msg& m) {
-      return drop(src, idx, m);
-    };
-  }
-}
-
-bool clique_net::drop(u32 src, u32 idx, const clique_msg& m) const {
-  // Runs inside mail_.deliver() while advance_round closes round rounds_-1:
-  // the crash schedule's current round is still the send round.
-  if (crashes_.lost(src, m.dst)) return true;
-  if (faults_.drop_global <= 0.0) return false;
-  if (faults_.mode == fault_mode::kAdversarialPrefix)
-    return idx < adversarial_prefix_count(faults_.drop_global,
-                                          mail_.sends(src));
-  return fault_roll(fault_draw(fault_base_, src, rounds_ - 1, idx),
-                    faults_.drop_global);
+  crashes_ = crash_schedule(n, fo.crashes);
+  fault_on_ = fo.global_faulty();
+  // No run seed on the clique simulator: the drop stream derives from
+  // fault_seed alone (documented in clique_net.hpp).
+  plane_ = fault_plane(0, fo, kFaultPlaneClique);
 }
 
 void clique_net::send(const clique_msg& m) {
@@ -49,7 +33,14 @@ void clique_net::send(const clique_msg& m) {
 void clique_net::advance_round() {
   ++rounds_;
   crashes_.open(rounds_);
-  mail_.deliver(exec_, fault_on_ ? &drop_filter_ : nullptr);
+  if (fault_on_) {
+    const u64 send_round = rounds_ - 1;
+    mail_.deliver(exec_, [this, send_round](u32 src, u32 count) {
+      return crashes_.sender(plane_, src, send_round, count);
+    });
+  } else {
+    mail_.deliver(exec_);
+  }
   crashes_.promote();
   total_msgs_ += mail_.delivered_last_round();
   total_sent_ += mail_.sent_last_round();

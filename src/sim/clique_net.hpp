@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "sim/executor.hpp"
+#include "sim/fault.hpp"
 #include "sim/mailbox.hpp"
 #include "util/bits.hpp"
 
@@ -74,8 +75,6 @@ class clique_net {
   mailbox_stats mailbox_stats_probe() const { return mail_.stats(); }
 
  private:
-  bool drop(u32 src, u32 idx, const clique_msg& m) const;
-
   u32 n_;
   round_executor exec_;
   u64 rounds_ = 0;
@@ -84,11 +83,9 @@ class clique_net {
   u64 total_dropped_ = 0;
   u32 max_recv_ = 0;
   flat_mailbox<clique_msg> mail_;
-  fault_options faults_;
   bool fault_on_ = false;
-  u64 fault_base_ = 0;
+  fault_plane plane_;
   crash_schedule crashes_;
-  flat_mailbox<clique_msg>::drop_filter drop_filter_;
   /// Per-shard receive-load maxima for advance_round's reduction; a member
   /// so steady-state rounds stay allocation-free.
   std::vector<u64> recv_scratch_;

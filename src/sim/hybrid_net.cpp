@@ -54,10 +54,10 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
   node_stream_.reserve(n());
   for (u32 v = 0; v < n(); ++v)
     node_stream_.push_back(derive_seed(seed, (u64{1} << 63) | v));
-  if (cfg_.cut_side.size() == n()) cut_side_ = cfg_.cut_side;
+  if (!cfg_.cut_side.empty()) set_cut(cfg_.cut_side);
 
-  // Fault wiring (sim/fault.hpp): everything below stays dormant — and the
-  // delivery filter stays null — with the default fault_options.
+  // Fault wiring (sim/fault.hpp): everything below stays dormant with the
+  // default fault_options, and delivery stays on the undrawn path.
   const fault_options& fo = opts_.faults;
   HYB_REQUIRE(fo.drop_global >= 0.0 && fo.drop_global <= 1.0 &&
                   fo.drop_local >= 0.0 && fo.drop_local <= 1.0,
@@ -73,47 +73,13 @@ hybrid_net::hybrid_net(const graph& g, model_config cfg, u64 seed,
   }
   fault_global_ = fo.global_faulty();
   fault_local_ = fo.local_faulty();
-  if (fault_global_)
-    fault_base_global_ = fault_plane_base(seed, fo.fault_seed,
-                                          kFaultPlaneGlobal);
-  if (fault_local_)
-    fault_base_local_ = fault_plane_base(seed, fo.fault_seed,
-                                         kFaultPlaneLocal);
-  if (fault_global_)
-    drop_filter_ = [this](u32 src, u32 idx, const global_msg& m) {
-      return global_drop(src, idx, m);
-    };
+  global_plane_ = fault_plane(seed, fo, kFaultPlaneGlobal);
+  local_plane_ = fault_plane(seed, fo, kFaultPlaneLocal);
 }
 
-bool hybrid_net::global_drop(u32 src, u32 idx, const global_msg& m) const {
-  // Called from inside mail_.deliver() while advance_round is closing round
-  // rounds-1: the crash schedule's current round is still the send round.
-  if (crashes_.lost(src, m.dst)) return true;
-  const fault_options& fo = opts_.faults;
-  if (fo.drop_global <= 0.0) return false;
-  if (fo.mode == fault_mode::kAdversarialPrefix)
-    return idx < adversarial_prefix_count(fo.drop_global, mail_.sends(src));
-  return fault_roll(
-      fault_draw(fault_base_global_, src, metrics_.rounds - 1, idx),
-      fo.drop_global);
-}
-
-hybrid_net::local_drops hybrid_net::local_link(u32 from, u32 to,
-                                               u32 count) const {
-  local_drops d;
-  const fault_options& fo = opts_.faults;
-  if (crashes_.down(from) || crashes_.down(to)) {
-    d.cut_ = ~u64{0};  // an endpoint is down: every item is lost
-  } else if (fo.drop_local > 0.0) {
-    if (fo.mode == fault_mode::kAdversarialPrefix) {
-      d.cut_ = adversarial_prefix_count(fo.drop_local, count);
-    } else {
-      d.below_ = static_cast<u64>(std::ceil(fo.drop_local * 0x1.0p53));
-      d.prefix_ = fault_prefix(fault_base_local_, (u64{from} << 32) | to,
-                               metrics_.rounds);
-    }
-  }
-  return d;
+local_drops hybrid_net::local_link(u32 from, u32 to, u32 count) const {
+  return local_plane_.link((u64{from} << 32) | to, metrics_.rounds, count,
+                           crashes_.down(from) || crashes_.down(to));
 }
 
 void hybrid_net::advance_round() {
@@ -123,10 +89,17 @@ void hybrid_net::advance_round() {
   // (src, send-index), independent of send interleaving and thread count.
   ++metrics_.rounds;
   // Crash schedule: compute the opening round's bitmap before delivery
-  // (global_drop reads both — sender down at send time, receiver down at
-  // delivery), then promote it to current.
+  // (each sender's drawer reads both — sender down at send time, receiver
+  // down at delivery), then promote it to current.
   crashes_.open(metrics_.rounds);
-  mail_.deliver(exec_, fault_global_ ? &drop_filter_ : nullptr);
+  if (fault_global_) {
+    const u64 send_round = metrics_.rounds - 1;
+    mail_.deliver(exec_, [this, send_round](u32 src, u32 count) {
+      return crashes_.sender(global_plane_, src, send_round, count);
+    });
+  } else {
+    mail_.deliver(exec_);
+  }
   crashes_.promote();
   // Aggregate metrics are accounted here rather than at send time so that
   // try_send_global writes only src-private state during parallel steps.

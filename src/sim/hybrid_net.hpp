@@ -67,9 +67,10 @@ struct model_config {
   /// µ ≈ √n exceeds the graph diameter and the exact simulation of "every
   /// node learns its whole cluster" is Θ(n²) memory.
   bool charged_token_routing = false;
-  /// Optional node bipartition for Section-7-style cut accounting; when its
-  /// size equals n it is registered at network construction, so the full
-  /// algorithms (which build their own nets) can be instrumented.
+  /// Optional node bipartition for Section-7-style cut accounting; when
+  /// nonempty it is registered at network construction (like set_cut, it
+  /// must label every node), so the full algorithms (which build their own
+  /// nets over the caller's graph) can be instrumented.
   std::vector<u8> cut_side;
 };
 
@@ -151,37 +152,10 @@ class hybrid_net {
   /// send and receive nothing on either plane but keep their state.
   bool is_up(u32 v) const { return !crashes_.down(v); }
 
-  /// The drop decisions of one directed local edge in one round: which of
-  /// the items pulled across it are lost. The crash check, the fault mode,
-  /// the adversarial prefix length and the (plane, link, round) prefix of
-  /// the fault stream are settled when it is made, so drop(idx) costs at
-  /// most one finalizer call. drop(idx) equals
-  /// fault_roll(fault_draw(local base, (from << 32) | to, round, idx), p)
-  /// in kRandom mode — the stream is the per-item one, only hoisted, and
-  /// the roll is its integer form: a draw's top 53 bits scaled by 2^-53
-  /// fall below p exactly when they fall below ⌈p·2^53⌉, since scaling by
-  /// a power of two is exact.
-  class local_drops {
-   public:
-    /// Whether the idx-th item pulled across the edge this round is lost.
-    bool drop(u32 idx) const {
-      if (idx < cut_) return true;
-      return below_ != 0 && (derive_seed(prefix_, idx) >> 11) < below_;
-    }
-
-   private:
-    friend class hybrid_net;
-    /// Items [0, cut_) are lost outright: all of them while an endpoint is
-    /// down, the adversarial prefix otherwise.
-    u64 cut_ = 0;
-    /// kRandom's ⌈p·2^53⌉ (0 in every other case) and the edge's stream
-    /// prefix.
-    u64 below_ = 0;
-    u64 prefix_ = 0;
-  };
   /// The drop decisions for the `count` items `to` pulls from `from` across
-  /// a local edge this round. Pure in (round, from, to, count), so callable
-  /// from parallel steps; callers count drops per node and report the sum
+  /// a local edge this round (link (from << 32) | to, all lost while an
+  /// endpoint is down). Pure in (round, from, to, count), so callable from
+  /// parallel steps; callers count drops per node and report the sum
   /// through note_local_dropped (the charge_local charge includes dropped
   /// items — they did cross the edge). Drops nothing while the local plane
   /// is reliable.
@@ -236,10 +210,6 @@ class hybrid_net {
 
  private:
   void close_phase();
-  /// Drop decision for one queued global message (send round = the round
-  /// advance_round is closing). Pure per (round, src, idx), so the mailbox
-  /// may evaluate it from parallel shards, twice per message.
-  bool global_drop(u32 src, u32 idx, const global_msg& m) const;
 
   const graph* g_;
   model_config cfg_;
@@ -279,13 +249,9 @@ class hybrid_net {
   // ---- fault state (all dormant when fault_options{} is default) ---------
   bool fault_global_ = false;
   bool fault_local_ = false;
-  u64 fault_base_global_ = 0;
-  u64 fault_base_local_ = 0;
+  fault_plane global_plane_;
+  fault_plane local_plane_;
   crash_schedule crashes_;
-  /// The mailbox drop filter, bound once at construction (null when the
-  /// global plane is reliable, which keeps delivery on the exact
-  /// unfiltered path).
-  flat_mailbox<global_msg>::drop_filter drop_filter_;
 };
 
 }  // namespace hybrid

@@ -22,13 +22,13 @@
 //     source shards and restructured (PR 10) so every inner loop is a
 //     contiguous stream the compiler can auto-vectorize:
 //       (1) COUNT (parallel): each shard histograms its messages into its
-//           private (n+1)-wide count row. On filtered (faulty) rounds the
+//           private (n+1)-wide count row. On drawn (faulty) rounds the
 //           shard first freezes the drop verdicts into a contiguous u32
-//           key stream — the filter is evaluated exactly ONCE per message,
-//           dropped messages become the sentinel key `n` — and histograms
-//           that stream branchlessly (drops land in the sentinel column);
-//           unfiltered rounds histogram the slabs directly, which measures
-//           faster than paying an extraction pass they don't need;
+//           key stream — each message is decided exactly ONCE, dropped
+//           ones become the sentinel key `n` — and histograms that stream
+//           branchlessly (drops land in the sentinel column); undrawn
+//           rounds histogram the slabs directly, which measures faster
+//           than paying an extraction pass they don't need;
 //       (2) PREFIX (orchestrator, O(n·T) independent of message volume):
 //           three shard-row-contiguous sweeps — column totals across the
 //           active rows, one exclusive prefix over the totals, and the
@@ -37,8 +37,8 @@
 //           defeated both the cache and the vectorizer;
 //       (3) SCATTER (parallel): each shard walks its sources ascending and
 //           copies each message to `arena[cursor[dst]++]` — a single
-//           branchless fixed-stride-read line for the filtered and
-//           unfiltered paths alike, because on filtered rounds dst comes
+//           branchless fixed-stride-read line for the drawn and undrawn
+//           paths alike, because on drawn rounds dst comes
 //           from the key stream and dropped messages scatter into a
 //           write-only trash region after the kept slices (cursor column
 //           n), never into an inbox.
@@ -50,17 +50,17 @@
 // All buffers are high-water-marked and reused across rounds; after a short
 // warm-up a round performs zero heap allocations (asserted by
 // tests/mailbox_test.cpp via stats(), quantified by bench_mailbox and
-// bench_scatter). Fault injection (docs/FAULTS.md): the drop filter is a
-// pure predicate of (src, send-index, message); its verdicts are frozen
+// bench_scatter). Fault injection (docs/FAULTS.md): the drop decisions
+// are pure (one drawer per sender, sim/fault.hpp's local_drops) and frozen
 // into the key stream, so the prefix sums describe exactly the kept set
 // and the surviving subset lands in the same (src, send-index) order at
-// every thread count — sparse (filtered) outboxes keep the full
-// determinism contract.
+// every thread count — sparse (drawn) outboxes keep the full determinism
+// contract.
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/executor.hpp"
@@ -79,7 +79,7 @@ struct mailbox_stats {
   u64 delivered_last_round = 0;
   u64 delivered_total = 0;
   u64 sent_total = 0;     ///< pushes seen by deliver() (kept + dropped)
-  u64 dropped_total = 0;  ///< pushes removed by deliver()'s drop filter
+  u64 dropped_total = 0;  ///< pushes deliver()'s drawer dropped
 };
 
 /// Msg must expose `u32 src` / `u32 dst` members (global_msg, clique_msg).
@@ -131,19 +131,17 @@ class flat_mailbox {
   u64 sent_last_round() const { return sent_last_; }
   u64 dropped_last_round() const { return sent_last_ - delivered_last_; }
 
-  /// Drop predicate for fault injection: true = the message is lost.
-  /// Must be a pure function of its arguments; it runs exactly once per
-  /// message, from the count pass's parallel shards (the verdict is frozen
-  /// into the per-shard key stream that the scatter pass replays).
-  using drop_filter = std::function<bool(u32 src, u32 send_idx, const Msg&)>;
-
   /// Barrier-phase delivery: the deterministic parallel counting sort
   /// described above. Orchestrating thread only (never from inside a step);
   /// also resets all send counters and grows/re-strides arenas as needed.
-  /// With a non-null `drop`, messages the filter rejects are counted as
-  /// dropped and never reach an inbox; survivors keep (src, send-index)
-  /// order. Null filter = the exact unfiltered code path.
-  void deliver(round_executor& exec, const drop_filter* drop = nullptr) {
+  void deliver(round_executor& exec) { deliver(exec, no_drops{}); }
+
+  /// Delivery with drops: the count pass's parallel shards call the pure
+  /// `drawer(src, count)` once per sender with sends, and its result's pure
+  /// `drop(send_idx, msg)` once per message. Lost messages are counted as
+  /// dropped and never reach an inbox; survivors keep their order.
+  template <class Drawer>
+  void deliver(round_executor& exec, const Drawer& drawer) {
     // Fast path: nothing was sent this round — common in LOCAL-only phases
     // (flood drivers advance rounds without global traffic). One early-exit
     // scan of the send counters replaces the dispatches and the O(n·T)
@@ -165,7 +163,7 @@ class flat_mailbox {
 
     const u32 shards = exec.shard_count(n_);
     // Count rows are (n + 1) wide: columns [0, n) are real destinations,
-    // column n is the sentinel that collects filtered-out messages so the
+    // column n is the sentinel that collects dropped messages so the
     // histogram and scatter loops below stay branchless.
     const std::size_t cols = static_cast<std::size_t>(n_) + 1;
     if (counts_.size() != static_cast<std::size_t>(shards) * cols) {
@@ -181,18 +179,16 @@ class flat_mailbox {
     u32 active = shards;
     while (active > 0 && exec.shard_begin(n_, active - 1) >= n_) --active;
 
-    // Filtered rounds freeze the drop verdicts into a per-shard contiguous
+    // Drawn rounds freeze the drop verdicts into a per-shard contiguous
     // key stream: shard s's messages map to keys_[key_begin_[s],
     // key_begin_[s+1]) in (src, send-index) order, dropped ones as the
-    // sentinel key n. The filter (a std::function — the expensive part of
-    // a faulty round) then runs exactly ONCE per message instead of once
-    // in the count pass and again in the scatter, and both downstream
-    // loops stay branchless. Unfiltered rounds skip the stream entirely:
+    // sentinel key n. The draws then run exactly ONCE per message instead
+    // of once in the count pass and again in the scatter, and both
+    // downstream loops stay branchless. Undrawn rounds skip the stream:
     // for them the extraction pass is pure overhead (measured ~20 % on
-    // bench_mailbox), and their count/scatter loops are already
-    // sentinel-free.
-    const bool keyed = drop != nullptr;
-    if (keyed) {
+    // bench_mailbox), and their count/scatter loops are sentinel-free.
+    constexpr bool keyed = !std::is_same_v<Drawer, no_drops>;
+    if constexpr (keyed) {
       if (key_begin_.size() != static_cast<std::size_t>(shards) + 1)
         key_begin_.assign(static_cast<std::size_t>(shards) + 1, 0);
       u64 queued = 0;
@@ -210,19 +206,19 @@ class flat_mailbox {
     }
 
     // Pass 1 (parallel over source shards): count per destination — for
-    // filtered rounds, extract the key stream first and histogram the
+    // drawn rounds, extract the key stream first and histogram the
     // contiguous u32 stream (branchless: drops land in the sentinel
     // column). Each shard writes only its own counts_ row. The dispatch
-    // lambdas capture `this` ALONE (the filter travels via active_drop_)
-    // so the executor's std::function wrapper always fits its 16-byte
+    // lambdas capture `this` and at most the drawer by pointer, so the
+    // executor's std::function wrapper always fits its 16-byte
     // small-buffer slot: deliver() stays at ZERO heap allocations per
     // steady-state round no matter how many parameters the passes need —
     // gated by bench_scatter's zero_alloc_rounds field, which caught a
     // capture-one-local-too-many regression costing an allocation per
     // dispatch while this kernel was being written.
-    active_drop_ = drop;
-    exec.for_shards(n_, [this](u32 s, u32 begin, u32 end) {
-      count_shard(s, begin, end);
+    const Drawer* draw = &drawer;
+    exec.for_shards(n_, [this, draw](u32 s, u32 begin, u32 end) {
+      count_shard(s, begin, end, *draw);
     });
 
     // Prefix (orchestrator, O(n·T) independent of message volume) as three
@@ -285,9 +281,8 @@ class flat_mailbox {
     // (src, send-index) order. One branchless line per message: the source
     // side is a fixed-stride slab read plus the sequential key stream.
     exec.for_shards(n_, [this](u32 s, u32 begin, u32 end) {
-      scatter_shard(s, begin, end);
+      scatter_shard<keyed>(s, begin, end);
     });
-    active_drop_ = nullptr;
 
     // Reset outboxes; re-stride once if any slab overflowed this round so
     // the same workload shape never overflows (or allocates) again.
@@ -349,6 +344,9 @@ class flat_mailbox {
   }
 
  private:
+  /// The undrawn deliver(): no fault plane, no key stream.
+  struct no_drops {};
+
   /// Visit src's queued messages in send order (slab, then overflow).
   template <class F>
   void for_each_out(u32 src, F&& f) const {
@@ -360,21 +358,24 @@ class flat_mailbox {
   }
 
   /// Delivery pass 1 for one shard (parallel; writes only row s of counts_
-  /// and shard s's key-stream segment). active_drop_ is set by deliver().
-  void count_shard(u32 s, u32 begin, u32 end) {
+  /// and shard s's key-stream segment).
+  template <class Drawer>
+  void count_shard(u32 s, u32 begin, u32 end, const Drawer& drawer) {
     const std::size_t cols = static_cast<std::size_t>(n_) + 1;
     u32* row = counts_.data() + static_cast<std::size_t>(s) * cols;
     std::fill_n(row, cols, 0);
-    if (active_drop_ == nullptr) {
+    if constexpr (std::is_same_v<Drawer, no_drops>) {
       for (u32 src = begin; src < end; ++src)
         for_each_out(src, [&](const Msg& m) { ++row[m.dst]; });
     } else {
       u32* keys = keys_.data() + key_begin_[s];
       u32 k = 0;
       for (u32 src = begin; src < end; ++src) {
+        if (out_count_[src] == 0) continue;
+        const auto drops = drawer(src, out_count_[src]);
         u32 i = 0;
         for_each_out(src, [&](const Msg& m) {
-          keys[k++] = (*active_drop_)(src, i++, m) ? n_ : m.dst;
+          keys[k++] = drops.drop(i++, m) ? n_ : m.dst;
         });
       }
       for (u32 j = 0; j < k; ++j) ++row[keys[j]];
@@ -383,11 +384,12 @@ class flat_mailbox {
 
   /// Delivery pass 2 for one shard (parallel; writes only the arena slices
   /// row s's cursors address — kept slices plus shard s's trash segment).
+  template <bool keyed>
   void scatter_shard(u32 s, u32 begin, u32 end) {
     const std::size_t cols = static_cast<std::size_t>(n_) + 1;
     u32* cursor = counts_.data() + static_cast<std::size_t>(s) * cols;
     Msg* arena = in_arena_.data();
-    if (active_drop_ == nullptr) {
+    if constexpr (!keyed) {
       for (u32 src = begin; src < end; ++src)
         for_each_out(src, [&](const Msg& m) { arena[cursor[m.dst]++] = m; });
     } else {
@@ -414,7 +416,6 @@ class flat_mailbox {
   std::vector<u32> keys_;        ///< per-shard contiguous dst-key streams
                                  ///< (sentinel n = dropped), high-water
   std::vector<u64> key_begin_;   ///< key-stream offset per shard, size T+1
-  const drop_filter* active_drop_ = nullptr;  ///< this deliver()'s filter
   u64 delivered_last_ = 0;
   u64 delivered_total_ = 0;
   u64 sent_last_ = 0;

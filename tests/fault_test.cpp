@@ -296,8 +296,8 @@ TEST(HybridNetFaults, LocalDropIsPureAndCrashAware) {
   for (u32 idx = 0; idx < 16; ++idx)
     EXPECT_EQ(net.local_link(0, 1, 16).drop(idx),
               net.local_link(0, 1, 16).drop(idx));
-  const hybrid_net::local_drops fwd = net.local_link(0, 1, 64);
-  const hybrid_net::local_drops back = net.local_link(1, 0, 64);
+  const local_drops fwd = net.local_link(0, 1, 64);
+  const local_drops back = net.local_link(1, 0, 64);
   u32 direction_diff = 0, dropped = 0;
   for (u32 idx = 0; idx < 64; ++idx) {
     if (fwd.drop(idx) != back.drop(idx)) ++direction_diff;
@@ -333,7 +333,7 @@ TEST(HybridNetFaults, LocalLinkMatchesPerItemDraw) {
       for (u32 from = 0; from < 6; ++from)
         for (const u32 to : {(from + 1) % 6, (from + 5) % 6})
           for (const u32 count : {0u, 1u, 7u, 64u}) {
-            const hybrid_net::local_drops link =
+            const local_drops link =
                 net.local_link(from, to, count);
             const bool down = !net.is_up(from) || !net.is_up(to);
             const u64 edge = (u64{from} << 32) | to;
@@ -349,6 +349,98 @@ TEST(HybridNetFaults, LocalLinkMatchesPerItemDraw) {
             }
           }
       net.advance_round();
+    }
+  }
+}
+
+// ---- the message planes against the per-message stream ---------------------
+
+// The fault options the message-plane pins run: kRandom at p = 0.3 and
+// kAdversarialPrefix at p = 0.5, each with node 5 down for rounds [2, 4)
+// (so it loses its sends of rounds 2 and 3, and the sends to it of rounds
+// 1 and 2, which arrive while it is down), plus the crash alone.
+std::vector<fault_options> message_plane_cases() {
+  std::vector<fault_options> cases;
+  for (const auto& [mode, p] :
+       {std::pair{fault_mode::kRandom, 0.3},
+        {fault_mode::kAdversarialPrefix, 0.5}, {fault_mode::kRandom, 0.0}}) {
+    fault_options f = drop_global_opts(p, 4);
+    f.mode = mode;
+    f.crashes.push_back({5, 2, 4});
+    cases.push_back(f);
+  }
+  return cases;
+}
+
+bool down_in(const fault_options& f, u32 v, u64 round) {
+  for (const crash_event& c : f.crashes)
+    if (c.node == v && round >= c.down_round && round < c.up_round)
+      return true;
+  return false;
+}
+
+/// The per-message reference: the idx-th of src's `count` sends in `round`
+/// is lost when src is down in the send round, dst is down in the delivery
+/// round, or the plane's draw drops it.
+bool reference_lost(const fault_options& f, u64 base, u32 src, u32 dst,
+                    u64 round, u32 idx, u32 count) {
+  if (down_in(f, src, round) || down_in(f, dst, round + 1)) return true;
+  if (f.drop_global <= 0.0) return false;
+  if (f.mode == fault_mode::kAdversarialPrefix)
+    return idx < adversarial_prefix_count(f.drop_global, count);
+  return fault_roll(fault_draw(base, src, round, idx), f.drop_global);
+}
+
+/// Node v's send count and i-th destination in round r of the pins: the
+/// counts sweep 0..cap, so the adversarial prefix varies per sender.
+u32 plane_sends(u32 v, u64 r, u32 cap) {
+  return static_cast<u32>((v * 7 + r * 3) % (cap + 1));
+}
+u32 plane_dst(u32 n, u32 v, u32 i, u64 r) {
+  return static_cast<u32>((v + 1 + i * 5 + r) % n);
+}
+
+// Every global send arrives exactly when the per-message reference keeps
+// it, at every thread count; survivors keep (src, send-index) order.
+TEST(HybridNetFaults, GlobalDropsMatchPerMessageDraw) {
+  const u32 n = 24;
+  const graph g = gen::path(n);
+  for (const fault_options& f : message_plane_cases()) {
+    const u64 base = fault_plane_base(17, f.fault_seed, kFaultPlaneGlobal);
+    for (const u32 threads : {1u, 2u, 8u}) {
+      hybrid_net net(g, default_cfg(), 17, with_faults(f, threads));
+      const u32 cap = net.global_cap();
+      u64 lost = 0;
+      for (u64 r = 0; r < 7; ++r) {
+        ASSERT_EQ(net.round(), r);
+        net.executor().for_nodes(n, [&](u32 v) {
+          for (u32 i = 0; i < plane_sends(v, r, cap); ++i)
+            net.try_send_global(
+                global_msg::make(v, plane_dst(n, v, i, r), i, {r}));
+        });
+        std::vector<std::vector<std::pair<u32, u32>>> want(n);
+        for (u32 v = 0; v < n; ++v) {
+          const u32 count = plane_sends(v, r, cap);
+          for (u32 i = 0; i < count; ++i) {
+            const u32 dst = plane_dst(n, v, i, r);
+            if (reference_lost(f, base, v, dst, r, i, count))
+              ++lost;
+            else
+              want[dst].push_back({v, i});
+          }
+        }
+        net.advance_round();
+        for (u32 v = 0; v < n; ++v) {
+          std::vector<std::pair<u32, u32>> got;
+          for (const global_msg& m : net.global_inbox(v))
+            got.push_back({m.src, m.tag});
+          ASSERT_EQ(got, want[v])
+              << "p " << f.drop_global << " mode " << int(f.mode)
+              << " threads " << threads << " round " << r << " dst " << v;
+        }
+      }
+      EXPECT_EQ(net.raw_metrics().global_dropped, lost);
+      EXPECT_GT(lost, 0u);
     }
   }
 }
@@ -440,6 +532,52 @@ TEST(CliqueNetFaults, CrashScheduleAppliesToBothDirections) {
   // to it was checked against delivery round 1, where it is up again.
   ASSERT_EQ(net.inbox(1).size(), 1u);
   EXPECT_EQ(net.total_dropped(), 1u);
+}
+
+// The clique's drops against the per-message reference (the seed-0 clique
+// stream), as GlobalDropsMatchPerMessageDraw does for hybrid_net.
+TEST(CliqueNetFaults, DropsMatchPerMessageDraw) {
+  const u32 n = 16;
+  for (const fault_options& f : message_plane_cases()) {
+    const u64 base = fault_plane_base(0, f.fault_seed, kFaultPlaneClique);
+    for (const u32 threads : {1u, 2u, 8u}) {
+      clique_net net(n, with_faults(f, threads));
+      u64 lost = 0;
+      for (u64 r = 0; r < 7; ++r) {
+        ASSERT_EQ(net.round(), r);
+        net.executor().for_nodes(n, [&](u32 v) {
+          for (u32 i = 0; i < plane_sends(v, r, n); ++i) {
+            clique_msg m;
+            m.src = v;
+            m.dst = plane_dst(n, v, i, r);
+            m.tag = i;
+            net.send(m);
+          }
+        });
+        std::vector<std::vector<std::pair<u32, u32>>> want(n);
+        for (u32 v = 0; v < n; ++v) {
+          const u32 count = plane_sends(v, r, n);
+          for (u32 i = 0; i < count; ++i) {
+            const u32 dst = plane_dst(n, v, i, r);
+            if (reference_lost(f, base, v, dst, r, i, count))
+              ++lost;
+            else
+              want[dst].push_back({v, i});
+          }
+        }
+        net.advance_round();
+        for (u32 v = 0; v < n; ++v) {
+          std::vector<std::pair<u32, u32>> got;
+          for (const clique_msg& m : net.inbox(v)) got.push_back({m.src, m.tag});
+          ASSERT_EQ(got, want[v])
+              << "p " << f.drop_global << " mode " << int(f.mode)
+              << " threads " << threads << " round " << r << " dst " << v;
+        }
+      }
+      EXPECT_EQ(net.total_dropped(), lost);
+      EXPECT_GT(lost, 0u);
+    }
+  }
 }
 
 // ---- healed local floods ---------------------------------------------------
@@ -1483,6 +1621,45 @@ TEST(FaultRouting, SurvivesCrashRecovery) {
   ASSERT_EQ(got.size(), want.size());
   for (u32 i = 0; i < got.size(); ++i)
     EXPECT_EQ(got[i].payload, want[i].payload) << i;
+}
+
+// kAdversarialPrefix on the global plane: ⌈p·c⌉ ≥ 1 for every sender with
+// c ≥ 1 sends, so a sender with a single message in flight loses it every
+// round. A leaf of global_aggregate's tree sends exactly its one report
+// each round, so the acked convergecast can never complete and must fail
+// explicitly; dissemination and acked token routing fail in their own
+// aggregations with the same error.
+TEST(FaultGlobalPlane, AdversarialPrefixFailsExplicitly) {
+  const u32 n = 24;
+  const graph g = gen::erdos_renyi_connected(n, 3.0, 1, 23);
+  fault_options f = drop_global_opts(0.1, 2);
+  f.mode = fault_mode::kAdversarialPrefix;
+  f.heal_budget_mult = 4;  // keep the failing runs short
+  const auto expect_aggregation_failure = [](auto&& run, const char* what) {
+    try {
+      run();
+      ADD_FAILURE() << what << " completed under the adversarial prefix";
+    } catch (const fault_failure& e) {
+      EXPECT_STREQ(e.what(), "aggregation healing budget exhausted") << what;
+    }
+  };
+  for (const u32 threads : {1u, 2u, 8u}) {
+    hybrid_net agg(g, default_cfg(), 3, with_faults(f, threads));
+    expect_aggregation_failure(
+        [&] { global_aggregate(agg, agg_op::sum, std::vector<u64>(n, 1)); },
+        "global_aggregate");
+    std::vector<std::vector<token2>> initial(n);
+    for (u32 v = 0; v < n; v += 3) initial[v].push_back({v, u64{v} * 7});
+    hybrid_net dis(g, default_cfg(), 3, with_faults(f, threads));
+    expect_aggregation_failure([&] { disseminate(dis, initial); },
+                               "disseminate");
+    const routing_spec spec = cross_spec(n);
+    hybrid_net route(g, default_cfg(), 3, with_faults(f, threads));
+    routing_spec sc = spec;
+    expect_aggregation_failure(
+        [&] { run_token_routing(route, sc, cross_batch(spec)); },
+        "run_token_routing");
+  }
 }
 
 TEST(FaultRouting, ChargedStandInRefusesFaultsNamingRemediation) {

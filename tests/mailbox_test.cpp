@@ -254,7 +254,7 @@ TEST(FlatMailbox, FilteredSparseScatterKeepsOrderAcrossThreadCounts) {
         const auto box = net.global_inbox(v);
         // Survivors keep (src, send-index) order: the tag is the per-source
         // send counter, so within one src it must stay strictly increasing
-        // after the filter removed arbitrary positions.
+        // after the drops removed arbitrary positions.
         for (u32 i = 1; i < box.size(); ++i)
           EXPECT_TRUE(box[i - 1].src < box[i].src ||
                       (box[i - 1].src == box[i].src &&
@@ -275,22 +275,26 @@ TEST(FlatMailbox, FilteredSparseScatterKeepsOrderAcrossThreadCounts) {
   EXPECT_EQ(std::get<1>(base), std::get<2>(base) + std::get<3>(base));
 }
 
-// The keyed (filtered) kernel through the overflow/re-stride transition:
+// The keyed (drawn) kernel through the overflow/re-stride transition:
 // the per-shard key streams are sized from the live send counts, so the
 // round that spills past the initial slab width and triggers the barrier
-// re-stride is exactly where a sizing bug would corrupt the frozen filter
+// re-stride is exactly where a sizing bug would corrupt the frozen drop
 // verdicts. Drive flat_mailbox directly (the bench_scatter shape) with a
-// tiny initial stride so round 0 overflows with the filter already
-// active, and require bit-identical inboxes and drop accounting at every
-// thread count, before AND after the re-stride.
+// tiny initial stride so round 0 overflows with drops already drawn, and
+// require bit-identical inboxes and drop accounting at every thread
+// count, before AND after the re-stride.
 TEST(FlatMailbox, FilteredDeliveryBitIdenticalThroughRestride) {
   const u32 n = 97;
   const u32 cap = 24;
   const u32 rounds = 6;
-  const flat_mailbox<global_msg>::drop_filter drop =
-      [](u32 src, u32 idx, const global_msg& m) {
-        return derive_seed(derive_seed(src, idx), m.w[0]) % 4 == 0;
-      };
+  // A hash drop predicate in the per-sender form deliver() asks for.
+  struct hash_drops {
+    u32 src;
+    bool drop(u32 idx, const global_msg& m) const {
+      return derive_seed(derive_seed(src, idx), m.w[0]) % 4 == 0;
+    }
+  };
+  const auto drawer = [](u32 src, u32) { return hash_drops{src}; };
   auto run = [&](u32 threads) {
     round_executor exec(sim_options{threads});
     flat_mailbox<global_msg> mail(n, cap, /*initial_stride=*/3);
@@ -305,7 +309,7 @@ TEST(FlatMailbox, FilteredDeliveryBitIdenticalThroughRestride) {
           mail.push(global_msg::make(v, (v * 31 + i * 7 + r) % n, i,
                                      {derive_seed(v, i ^ r)}));
       });
-      mail.deliver(exec, &drop);
+      mail.deliver(exec, drawer);
       delivered += mail.delivered_last_round();
       dropped += mail.dropped_last_round();
       u64 round_digest = 0;

@@ -74,6 +74,22 @@ TEST(HybridNet, CutAccountingCountsCrossingBitsOnly) {
   EXPECT_EQ(net.raw_metrics().cut_bits, 2u * 64 + 2u * 3);
 }
 
+// A model_config cut is registered at construction like set_cut, and
+// rejected like set_cut when it does not label every node: ignoring it
+// would leave cut_bits at 0 with no error.
+TEST(HybridNet, ConfigCutMustLabelEveryNode) {
+  const graph g = gen::path(8);
+  model_config cfg = default_cfg();
+  cfg.cut_side.assign(7, 0);
+  EXPECT_THROW(hybrid_net(g, cfg, 1), std::invalid_argument);
+  cfg.cut_side.assign(8, 0);
+  cfg.cut_side[7] = 1;
+  hybrid_net net(g, cfg, 1);
+  net.try_send_global(global_msg::make(0, 7, 0, {1}));
+  net.advance_round();
+  EXPECT_EQ(net.raw_metrics().cut_bits, 64u + 2u * 3);
+}
+
 TEST(HybridNet, PhasesPartitionRounds) {
   const graph g = gen::path(4);
   hybrid_net net(g, default_cfg(), 1);
