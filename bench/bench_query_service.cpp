@@ -3,24 +3,30 @@
 // regime. The n = 2048 oracle is built, saved, and mmap-loaded; a seeded
 // mix of query / next_hop / route requests is then replayed against the
 // mapped view from 1, 2, and 8 reader threads, with throughput and
-// p50/p99 latency columns.
+// p50/p99 latency columns. A second, two-level (kTwoLevel) oracle with
+// bench_apsp's label_large configuration at n = 5000 is served the same
+// way for single-thread query() throughput.
 //
 // Deterministic fields (gated by compare_bench_json.py --gate):
 //   request_digest — FNV over the generated request stream;
 //   result_digest  — order-insensitive sum of per-request result hashes,
 //                    identical at every thread count by construction (and
 //                    identical to an in-memory replay, asserted inline);
-//   file_bytes / label_entries / rounds — the stored oracle's shape.
+//   file_bytes / label_entries / rounds — the stored oracle's shape;
+//   zero_alloc_queries — two-level queries that made no heap allocation,
+//                    counted in an untimed pass; must equal `queries`.
 // Perf-only fields: *_per_sec, p50/p99_latency_ns, wall_ms.
 //
 // Usage: bench_query_service [requests] [--json <path>]
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/apsp.hpp"
 #include "core/oracle_store.hpp"
 #include "graph/generators.hpp"
@@ -233,6 +239,79 @@ int main(int argc, char** argv) {
                            {"queries", queries},
                            {"result_digest", digest32(digest)},
                            {"queries_per_sec", qps}});
+  }
+
+  // ---- pure single-thread query throughput, two-level labels ---------------
+  // bench_apsp's label_large configuration (p1 = 0.08 with h back-solved to
+  // 5, p2 = 0.05, h1 = 3, charged token routing) on a bounded-degree graph:
+  // every query composes through the ball1 cross term and the super-pair
+  // table. After the timed pass, an untimed pass over the same pairs counts
+  // the queries that touched the heap — the steady-state query path must
+  // touch it on none.
+  {
+    const u32 n2 = 5000;
+    const graph g2 = gen::bounded_degree(n2, 3, 1, 42);
+    model_config c;
+    const double p = 0.08;
+    c.skeleton_xi = (5.0 - 0.25) * p / std::log(static_cast<double>(n2));
+    c.skeleton_p_override = p;
+    c.super_p_override = 0.05;
+    c.super_h_override = 3;
+    c.charged_token_routing = true;
+    sim_options o;
+    o.hierarchy = oracle_hierarchy::kTwoLevel;
+    const apsp_result two = hybrid_apsp_exact(g2, c, 13, false, o);
+    const std::string path2 = "/tmp/bench_query_service_two_level.bin";
+    save_oracle(two.labels, path2);
+    const mapped_oracle mapped = mapped_oracle::load(path2);
+    const label_view& view = mapped.view();
+
+    rng r(37);
+    const u64 queries = 200000;
+    std::vector<std::pair<u32, u32>> pairs(queries);
+    for (auto& [u, v] : pairs) {
+      u = static_cast<u32>(r.next_below(n2));
+      v = static_cast<u32>(r.next_below(n2));
+    }
+    u64 digest = 0;
+    const double ms = timed_ms([&] {
+      for (const auto& [u, v] : pairs)
+        digest += fold(kFnvOffset, view.query(u, v));
+    });
+    const double qps = static_cast<double>(queries) / (ms / 1000.0);
+
+    u64 zero_alloc = 0;
+    u64 recount = 0;
+    for (const auto& [u, v] : pairs) {
+      const u64 allocs0 = benchalloc::allocations();
+      recount += fold(kFnvOffset, view.query(u, v));
+      zero_alloc += benchalloc::allocations() == allocs0;
+    }
+    HYB_INVARIANT(recount == digest, "two-level query() is not repeatable");
+    HYB_INVARIANT(zero_alloc == queries,
+                  "two-level query() allocated on the steady-state path");
+    const label_view mem_view = two.labels.view();
+    for (u64 i = 0; i < queries; i += 10) {
+      const auto [u, v] = pairs[i];
+      HYB_INVARIANT(mem_view.query(u, v) == view.query(u, v),
+                    "mapped two-level oracle diverged from in-memory labels");
+    }
+    std::cout << "two-level query(): " << table::num(qps / 1e3, 0)
+              << " k queries/sec single-thread ("
+              << table::num(ms * 1e6 / static_cast<double>(queries), 0)
+              << " ns/query; n_s=" << two.labels.n_s
+              << " n_s2=" << two.labels.n_s2 << "); " << zero_alloc << "/"
+              << queries << " queries allocation-free\n";
+    rec.add("pure_query_two_level",
+            {{"n", n2},
+             {"n_s", two.labels.n_s},
+             {"n_s2", two.labels.n_s2},
+             {"label_entries", two.labels.label_entries()},
+             {"queries", queries},
+             {"result_digest", digest32(digest)},
+             {"zero_alloc_queries", zero_alloc},
+             {"queries_per_sec", qps}});
+    std::remove(path2.c_str());
   }
 
   // ---- mixed request service, 1/2/8 reader threads -------------------------

@@ -28,6 +28,55 @@ u64 ball_lookup(std::span<const exploration_entry> slice, u32 target) {
   return it->dist;
 }
 
+/// Per-index minima over [0, size) with the touched indices listed: `at`
+/// is kInfDist everywhere between uses, so a fold costs only the indices it
+/// touches to set up and to reset.
+struct sparse_min {
+  std::vector<u64> at;
+  std::vector<u32> touched;
+
+  void fit(u32 size) {
+    if (at.size() >= size) return;
+    at.resize(size, kInfDist);
+    touched.reserve(size);
+  }
+  /// at[i] ⊓= d. A leg ≥ kInfDist is skipped, never stored: it could not
+  /// win a min against a finite best, and stored as kInfDist it would pass
+  /// for untouched.
+  void relax(u32 i, u64 d) {
+    if (d >= kInfDist) return;
+    if (at[i] == kInfDist) touched.push_back(i);
+    at[i] = std::min(at[i], d);
+  }
+  void clear() {
+    for (const u32 i : touched) at[i] = kInfDist;
+    touched.clear();
+  }
+};
+
+/// The composition's working memory, one per thread: query() and
+/// row_into() run concurrently on shared read-only views (the mapped
+/// oracle's readers, materialize()'s workers), so each thread composes in
+/// its own scratch, grown to the largest n_s / n_s2 it has served. After
+/// the first call at a given size neither path allocates (row_into() only
+/// fills the caller's `out`).
+struct compose_scratch {
+  sparse_min skel_min;  ///< v's best gateway leg per skeleton index t1
+  sparse_min super_u;   ///< P: u's best leg per super index s2
+  sparse_min super_v;   ///< Q: v's best leg per super index t2
+  std::vector<u64> p, b, a;  ///< row_into()'s dense per-row arrays
+
+  static compose_scratch& local() {
+    thread_local compose_scratch s;
+    return s;
+  }
+  void fit(u32 n_s, u32 n_s2) {
+    skel_min.fit(n_s);
+    super_u.fit(n_s2);
+    super_v.fit(n_s2);
+  }
+};
+
 }  // namespace
 
 void flatten_gateways(round_executor& ex,
@@ -80,37 +129,51 @@ u64 label_view::query(u32 u, u32 v) const {
     // where d_S1(s1,t1) itself composes ball1 with the super-pair table.
     // Every table lookup that can be ∞ is skipped before it is added — all
     // four addends of the deepest term (gw, gw1, d_S2, gw1) are finite, so
-    // the u64 sums cannot wrap.
+    // the u64 sums cannot wrap. Both terms fold one side into per-index
+    // minima first; min is associative, so the answer is the one of the
+    // plain |gu|×|gv| and |P|×|Q| loops.
     const auto gu = gateways_of(u);
     const auto gv = gateways_of(v);
     if (gu.empty() || gv.empty()) return best;
-    // (a) the ball1 cross term: gw(u,s1) + ball1(s1,t1) + gw(v,t1).
-    for (const source_distance& from : gu) {
-      const auto slice = ball1_of(from.source);
-      for (const source_distance& to : gv) {
-        const u64 mid = ball_lookup(slice, to.source);
-        if (mid >= kInfDist) continue;
-        best = std::min(best, from.dist + mid + to.dist);
+    compose_scratch& s = compose_scratch::local();
+    s.fit(n_s, n_s2);
+    // (a) the ball1 cross term: gw(u,s1) + ball1(s1,t1) + gw(v,t1). v's
+    // gateways are marked by t1, then each of u's ball1 slices is scanned
+    // sequentially against the marks.
+    for (const source_distance& to : gv) s.skel_min.relax(to.source, to.dist);
+    for (const source_distance& from : gu)
+      for (const exploration_entry& e : ball1_of(from.source)) {
+        const u64 to_leg = s.skel_min.at[e.source];
+        if (to_leg == kInfDist || e.dist >= kInfDist) continue;
+        best = std::min(best, from.dist + e.dist + to_leg);
       }
-    }
-    // (b) the super-pair term, factored through level 2: P = the reachable
-    // super nodes from u's side (s2, gw + gw1), Q the same from v's side;
-    // then min over P × Q of P + d_S2 + Q.
-    std::vector<source_distance> p, q;
+    s.skel_min.clear();
+    // (b) the super-pair term, factored through level 2: P[s2] = the best
+    // u-side leg gw + gw1 into super node s2, Q[t2] the same from v's side;
+    // then min over the distinct P × Q of P + d_S2 + Q. A row whose P leg
+    // plus the smallest Q leg already reaches best cannot improve it
+    // (d_S2 ≥ 0) and is skipped whole.
     for (const source_distance& from : gu)
       for (const source_distance& g2 : gw1_of(from.source))
-        p.push_back({g2.source, from.dist + g2.dist, g2.via});
+        s.super_u.relax(g2.source, from.dist + g2.dist);
     for (const source_distance& to : gv)
       for (const source_distance& g2 : gw1_of(to.source))
-        q.push_back({g2.source, to.dist + g2.dist, g2.via});
-    for (const source_distance& ps : p) {
-      const u64* row = skel.data() + u64{ps.source} * n_s2;
-      for (const source_distance& qs : q) {
-        const u64 mid = row[qs.source];
+        s.super_v.relax(g2.source, to.dist + g2.dist);
+    u64 min_to_leg = kInfDist;
+    for (const u32 t2 : s.super_v.touched)
+      min_to_leg = std::min(min_to_leg, s.super_v.at[t2]);
+    for (const u32 s2 : s.super_u.touched) {
+      const u64 from_leg = s.super_u.at[s2];
+      if (min_to_leg == kInfDist || from_leg + min_to_leg >= best) continue;
+      const u64* row = skel.data() + u64{s2} * n_s2;
+      for (const u32 t2 : s.super_v.touched) {
+        const u64 mid = row[t2];
         if (mid >= kInfDist) continue;
-        best = std::min(best, ps.dist + mid + qs.dist);
+        best = std::min(best, from_leg + mid + s.super_v.at[t2]);
       }
     }
+    s.super_u.clear();
+    s.super_v.clear();
   }
   return best;
 }
@@ -150,7 +213,8 @@ void label_view::row_into(u32 u, std::vector<u64>& out) const {
     // scan per target — the baseline loop with its token scan replaced by
     // the equivalent per-target gateway lists. ∞ pair entries skipped so
     // the A[s2] filter is exact.
-    std::vector<u64> a(n_s, kInfDist);
+    std::vector<u64>& a = compose_scratch::local().a;
+    a.assign(n_s, kInfDist);
     for (const source_distance& from : gateways_of(u))
       for (u32 s2 = 0; s2 < n_s; ++s2) {
         const u64 mid = skel[u64{from.source} * n_s + s2];
@@ -170,11 +234,14 @@ void label_view::row_into(u32 u, std::vector<u64>& out) const {
     // the final scan composes A with each target's level-1 gateways. Every
     // ∞ is skipped before addition, and A/B/P stay exactly kInfDist when
     // unreachable, so the filters are exact.
-    std::vector<u64> p(n_s2, kInfDist);
+    compose_scratch& s = compose_scratch::local();
+    std::vector<u64>& p = s.p;
+    p.assign(n_s2, kInfDist);
     for (const source_distance& from : gateways_of(u))
       for (const source_distance& g2 : gw1_of(from.source))
         p[g2.source] = std::min(p[g2.source], from.dist + g2.dist);
-    std::vector<u64> b(n_s2, kInfDist);
+    std::vector<u64>& b = s.b;
+    b.assign(n_s2, kInfDist);
     for (u32 s2 = 0; s2 < n_s2; ++s2) {
       if (p[s2] == kInfDist) continue;
       const u64* row = skel.data() + u64{s2} * n_s2;
@@ -183,7 +250,8 @@ void label_view::row_into(u32 u, std::vector<u64>& out) const {
         b[t2] = std::min(b[t2], p[s2] + row[t2]);
       }
     }
-    std::vector<u64> a(n_s, kInfDist);
+    std::vector<u64>& a = s.a;
+    a.assign(n_s, kInfDist);
     for (const source_distance& from : gateways_of(u))
       for (const exploration_entry& e : ball1_of(from.source))
         a[e.source] = std::min(a[e.source], from.dist + e.dist);

@@ -5,9 +5,11 @@
 // ∈ {1, 2, 8}; plus the h = 0 / isolated-vertex / singleton-component /
 // unreachable-pair (∞) edge cases, the baseline's two-sided labels, the
 // k-SSP labels, the diameter label path (exact + the (1+ε̂) skeleton
-// estimate), and one two-level build above the dense-exploration cutoff,
-// where the cores run sparse rows. Runs in the TSAN CI job at 8 threads;
-// `ctest -L oracle` runs it standalone.
+// estimate), one two-level build above the dense-exploration cutoff,
+// where the cores run sparse rows, and a pair-by-pair pin of the two-level
+// query() against a plain reference composition (fresh P/Q vectors, full
+// |P|×|Q| scan, binary-searched cross term). Runs in the TSAN CI job at 8
+// threads; `ctest -L oracle` runs it standalone.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/apsp.hpp"
@@ -380,6 +383,138 @@ sim_options two_level_opts(u32 threads) {
   return o;
 }
 
+/// Binary search one ball or ball1 slice (sorted by source).
+u64 slice_lookup(std::span<const exploration_entry> slice, u32 target) {
+  const auto it = std::lower_bound(
+      slice.begin(), slice.end(), target,
+      [](const exploration_entry& e, u32 v) { return e.source < v; });
+  if (it == slice.end() || it->source != target) return kInfDist;
+  return it->dist;
+}
+
+/// The two-level query() composition in its plain form: fresh P/Q vectors
+/// holding every (super node, leg) pair a gateway contributes, a full
+/// |P|×|Q| scan, and a binary search per (gateway, gateway) pair for the
+/// ball1 cross term. label_view::query folds P and Q into per-super-node
+/// minima and scans the cross term instead; the tests below hold the two
+/// equal pair by pair.
+u64 reference_two_level_query(const label_view& lv, u32 u, u32 v) {
+  u64 best = slice_lookup(lv.ball_of(u), v);
+  const auto gu = lv.gateways_of(u);
+  const auto gv = lv.gateways_of(v);
+  if (gu.empty() || gv.empty()) return best;
+  for (const source_distance& from : gu) {
+    const auto slice = lv.ball1_of(from.source);
+    for (const source_distance& to : gv) {
+      const u64 mid = slice_lookup(slice, to.source);
+      if (mid >= kInfDist) continue;
+      best = std::min(best, from.dist + mid + to.dist);
+    }
+  }
+  std::vector<source_distance> p, q;
+  for (const source_distance& from : gu)
+    for (const source_distance& g2 : lv.gw1_of(from.source))
+      p.push_back({g2.source, from.dist + g2.dist, g2.via});
+  for (const source_distance& to : gv)
+    for (const source_distance& g2 : lv.gw1_of(to.source))
+      q.push_back({g2.source, to.dist + g2.dist, g2.via});
+  for (const source_distance& ps : p) {
+    const u64* row = lv.skel.data() + u64{ps.source} * lv.n_s2;
+    for (const source_distance& qs : q) {
+      const u64 mid = row[qs.source];
+      if (mid >= kInfDist) continue;
+      best = std::min(best, ps.dist + mid + qs.dist);
+    }
+  }
+  return best;
+}
+
+/// Every pair of `lab` (or every `stride`-th source row) against the
+/// reference composition.
+void expect_reference_two_level(const dist_labels& lab, u32 stride = 1) {
+  ASSERT_EQ(lab.scheme, label_scheme::kTwoLevel);
+  const label_view lv = lab.view();
+  for (u32 u = 0; u < lab.n; u += stride)
+    for (u32 v = 0; v < lab.n; ++v)
+      ASSERT_EQ(lv.query(u, v), reference_two_level_query(lv, u, v))
+          << u << "->" << v << " n_s=" << lab.n_s << " n_s2=" << lab.n_s2;
+}
+
+/// Hand-built labels with a DISCONNECTED super-skeleton and gateway legs of
+/// kInfDist − 1: the composition's deepest term has five addends, so an
+/// unskipped ∞ super-pair entry would wrap u64 and surface as a small
+/// finite distance.
+dist_labels disconnected_super_labels() {
+  const u64 huge = kInfDist - 1;  // finite, maximal — the wraparound fuel
+  dist_labels lab;
+  lab.n = 4;
+  lab.n_s = 2;
+  lab.n_s2 = 2;
+  lab.h = 1;
+  lab.scheme = label_scheme::kTwoLevel;
+  lab.ball.offsets = {0, 1, 2, 3, 4};
+  lab.ball.entries = {{0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 3}};  // self only
+  // Node 0 reaches skeleton index 0, node 3 reaches skeleton index 1; the
+  // skeleton nodes reach themselves.
+  lab.gw_offsets = {0, 1, 2, 3, 4};
+  lab.gateways = {{0, huge, 1}, {0, 0, 1}, {1, 0, 2}, {1, huge, 2}};
+  lab.skeleton_nodes = {1, 2};
+  // Level 1: each skeleton node's ball1 holds only itself, and its super
+  // gateway leg is also maximal — the unskipped candidate would sum to
+  // 4·(kInfDist−1) + kInfDist > 2^64 and wrap to a value BELOW kInfDist,
+  // turning an unreachable pair into a bogus finite answer. The two super
+  // components never meet: all cross entries ∞.
+  lab.ball1_offsets = {0, 1, 2};
+  lab.ball1_entries = {{0, 0, 0}, {0, 1, 1}};
+  lab.gw1_offsets = {0, 1, 2};
+  lab.gw1 = {{0, huge, 0}, {1, huge, 1}};
+  lab.super_nodes = {0, 1};
+  lab.skel = {0, kInfDist, kInfDist, 0};
+  return lab;
+}
+
+apsp_result two_level_build(const graph& g, u64 seed) {
+  return hybrid_apsp_exact(g, cfg(), seed, false, two_level_opts(1));
+}
+
+TEST(DistOracleTwoLevel, QueryMatchesReferenceComposition) {
+  for (u64 seed : {211u, 212u}) {
+    for (const u64 max_w : {u64{1}, u64{9}}) {
+      const graph er = gen::erdos_renyi_connected(80 + 20 * (seed % 2), 4.0,
+                                                  max_w, seed);
+      expect_reference_two_level(two_level_build(er, seed).labels);
+      const graph bd = gen::bounded_degree(120, 3, max_w, seed);
+      expect_reference_two_level(two_level_build(bd, seed).labels);
+    }
+  }
+  // Both hand-built ∞ cases: the disconnected super-skeleton with legs of
+  // kInfDist − 1, and the same labels with every leg and ball1 distance at
+  // the maximal finite value.
+  dist_labels lab = disconnected_super_labels();
+  expect_reference_two_level(lab);
+  for (exploration_entry& e : lab.ball1_entries) e.dist = kInfDist - 1;
+  for (source_distance& sd : lab.gateways) sd.dist = kInfDist - 1;
+  expect_reference_two_level(lab);
+}
+
+TEST(DistOracleTwoLevel, QueryScratchResizesAcrossViews) {
+  // The composition's per-thread scratch grows to the largest n_s / n_s2 a
+  // thread has seen and must reset fully between calls: a small view, a
+  // larger one, then the small one again, all on one fresh thread.
+  const apsp_result small =
+      two_level_build(gen::erdos_renyi_connected(48, 4.0, 5, 221), 221);
+  const apsp_result large =
+      two_level_build(gen::erdos_renyi_connected(260, 4.0, 5, 222), 222);
+  ASSERT_GT(large.labels.n_s, small.labels.n_s);
+  ASSERT_GT(large.labels.n_s2, small.labels.n_s2);
+  std::thread worker([&] {
+    expect_reference_two_level(small.labels);
+    expect_reference_two_level(large.labels, 7);
+    expect_reference_two_level(small.labels);
+  });
+  worker.join();
+}
+
 TEST(DistOracleTwoLevel, QueryRowMaterializeAgreeAndNeverUnderestimate) {
   // The composition through ball1/gw1/super-pairs is an upper bound by
   // construction (every candidate is a real walk), must agree with itself
@@ -499,6 +634,10 @@ TEST(DistOracleTwoLevel, SparseRowsAboveDenseCutoff) {
     checksum[i] = mapped_oracle::load(path).header().payload_checksum;
     std::remove(path.c_str());
     if (i != 0) continue;
+    // Ten source rows against the reference composition: at this
+    // configuration every gateway's gw1 list overlaps its neighbours', so
+    // P and Q carry many duplicate super nodes.
+    expect_reference_two_level(lab.labels, n / 10);
     // Eight rows against Dijkstra: the ball (the sparse rows' output) is
     // exactly d_h, and the composition never underestimates and never
     // exceeds d_h.
@@ -523,35 +662,9 @@ TEST(DistOracleTwoLevel, SparseRowsAboveDenseCutoff) {
 }
 
 TEST(DistOracleTwoLevel, DisconnectedSuperSkeletonInfinityRegression) {
-  // Hand-built labels with a DISCONNECTED super-skeleton and gateway legs
-  // near kInfDist: the composition's deepest term has five addends, so an
-  // unskipped ∞ super-pair entry would wrap u64 and surface as a small
-  // finite distance. The ∞ skip must keep the answer exactly kInfDist.
-  const u64 huge = kInfDist - 1;  // finite, maximal — the wraparound fuel
-  dist_labels lab;
-  lab.n = 4;
-  lab.n_s = 2;
-  lab.n_s2 = 2;
-  lab.h = 1;
-  lab.scheme = label_scheme::kTwoLevel;
-  lab.ball.offsets = {0, 1, 2, 3, 4};
-  lab.ball.entries = {{0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 3}};  // self only
-  // Node 0 reaches skeleton index 0, node 3 reaches skeleton index 1; the
-  // skeleton nodes reach themselves.
-  lab.gw_offsets = {0, 1, 2, 3, 4};
-  lab.gateways = {{0, huge, 1}, {0, 0, 1}, {1, 0, 2}, {1, huge, 2}};
-  lab.skeleton_nodes = {1, 2};
-  // Level 1: each skeleton node's ball1 holds only itself, and its super
-  // gateway leg is also maximal — the unskipped candidate would sum to
-  // 4·(kInfDist−1) + kInfDist > 2^64 and wrap to a value BELOW kInfDist,
-  // turning an unreachable pair into a bogus finite answer. The two super
-  // components never meet: all cross entries ∞.
-  lab.ball1_offsets = {0, 1, 2};
-  lab.ball1_entries = {{0, 0, 0}, {0, 1, 1}};
-  lab.gw1_offsets = {0, 1, 2};
-  lab.gw1 = {{0, huge, 0}, {1, huge, 1}};
-  lab.super_nodes = {0, 1};
-  lab.skel = {0, kInfDist, kInfDist, 0};
+  // The ∞ skip must keep every cross-component answer exactly kInfDist.
+  const u64 huge = kInfDist - 1;
+  const dist_labels lab = disconnected_super_labels();
   // Within a component ({0,1} through skeleton node 1, {2,3} through
   // skeleton node 2) the one finite leg is `huge`; every cross-component
   // pair must compose to exactly kInfDist.

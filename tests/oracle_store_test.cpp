@@ -13,9 +13,10 @@
 //     overwrites, truncations and extensions of three seed stores, half of
 //     them resealed: each is refused with a typed error or served over all
 //     pairs with next hops in range (ASan+UBSan in CI);
-//   * a concurrent-reader torture test — 8 threads hammering one mapped
-//     view with seeded request mixes, per-thread result digests
-//     seed-deterministic and equal to an in-memory replay;
+//   * concurrent-reader torture tests (single-level and two-level) — 8
+//     threads hammering one mapped view with seeded request mixes,
+//     per-thread result digests seed-deterministic and equal to an
+//     in-memory replay;
 //   * a golden file — tests/data/golden_oracle_v2.bin is read bit-exactly
 //     and byte-compared against a fresh save of the same labels, so ANY
 //     format change forces a conscious kOracleFormatVersion bump
@@ -720,10 +721,11 @@ u64 replay_digest(const label_view& v, u64 seed, u32 requests) {
   return digest;
 }
 
-TEST(OracleStoreTorture, EightThreadsSeedDeterministicDigests) {
-  const graph g = gen::erdos_renyi_connected(192, 4.5, 7, 55);
-  const apsp_result res = hybrid_apsp_exact(g, cfg(), 55, true);
-  const std::string path = tmp_path("torture");
+/// 8 threads replay seeded request mixes against one mapped view of `res`,
+/// twice; every per-thread digest must equal the same stream replayed
+/// sequentially against the in-memory labels.
+void torture(const graph& g, const apsp_result& res, const std::string& name) {
+  const std::string path = tmp_path(name);
   save_oracle(res.labels, path);
   mapped_oracle m = mapped_oracle::load(path);
   m.attach_topology(g);
@@ -748,6 +750,23 @@ TEST(OracleStoreTorture, EightThreadsSeedDeterministicDigests) {
       EXPECT_EQ(got[t], expected[t]) << "thread " << t << " run " << run;
   }
   std::remove(path.c_str());
+}
+
+TEST(OracleStoreTorture, EightThreadsSeedDeterministicDigests) {
+  const graph g = gen::erdos_renyi_connected(192, 4.5, 7, 55);
+  torture(g, hybrid_apsp_exact(g, cfg(), 55, true), "torture");
+}
+
+TEST(OracleStoreTorture, TwoLevelEightThreadsSeedDeterministicDigests) {
+  // The two-level composition keeps its working memory in per-thread
+  // scratch: concurrent readers of one mapped view must never share it
+  // (TSAN) and must answer exactly like one sequential reader.
+  const graph g = gen::erdos_renyi_connected(192, 4.5, 7, 56);
+  sim_options o;
+  o.hierarchy = oracle_hierarchy::kTwoLevel;
+  const apsp_result res = hybrid_apsp_exact(g, cfg(), 56, true, o);
+  ASSERT_EQ(res.labels.scheme, label_scheme::kTwoLevel);
+  torture(g, res, "torture_two_level");
 }
 
 // ---- golden file ------------------------------------------------------------
