@@ -5,7 +5,8 @@
 // deliver() call alone. bench_mailbox measures the whole round loop end to
 // end; this bench is the profiler's view of the kernel itself.
 //
-// Three workload shapes, each swept over threads {1, 2, 8}:
+// Three workload shapes, each swept over threads {1, 2, 8}, and one fixed
+// row:
 //   * uniform  — every node sends `fan` messages to hash-random dsts (the
 //     γ-saturated delivery shape of bench_executor_scaling);
 //   * hotspot  — 50 % of traffic converges on 1 % of the nodes (stresses
@@ -13,7 +14,10 @@
 //   * filtered — uniform plus a pure hash drop predicate at p = 0.1, in
 //     the per-sender drawer form deliver() asks for (the fault-injection
 //     path: key-stream extraction, sentinel column, trash region —
-//     docs/FAULTS.md).
+//     docs/FAULTS.md);
+//   * oracle_2level — uniform at the γ-saturated gossip rounds of
+//     perfbench's oracle_2level workload (n = 30,000, fan 60 = γ, 2
+//     threads as there), whatever the command-line sizes.
 //
 // Deterministic gated fields (bench/baseline/BENCH_scatter.json):
 //   * inbox_digest32 — 32 low bits of an order-insensitive fold over every
@@ -138,6 +142,28 @@ int main(int argc, char** argv) {
 
   table t({"workload", "threads", "deliver ms", "Mmsg/s", "allocs/round",
            "zero-alloc rounds", "digest32"});
+  const auto record = [&](const char* name, u32 rn, u32 rfan, u32 rrounds,
+                          u32 threads, const run_result& r) {
+    const double mmsgs = static_cast<double>(r.delivered) / 1e3 /
+                         std::max(r.deliver_ms, 1e-6);
+    const double apr = static_cast<double>(r.timed_allocs) / rrounds;
+    const u64 digest32 = r.digest & 0xFFFFFFFFu;
+    t.add_row({name, table::integer(threads), table::num(r.deliver_ms, 2),
+               table::num(mmsgs, 2), table::num(apr, 2),
+               table::integer(static_cast<long long>(r.zero_alloc_rounds)),
+               table::integer(static_cast<long long>(digest32))});
+    rec.add(name, {{"n", rn},
+                   {"fan", rfan},
+                   {"threads", threads},
+                   {"rounds", rrounds},
+                   {"messages", r.messages},
+                   {"delivered", r.delivered},
+                   {"deliver_wall_ms", r.deliver_ms},
+                   {"mmsgs_per_sec", mmsgs},
+                   {"allocs_per_round", apr},
+                   {"zero_alloc_rounds", r.zero_alloc_rounds},
+                   {"inbox_digest32", digest32}});
+  };
   for (const auto& [name, hot, filtered] :
        {std::tuple{"uniform", false, false}, {"hotspot", true, false},
         {"filtered", false, true}}) {
@@ -150,26 +176,13 @@ int main(int argc, char** argv) {
       }
       HYB_INVARIANT(r.digest == base_digest && r.delivered == base_delivered,
                     "thread count changed delivered inboxes");
-      const double mmsgs = static_cast<double>(r.delivered) / 1e3 /
-                           std::max(r.deliver_ms, 1e-6);
-      const double apr = static_cast<double>(r.timed_allocs) / rounds;
-      const u64 digest32 = r.digest & 0xFFFFFFFFu;
-      t.add_row({name, table::integer(threads), table::num(r.deliver_ms, 2),
-                 table::num(mmsgs, 2), table::num(apr, 2),
-                 table::integer(static_cast<long long>(r.zero_alloc_rounds)),
-                 table::integer(static_cast<long long>(digest32))});
-      rec.add(name, {{"n", n},
-                     {"fan", fan},
-                     {"threads", threads},
-                     {"rounds", rounds},
-                     {"messages", r.messages},
-                     {"delivered", r.delivered},
-                     {"deliver_wall_ms", r.deliver_ms},
-                     {"mmsgs_per_sec", mmsgs},
-                     {"allocs_per_round", apr},
-                     {"zero_alloc_rounds", r.zero_alloc_rounds},
-                     {"inbox_digest32", digest32}});
+      record(name, n, fan, rounds, threads, r);
     }
+  }
+  {
+    constexpr u32 kN = 30000, kFan = 60, kRounds = 10, kThreads = 2;
+    record("oracle_2level", kN, kFan, kRounds, kThreads,
+           run_kernel(kN, kFan, kRounds, kThreads, false, false));
   }
   t.print();
 

@@ -11,20 +11,35 @@ namespace hybrid {
 namespace {
 constexpr u32 kTokenTag = 0xD155;
 
-struct node_state {
-  std::vector<u32> known;      // token indices in arrival order
-  std::vector<u64> known_bit;  // bitset over token indices
-  std::vector<u32> fresh;      // learned since last local flood
-  // Seeding queue: (token index, copies still to send).
-  std::vector<std::pair<u32, u32>> seed_queue;
+/// Every node's gossip state in flat per-node arrays (a handful of
+/// allocations per call, none per round). Node v's known tokens sit in
+/// arrival order at known[v·k, v·k + count[v]); its fresh list — the tokens
+/// learned since its last local flood — is the suffix
+/// known[v·k + fresh_begin[v], v·k + fresh_end[v]), so it needs no storage
+/// of its own. A node's own tokens go out first, `seed_copies` pushes each,
+/// last token first: seed_left[v] pushes remain.
+struct gossip_state {
+  u32 k, words;  // tokens; bitset words per node
+  std::vector<u32> known, count, fresh_begin, fresh_end, seed_left;
+  std::vector<u64> known_bit;
 
-  bool knows(u32 idx) const {
-    return (known_bit[idx / 64] >> (idx % 64)) & 1;
+  gossip_state(u32 n, u32 k)
+      : k(k),
+        words((k + 63) / 64),
+        known(u64{n} * k),
+        count(n),
+        fresh_begin(n),
+        fresh_end(n),
+        seed_left(n),
+        known_bit(u64{n} * words) {}
+
+  const u32* tokens_of(u32 v) const { return known.data() + u64{v} * k; }
+  bool knows(u32 v, u32 idx) const {
+    return (known_bit[u64{v} * words + idx / 64] >> (idx % 64)) & 1;
   }
-  void learn(u32 idx) {
-    known_bit[idx / 64] |= u64{1} << (idx % 64);
-    known.push_back(idx);
-    fresh.push_back(idx);
+  void learn(u32 v, u32 idx) {
+    known_bit[u64{v} * words + idx / 64] |= u64{1} << (idx % 64);
+    known[u64{v} * k + count[v]++] = idx;
   }
 };
 
@@ -91,21 +106,17 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
   const std::vector<token2>& tokens = ts.tokens;
   const gossip_plan& plan = ts.plan;
   const u32 k = static_cast<u32>(tokens.size());
-  const u32 words = (k + 63) / 64;
 
-  std::vector<node_state> st(n);
+  gossip_state st(n, k);
   for (u32 v = 0; v < n; ++v) {
-    st[v].known.reserve(k);  // every node ends holding exactly k
-    st[v].known_bit.assign(words, 0);
-    for (u32 idx = ts.first[v]; idx < ts.first[v + 1]; ++idx) {
-      st[v].learn(idx);
-      st[v].seed_queue.push_back({idx, plan.seed_copies});
-    }
+    for (u32 idx = ts.first[v]; idx < ts.first[v + 1]; ++idx) st.learn(v, idx);
+    st.fresh_end[v] = st.count[v];
+    st.seed_left[v] = st.count[v] * plan.seed_copies;
   }
 
   // v knows all k tokens and has nothing left to seed.
   const auto node_done = [&](u32 v) {
-    return st[v].known.size() == k && st[v].seed_queue.empty();
+    return st.count[v] == k && st.seed_left[v] == 0;
   };
   auto all_done = [&]() {
     for (u32 v = 0; v < n; ++v)
@@ -129,7 +140,6 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
       std::max<u64>(budget, aggregation_rounds(n));
   u64 spent = 0;
   std::vector<u64> dropped(lf ? n : 0, 0);
-  std::vector<std::vector<u32>> inject(n);
   std::vector<u64> flags(n);
   // The termination check: one charged AND-aggregation of node_done.
   const auto everyone_done = [&] {
@@ -138,33 +148,34 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
   };
   // Global pushes (seeding first, then uniform random gossip) and the pull
   // side of the local flood run node-parallel: node v draws from its
-  // (seed, v, round) stream, spends its own γ budget, and collects fresh
-  // tokens from its neighbors' frozen fresh-lists. The round's three steps
-  // are wrapped once, so no round builds a std::function.
+  // (seed, v, round) stream, spends its own γ budget, and learns the
+  // tokens it lacks from its neighbors' fresh lists. Those lists are frozen
+  // for the round: they end at fresh_end, below every position a learning
+  // node appends at. The round's three steps are wrapped once, so no round
+  // builds a std::function.
   const std::function<u64(u32)> send_and_pull = [&](u32 v) -> u64 {
-    inject[v].clear();
     if (lf) dropped[v] = 0;
     if (!net.is_up(v)) return 0;  // fail-pause: no sends, no pulls
     rng rv = net.round_rng(v);
-    while (!st[v].seed_queue.empty() && net.global_budget(v) > 0) {
-      auto& [idx, left] = st[v].seed_queue.back();
+    while (st.seed_left[v] != 0 && net.global_budget(v) > 0) {
+      const u32 idx = ts.first[v] + (st.seed_left[v] - 1) / plan.seed_copies;
       const u32 dst = static_cast<u32>(rv.next_below(n));
       const token2& t = tokens[idx];
       net.try_send_global(global_msg::make(v, dst, kTokenTag, {t.a, t.b, idx}));
-      if (--left == 0) st[v].seed_queue.pop_back();
+      --st.seed_left[v];
     }
-    while (!st[v].known.empty() && net.global_budget(v) > 0) {
-      const u32 idx = st[v].known[rv.next_below(st[v].known.size())];
+    const u32 held = st.count[v];
+    while (held != 0 && net.global_budget(v) > 0) {
+      const u32 idx = st.tokens_of(v)[rv.next_below(held)];
       const u32 dst = static_cast<u32>(rv.next_below(n));
       const token2& t = tokens[idx];
       net.try_send_global(global_msg::make(v, dst, kTokenTag, {t.a, t.b, idx}));
     }
-    // Local flooding, pull side: read neighbors' fresh-lists (frozen this
-    // round; cleared only after the barrier below).
+    // Local flooding, pull side.
     u64 mine = 0;
     for (const edge& e : g.neighbors(v)) {
-      const std::vector<u32>& from = st[e.to].fresh;
-      const u32 cnt = static_cast<u32>(from.size());
+      const u32* from = st.tokens_of(e.to) + st.fresh_begin[e.to];
+      const u32 cnt = st.fresh_end[e.to] - st.fresh_begin[e.to];
       mine += cnt;
       const local_drops link =
           lf ? net.local_link(e.to, v, cnt) : local_drops{};
@@ -173,8 +184,7 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
           ++dropped[v];
           continue;
         }
-        const u32 idx = from[j];
-        if (!st[v].knows(idx)) inject[v].push_back(idx);
+        if (!st.knows(v, from[j])) st.learn(v, from[j]);
       }
     }
     return mine;
@@ -183,16 +193,17 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
   // re-offers them, so a crash can't permanently strand a token that exists
   // nowhere else locally.
   const std::function<void(u32)> clear_fresh = [&](u32 v) {
-    if (net.is_up(v)) st[v].fresh.clear();
+    if (net.is_up(v)) st.fresh_begin[v] = st.fresh_end[v];
   };
+  // A node that knows all k tokens can learn nothing from its inbox.
   const std::function<void(u32)> receive = [&](u32 v) {
-    for (u32 idx : inject[v])
-      if (!st[v].knows(idx)) st[v].learn(idx);
-    for (const global_msg& m : net.global_inbox(v)) {
-      if (m.tag != kTokenTag) continue;
-      const u32 idx = static_cast<u32>(m.w[2]);
-      if (!st[v].knows(idx)) st[v].learn(idx);
-    }
+    if (st.count[v] != k)
+      for (const global_msg& m : net.global_inbox(v)) {
+        if (m.tag != kTokenTag) continue;
+        const u32 idx = static_cast<u32>(m.w[2]);
+        if (!st.knows(v, idx)) st.learn(v, idx);
+      }
+    st.fresh_end[v] = st.count[v];
   };
   round_executor& exec = net.executor();
   bool done = false;

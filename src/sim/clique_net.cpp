@@ -45,20 +45,7 @@ void clique_net::advance_round() {
   total_msgs_ += mail_.delivered_last_round();
   total_sent_ += mail_.sent_last_round();
   total_dropped_ += mail_.dropped_last_round();
-  if (mail_.delivered_last_round() == 0) return;
-  // Per-shard max into a reused scratch buffer (shard-order combine, max is
-  // order-insensitive): same fused-reduction shape as hybrid_net, so clique
-  // rounds are allocation-free after warm-up too.
-  const u32 shards = exec_.shard_count(n_);
-  recv_scratch_.assign(shards, 0);
-  exec_.for_shards(n_, [&](u32 s, u32 begin, u32 end) {
-    u64 best = 0;
-    for (u32 v = begin; v < end; ++v)
-      best = std::max(best, static_cast<u64>(mail_.inbox_size(v)));
-    recv_scratch_[s] = best;
-  });
-  for (u64 best : recv_scratch_)
-    max_recv_ = std::max(max_recv_, static_cast<u32>(best));
+  max_recv_ = std::max(max_recv_, mail_.max_inbox_last_round());
 }
 
 }  // namespace hybrid

@@ -19,8 +19,6 @@
 #pragma once
 
 #include <array>
-#include <span>
-#include <vector>
 
 #include "sim/executor.hpp"
 #include "sim/fault.hpp"
@@ -33,9 +31,10 @@ struct clique_msg {
   u32 src = 0;
   u32 dst = 0;
   u32 tag = 0;
+  u8 nw = 0;  ///< payload words in use; packed beside the tag
   std::array<u64, 3> w{};
-  u8 nw = 0;
 };
+static_assert(sizeof(clique_msg) == 40);
 
 class clique_net {
  public:
@@ -70,7 +69,7 @@ class clique_net {
   void advance_round();
   /// Messages delivered to v at the last advance_round(), sorted by
   /// (src, send-index); valid until the next advance_round().
-  std::span<const clique_msg> inbox(u32 v) const { return mail_.inbox(v); }
+  inbox_view<clique_msg> inbox(u32 v) const { return mail_.inbox(v); }
   /// Mailbox arena occupancy/allocation probe.
   mailbox_stats mailbox_stats_probe() const { return mail_.stats(); }
 
@@ -86,9 +85,6 @@ class clique_net {
   bool fault_on_ = false;
   fault_plane plane_;
   crash_schedule crashes_;
-  /// Per-shard receive-load maxima for advance_round's reduction; a member
-  /// so steady-state rounds stay allocation-free.
-  std::vector<u64> recv_scratch_;
 };
 
 }  // namespace hybrid

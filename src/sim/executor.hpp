@@ -129,11 +129,6 @@ class round_executor {
 
   /// Deterministic reduction: max of `term(v)` over v in [0, n); 0 when
   /// n == 0. Order-insensitive like sum_nodes, so thread-count-invariant.
-  /// Note: the simulators' advance_round hot paths use a fused for_shards
-  /// instantiation of this same shape (several counters in one pass, with
-  /// a member scratch buffer) instead of calling this per counter; prefer
-  /// max_nodes in protocol code, where one reduction per barrier is the
-  /// common case.
   u64 max_nodes(u32 n, const std::function<u64(u32)>& term);
 
   /// True when `pred(v)` holds for at least one node (barrier included).

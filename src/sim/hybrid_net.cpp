@@ -7,19 +7,6 @@
 
 namespace hybrid {
 
-global_msg global_msg::make(u32 src, u32 dst, u32 tag,
-                            std::initializer_list<u64> words) {
-  global_msg m;
-  m.src = src;
-  m.dst = dst;
-  m.tag = tag;
-  HYB_REQUIRE(words.size() <= m.w.size(), "payload exceeds message capacity");
-  u8 i = 0;
-  for (u64 x : words) m.w[i++] = x;
-  m.nw = i;
-  return m;
-}
-
 namespace {
 
 u32 compute_global_cap(const model_config& cfg, u32 n) {
@@ -103,61 +90,26 @@ void hybrid_net::advance_round() {
   crashes_.promote();
   // Aggregate metrics are accounted here rather than at send time so that
   // try_send_global writes only src-private state during parallel steps.
-  // The executor's sum/max reductions are order-insensitive, so every
-  // counter stays thread-count-invariant (docs/CONCURRENCY.md §5).
+  // The mailbox totals them inside its delivery passes (per-shard sums and
+  // maxima, order-insensitive), so every counter is thread-count-invariant
+  // (docs/CONCURRENCY.md §5).
   const u64 delivered = mail_.delivered_last_round();
   metrics_.global_messages += delivered;
   metrics_.global_sent += mail_.sent_last_round();
   metrics_.global_dropped += mail_.dropped_last_round();
-  if (delivered == 0) return;
-  // One fused parallel pass over the delivered slices: per-shard
-  // {payload words, cut bits, max recv}, combined in shard order. Sum and
-  // max are order-insensitive, so every counter is thread-count-invariant
-  // (docs/CONCURRENCY.md §5), and each message is visited exactly once.
-  const u32 shards = exec_.shard_count(n());
-  delivery_scratch_.assign(shards, {});
-  const u8* cut = cut_side_.empty() ? nullptr : cut_side_.data();
-  exec_.for_shards(n(), [&](u32 s, u32 begin, u32 end) {
-    delivery_acc a;
-    for (u32 v = begin; v < end; ++v) {
-      const auto box = mail_.inbox(v);
-      a.max_recv = std::max(a.max_recv, static_cast<u64>(box.size()));
-      for (const global_msg& m : box) {
-        a.payload_words += m.nw;
-        if (cut && cut[m.src] != cut[m.dst])
-          a.cut_bits += static_cast<u64>(m.nw) * 64 + header_bits_;
-      }
-    }
-    delivery_scratch_[s] = a;
+  metrics_.global_payload_words += mail_.payload_words_last_round();
+  metrics_.max_global_recv_per_round = std::max(
+      metrics_.max_global_recv_per_round, mail_.max_inbox_last_round());
+  if (delivered == 0 || cut_side_.empty()) return;
+  // Section-7 cut accounting: one pass over the delivered messages, only
+  // while a cut is registered.
+  metrics_.cut_bits += exec_.sum_nodes(n(), [this](u32 v) {
+    u64 bits = 0;
+    for (const global_msg& m : mail_.inbox(v))
+      if (cut_side_[m.src] != cut_side_[v])
+        bits += static_cast<u64>(m.nw) * 64 + header_bits_;
+    return bits;
   });
-  delivery_acc total;
-  for (const delivery_acc& a : delivery_scratch_) {
-    total.payload_words += a.payload_words;
-    total.cut_bits += a.cut_bits;
-    total.max_recv = std::max(total.max_recv, a.max_recv);
-  }
-  metrics_.global_payload_words += total.payload_words;
-  metrics_.cut_bits += total.cut_bits;
-  metrics_.max_global_recv_per_round =
-      std::max(metrics_.max_global_recv_per_round,
-               static_cast<u32>(total.max_recv));
-}
-
-bool hybrid_net::try_send_global(const global_msg& m) {
-  HYB_REQUIRE(m.src < n() && m.dst < n(), "message endpoint out of range");
-  HYB_INVARIANT(m.nw <= cfg_.max_payload_words,
-                "payload exceeds the O(log n)-bit model cap");
-  if (mail_.sends(m.src) >= global_cap_) return false;
-  mail_.push(m);
-  return true;
-}
-
-u32 hybrid_net::global_budget(u32 src) const {
-  return global_cap_ - mail_.sends(src);
-}
-
-std::span<const global_msg> hybrid_net::global_inbox(u32 v) const {
-  return mail_.inbox(v);
 }
 
 rng& hybrid_net::node_rng(u32 v) {

@@ -20,7 +20,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "sim/fault.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/metrics.hpp"
+#include "util/assert.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -78,12 +78,24 @@ struct global_msg {
   u32 src = 0;
   u32 dst = 0;
   u32 tag = 0;
+  u8 nw = 0;               ///< payload words in use; packed beside the tag
   std::array<u64, 3> w{};  ///< payload words (w[0..nw))
-  u8 nw = 0;
 
   static global_msg make(u32 src, u32 dst, u32 tag,
-                         std::initializer_list<u64> words);
+                         std::initializer_list<u64> words) {
+    global_msg m;
+    m.src = src;
+    m.dst = dst;
+    m.tag = tag;
+    HYB_REQUIRE(words.size() <= m.w.size(), "payload exceeds message capacity");
+    u8 i = 0;
+    for (u64 x : words) m.w[i++] = x;
+    m.nw = i;
+    return m;
+  }
 };
+// Every round streams each message through memory: 40 bytes, not 48.
+static_assert(sizeof(global_msg) == 40);
 
 class hybrid_net {
  public:
@@ -109,9 +121,9 @@ class hybrid_net {
 
   // ---- round lifecycle -----------------------------------------------
   /// Close the current round: deliver queued global messages (parallel
-  /// counting sort on the executor, sim/mailbox.hpp), account aggregate
-  /// metrics via deterministic reductions, reset send budgets, bump the
-  /// round counter. Orchestrating thread only, after the round barrier.
+  /// counting sort on the executor, sim/mailbox.hpp, which also totals the
+  /// round's metrics), reset send budgets, bump the round counter.
+  /// Orchestrating thread only, after the round barrier.
   void advance_round();
   u64 round() const { return metrics_.rounds; }
 
@@ -121,13 +133,21 @@ class hybrid_net {
   /// Thread-safe across distinct src within one parallel round step: all
   /// writes are src-private; aggregate metrics are accounted when the
   /// delivering advance_round() closes the round.
-  bool try_send_global(const global_msg& m);
+  bool try_send_global(const global_msg& m) {
+    HYB_REQUIRE(m.src < n() && m.dst < n(), "message endpoint out of range");
+    HYB_INVARIANT(m.nw <= cfg_.max_payload_words,
+                  "payload exceeds the O(log n)-bit model cap");
+    if (mail_.sends(m.src) >= global_cap_) return false;
+    mail_.push(m);
+    return true;
+  }
   /// Remaining sends for src this round.
-  u32 global_budget(u32 src) const;
+  u32 global_budget(u32 src) const { return global_cap_ - mail_.sends(src); }
   /// Messages delivered to v at the last advance_round(), sorted by
-  /// (src, send-index). The span aliases the flat inbox arena and is
-  /// valid until the next advance_round().
-  std::span<const global_msg> global_inbox(u32 v) const;
+  /// (src, send-index). The view reads the sending round's outbox arena
+  /// and stays valid until the next advance_round(), so a step may read it
+  /// while it sends for the next round.
+  inbox_view<global_msg> global_inbox(u32 v) const { return mail_.inbox(v); }
   /// Mailbox arena occupancy/allocation probe (tests assert arenas stop
   /// growing after warm-up).
   mailbox_stats global_mailbox_stats() const { return mail_.stats(); }
@@ -220,14 +240,6 @@ class hybrid_net {
   u32 header_bits_;
 
   flat_mailbox<global_msg> mail_;
-  /// Per-shard metric accumulators for advance_round's fused delivery
-  /// reduction; a member so steady-state rounds stay allocation-free.
-  struct delivery_acc {
-    u64 payload_words = 0;
-    u64 cut_bits = 0;
-    u64 max_recv = 0;
-  };
-  std::vector<delivery_acc> delivery_scratch_;
 
   std::vector<std::optional<rng>> node_rng_;
   /// Per-node round_rng stream ids, derived once at construction (they are

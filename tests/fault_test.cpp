@@ -71,7 +71,7 @@ fault_options drop_local_opts(double p, u64 fault_seed = 1) {
 }
 
 template <class Msg>
-u64 inbox_digest(std::span<const Msg> box) {
+u64 inbox_digest(const inbox_view<Msg>& box) {
   u64 h = 1469598103934665603ull;
   auto mix = [&](u64 x) {
     h ^= x;

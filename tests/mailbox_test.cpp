@@ -1,12 +1,16 @@
 // Tests for the flat-arena mailbox delivery path (sim/mailbox.hpp):
 // (src, send-index) inbox ordering, bit-identical delivery and receive-load
 // metrics across thread counts, arena reuse (no heap growth after warm-up,
-// probed via mailbox stats), γ-cap saturation on the flat outbox, and the
-// clique mirror's overflow/re-stride path. Run under -fsanitize=thread this
+// probed via mailbox stats), γ-cap saturation on the flat outbox, the
+// clique mirror's overflow/re-stride path, the slot-range guard, and the
+// delivery contract against a sequential reference (reading an inbox while
+// sending, re-strides, trim(), drops). Run under -fsanitize=thread this
 // suite doubles as a race detector for the parallel counting sort (the TSAN
 // CI job does exactly that).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -17,16 +21,16 @@
 namespace hybrid {
 namespace {
 
-// Order-sensitive digest of one inbox span (FNV-style fold), so two runs
-// agree iff contents AND order agree.
-template <class Msg>
-u64 inbox_digest(std::span<const Msg> box) {
+// Order-sensitive digest of one inbox (FNV-style fold), so two runs agree
+// iff contents AND order agree. Takes mailbox views and plain vectors alike.
+template <class Box>
+u64 inbox_digest(const Box& box) {
   u64 h = 1469598103934665603ull;
   auto mix = [&](u64 x) {
     h ^= x;
     h *= 1099511628211ull;
   };
-  for (const Msg& m : box) {
+  for (const auto& m : box) {
     mix(m.src);
     mix(m.dst);
     mix(m.tag);
@@ -335,6 +339,166 @@ TEST(FlatMailbox, FilteredDeliveryBitIdenticalThroughRestride) {
   const auto base = run(1);
   EXPECT_EQ(run(2), base);
   EXPECT_EQ(run(8), base);
+}
+
+// ---- the delivery contract against a sequential reference -----------------
+//
+// Every node's sends in round r are a pure function of its round-(r-1)
+// inbox, made in the same step that reads it — the read-while-send shape
+// the double-buffered outboxes exist for. The reference delivers with
+// per-node vectors (sources ascending, sends in order, drops removed), and
+// every thread count must reproduce its per-round digests and totals.
+
+/// The contract workload: `sends(r, v)` messages a node makes in round r,
+/// their payloads folded from the inbox it is reading.
+struct contract_shape {
+  u32 n = 97;
+  u32 cap = 24;
+  u32 initial_stride = 24;
+  u32 rounds = 8;
+  bool drops = false;
+  std::vector<u32> trim_after = {};  ///< trim() after these rounds' reads
+  /// Round r's send count for every node: 0..cap by hash, or the whole
+  /// cap in `full_rounds` (which overflow a narrower slab).
+  std::vector<u32> full_rounds = {};
+};
+
+/// A pure drop predicate in the per-sender form deliver() asks for.
+struct contract_drops {
+  u32 src;
+  bool drop(u32 idx, const global_msg& m) const {
+    return derive_seed(derive_seed(src, idx), m.w[0]) % 5 == 0;
+  }
+};
+
+template <class Box>
+void contract_sends(const contract_shape& c, u32 r, u32 v, const Box& box,
+                    std::vector<global_msg>& out) {
+  const u64 h = inbox_digest(box);
+  const bool full = std::find(c.full_rounds.begin(), c.full_rounds.end(),
+                              r) != c.full_rounds.end();
+  const u32 k = full ? c.cap
+                     : static_cast<u32>(derive_seed(h, v * 131 + r) %
+                                        (c.cap + 1));
+  for (u32 i = 0; i < k; ++i) {
+    const u64 x = derive_seed(derive_seed(h, i), r);
+    out.push_back(global_msg::make(v, static_cast<u32>(x % c.n), i,
+                                   {x, u64{v} << 32 | r}));
+  }
+}
+
+struct contract_trace {
+  std::vector<u64> digests;  ///< one per round: xor of (v+1)·inbox digest
+  u64 delivered = 0;
+  u64 dropped = 0;
+  u64 words = 0;
+  u32 max_inbox = 0;
+  bool operator==(const contract_trace&) const = default;
+};
+
+contract_trace contract_reference(const contract_shape& c) {
+  contract_trace t;
+  std::vector<std::vector<global_msg>> in(c.n), out(c.n);
+  for (u32 r = 0; r < c.rounds; ++r) {
+    for (u32 v = 0; v < c.n; ++v) {
+      out[v].clear();
+      contract_sends(c, r, v, in[v], out[v]);
+    }
+    for (auto& box : in) box.clear();
+    for (u32 src = 0; src < c.n; ++src)
+      for (u32 i = 0; i < out[src].size(); ++i) {
+        const global_msg& m = out[src][i];
+        if (c.drops && contract_drops{src}.drop(i, m)) {
+          ++t.dropped;
+          continue;
+        }
+        in[m.dst].push_back(m);
+        t.words += m.nw;
+      }
+    u64 d = 0;
+    for (u32 v = 0; v < c.n; ++v) {
+      d ^= (v + 1) * inbox_digest(in[v]);
+      t.delivered += in[v].size();
+      t.max_inbox = std::max<u32>(t.max_inbox, in[v].size());
+    }
+    t.digests.push_back(d);
+    if (std::count(c.trim_after.begin(), c.trim_after.end(), r))
+      for (auto& box : in) box.clear();  // trim() ends the inboxes too
+  }
+  return t;
+}
+
+contract_trace contract_run(const contract_shape& c, u32 threads) {
+  contract_trace t;
+  round_executor exec(sim_options{threads});
+  flat_mailbox<global_msg> mail(c.n, c.cap, c.initial_stride);
+  std::vector<std::vector<global_msg>> scratch(c.n);
+  for (u32 r = 0; r < c.rounds; ++r) {
+    exec.for_nodes(c.n, [&](u32 v) {
+      scratch[v].clear();
+      contract_sends(c, r, v, mail.inbox(v), scratch[v]);
+      for (const global_msg& m : scratch[v]) mail.push(m);
+    });
+    if (c.drops)
+      mail.deliver(exec, [](u32 src, u32) { return contract_drops{src}; });
+    else
+      mail.deliver(exec);
+    u64 d = 0;
+    for (u32 v = 0; v < c.n; ++v) d ^= (v + 1) * inbox_digest(mail.inbox(v));
+    t.digests.push_back(d);
+    t.delivered += mail.delivered_last_round();
+    t.dropped += mail.dropped_last_round();
+    t.words += mail.payload_words_last_round();
+    t.max_inbox = std::max(t.max_inbox, mail.max_inbox_last_round());
+    if (std::count(c.trim_after.begin(), c.trim_after.end(), r)) mail.trim();
+  }
+  EXPECT_EQ(mail.stats().sent_total, t.delivered + t.dropped) << threads;
+  return t;
+}
+
+void expect_contract(const contract_shape& c) {
+  const contract_trace want = contract_reference(c);
+  ASSERT_GT(want.delivered, 0u);
+  for (u32 threads : {1u, 2u, 8u})
+    EXPECT_EQ(contract_run(c, threads), want) << threads << " threads";
+}
+
+TEST(FlatMailboxContract, StepReadsInboxWhileSending) {
+  expect_contract({});
+}
+
+TEST(FlatMailboxContract, OverflowRoundsRestrideAndStayReadable) {
+  contract_shape c;
+  c.initial_stride = 2;
+  c.full_rounds = {0, 3};  // round 0 overflows the 2-slot slabs
+  expect_contract(c);
+}
+
+TEST(FlatMailboxContract, TrimThenMoreRounds) {
+  contract_shape c;
+  c.initial_stride = 4;
+  c.full_rounds = {1, 5};   // re-strides before and after the trim
+  c.trim_after = {2};       // back to 1-slot slabs
+  c.rounds = 9;
+  expect_contract(c);
+}
+
+TEST(FlatMailboxContract, KeyedDropsThroughRestride) {
+  contract_shape c;
+  c.initial_stride = 3;
+  c.drops = true;
+  c.full_rounds = {0, 4};
+  const contract_trace want = contract_reference(c);
+  EXPECT_GT(want.dropped, 0u);
+  expect_contract(c);
+}
+
+// Slot indices are u32, so n · cap must stay below 2³². Initial stride 1
+// keeps both cases at O(n) memory.
+TEST(FlatMailbox, RejectsSlotRangeBeyondU32) {
+  EXPECT_THROW(flat_mailbox<global_msg>(70000, 70000, 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(flat_mailbox<global_msg>(65535, 65535, 1));
 }
 
 TEST(FlatMailbox, EmptyRoundsDeliverNothingAndResetInboxes) {
