@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 
 #include "util/assert.hpp"
 
@@ -89,10 +88,9 @@ u64 global_aggregate(hybrid_net& net, agg_op op,
     if (ok && !faulty) acked = 1;
   };
 
-  // The round's step, wrapped once so no round builds a std::function. It
-  // returns 1 while the node still lacks the result, so the round's sum is
-  // the termination check.
-  const std::function<u64(u32)> step = [&](u32 v) -> u64 {
+  // The round's step returns 1 while the node still lacks the result, so
+  // the round's sum is the termination check.
+  const auto step = [&](u32 v) -> u64 {
     agg_node& s = st[v];
     // A down node's inbox is empty (delivery dropped) and it sends
     // nothing; its state freezes until recovery (fail-pause).

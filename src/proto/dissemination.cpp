@@ -1,7 +1,6 @@
 #include "proto/dissemination.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "proto/aggregation.hpp"
 #include "util/assert.hpp"
@@ -151,9 +150,8 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
   // (seed, v, round) stream, spends its own γ budget, and learns the
   // tokens it lacks from its neighbors' fresh lists. Those lists are frozen
   // for the round: they end at fresh_end, below every position a learning
-  // node appends at. The round's three steps are wrapped once, so no round
-  // builds a std::function.
-  const std::function<u64(u32)> send_and_pull = [&](u32 v) -> u64 {
+  // node appends at.
+  const auto send_and_pull = [&](u32 v) -> u64 {
     if (lf) dropped[v] = 0;
     if (!net.is_up(v)) return 0;  // fail-pause: no sends, no pulls
     rng rv = net.round_rng(v);
@@ -192,11 +190,11 @@ void simulate_gossip(hybrid_net& net, const token_set& ts) {
   // Fresh lists of down nodes are preserved: when the node recovers it
   // re-offers them, so a crash can't permanently strand a token that exists
   // nowhere else locally.
-  const std::function<void(u32)> clear_fresh = [&](u32 v) {
+  const auto clear_fresh = [&](u32 v) {
     if (net.is_up(v)) st.fresh_begin[v] = st.fresh_end[v];
   };
   // A node that knows all k tokens can learn nothing from its inbox.
-  const std::function<void(u32)> receive = [&](u32 v) {
+  const auto receive = [&](u32 v) {
     if (st.count[v] != k)
       for (const global_msg& m : net.global_inbox(v)) {
         if (m.tag != kTokenTag) continue;

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <concepts>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -140,8 +139,7 @@ u32 run(round_executor& exec, const graph& g, state& st, u32 rounds,
         const Learn& on_learn, const Hook& hook) {
   const u32 n = g.num_nodes();
   u32 r = 0;
-  // Both steps are wrapped once, so no round builds a std::function.
-  const std::function<u64(u32)> pull = [&](u32 v) -> u64 {
+  const auto pull = [&](u32 v) -> u64 {
     std::vector<u32>& out = st.next[v];
     out.clear();
     u64* const bits = st.seen.row(v);
@@ -158,7 +156,7 @@ u32 run(round_executor& exec, const graph& g, state& st, u32 rounds,
     }
     return charged;
   };
-  const std::function<bool(u32)> active = [&](u32 v) {
+  const auto active = [&](u32 v) {
     return !st.frontier[v].empty();
   };
   for (r = 1; r <= rounds; ++r) {

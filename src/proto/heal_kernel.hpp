@@ -41,7 +41,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -458,7 +457,7 @@ void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
   for (u32 quiet = 0; quiet < fo.heal_stability_rounds;) {
     if (++it > budget)
       throw fault_failure(std::string(what) + " healing budget exhausted");
-    exec.for_nodes(n, std::cref(offer));
+    exec.for_nodes(n, offer);
     traffic all;
     for (const traffic& t : ws.sent) all += t;
     net.charge_local(all.offered);
@@ -467,7 +466,7 @@ void run(hybrid_net& net, Rows& rows, u32 nominal, const char* what,
     net.note_retransmitted(all.retx);
     net.advance_round();
     ++rounds;
-    exec.for_nodes(n, std::cref(merge));
+    exec.for_nodes(n, merge);
     quiet = next_quiet(net, n, quiet, ws.changed);
   }
 }

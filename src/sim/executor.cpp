@@ -1,7 +1,7 @@
 #include "sim/executor.hpp"
 
-#include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -11,8 +11,11 @@ u32 resolve_threads(const sim_options& opts) {
   if (opts.threads != 0) return opts.threads;
   if (const char* env = std::getenv("HYBRID_THREADS")) {
     char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<u32>(v);
+    const long long v = std::strtoll(env, &end, 10);
+    // Values a u32 cannot hold fall through to auto like any other garbage.
+    if (end != env && *end == '\0' && v > 0 &&
+        v <= std::numeric_limits<u32>::max())
+      return static_cast<u32>(v);
   }
   const u32 hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -57,7 +60,8 @@ void round_executor::worker_loop() {
 
 void round_executor::run_job(u64 my_generation) {
   for (;;) {
-    const std::function<void(u32, u32, u32)>* job = nullptr;
+    shard_fn fn = nullptr;
+    const void* body = nullptr;
     u32 shard = 0, begin = 0, end = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -67,10 +71,11 @@ void round_executor::run_job(u64 my_generation) {
       shard = next_shard_++;
       begin = shard_begin(job_n_, shard);
       end = shard_begin(job_n_, shard + 1);
-      job = job_;
+      fn = job_fn_;
+      body = job_body_;
     }
     try {
-      if (begin < end) (*job)(shard, begin, end);
+      if (begin < end) fn(body, shard, begin, end);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!first_error_) first_error_ = std::current_exception();
@@ -87,23 +92,28 @@ void round_executor::run_job(u64 my_generation) {
   }
 }
 
-void round_executor::for_shards(u32 n,
-                                const std::function<void(u32, u32, u32)>& body) {
+void round_executor::dispatch(u32 n, shard_fn fn, const void* body) {
+  // Dispatch is not reentrant: a step calling back into the executor would
+  // clobber the in-flight job and sum_nodes' slots, at any thread count.
+  HYB_REQUIRE(!busy_, "nested round_executor dispatch from inside a step");
   if (n == 0) return;
   const u32 shards = shard_count(n);
-  if (shards <= 1) {
-    body(0, 0, n);
+  if (partial_.size() < shards) partial_.resize(shards);
+  busy_ = true;
+  struct clear_on_exit {
+    bool& flag;
+    ~clear_on_exit() { flag = false; }
+  } clear{busy_};
+  if (shards == 1) {
+    fn(body, 0, 0, n);
     return;
   }
   spawn_workers();
   u64 gen;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Dispatch is not reentrant: a step callback calling back into the
-    // executor would clobber the in-flight job and break the barrier.
-    HYB_REQUIRE(job_ == nullptr,
-                "nested round_executor dispatch from inside a step");
-    job_ = &body;
+    job_fn_ = fn;
+    job_body_ = body;
     job_n_ = n;
     job_shards_ = shards;
     next_shard_ = 0;
@@ -117,47 +127,10 @@ void round_executor::for_shards(u32 n,
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return pending_shards_ == 0; });
-    job_ = nullptr;
     err = first_error_;
     first_error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
-}
-
-void round_executor::for_nodes(u32 n, const std::function<void(u32)>& step) {
-  for_shards(n, [&](u32, u32 begin, u32 end) {
-    for (u32 v = begin; v < end; ++v) step(v);
-  });
-}
-
-u64 round_executor::sum_nodes(u32 n, const std::function<u64(u32)>& term) {
-  if (n == 0) return 0;
-  std::vector<u64> partial(shard_count(n), 0);
-  for_shards(n, [&](u32 shard, u32 begin, u32 end) {
-    u64 acc = 0;
-    for (u32 v = begin; v < end; ++v) acc += term(v);
-    partial[shard] = acc;
-  });
-  u64 total = 0;
-  for (u64 p : partial) total += p;
-  return total;
-}
-
-u64 round_executor::max_nodes(u32 n, const std::function<u64(u32)>& term) {
-  if (n == 0) return 0;
-  std::vector<u64> partial(shard_count(n), 0);
-  for_shards(n, [&](u32 shard, u32 begin, u32 end) {
-    u64 best = 0;
-    for (u32 v = begin; v < end; ++v) best = std::max(best, term(v));
-    partial[shard] = best;
-  });
-  u64 best = 0;
-  for (u64 p : partial) best = std::max(best, p);
-  return best;
-}
-
-bool round_executor::any_node(u32 n, const std::function<bool(u32)>& pred) {
-  return sum_nodes(n, [&](u32 v) -> u64 { return pred(v) ? 1 : 0; }) != 0;
 }
 
 }  // namespace hybrid

@@ -20,6 +20,10 @@
 // frozen round state. Reductions (`sum_nodes`) accumulate per shard and
 // combine over u64 addition, which is order-insensitive.
 //
+// Steps are taken by reference as any callable: the per-node loop is
+// instantiated inside the shard body, so one dispatch costs one indirect
+// call per shard and no heap allocation.
+//
 // Thread count resolution: sim_options{threads} wins when nonzero; else the
 // HYBRID_THREADS environment variable; else std::thread::hardware_concurrency.
 // One thread means strictly inline execution — no pool is ever spawned, so
@@ -29,7 +33,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -113,33 +116,67 @@ class round_executor {
   /// (the round barrier). Steps must follow the determinism contract above.
   /// Exceptions thrown by steps are rethrown here (first one wins).
   /// Dispatching is not reentrant: a step must never call back into the
-  /// executor (enforced — nested dispatch throws).
-  void for_nodes(u32 n, const std::function<void(u32)>& step);
+  /// executor (enforced at every thread count — nested dispatch throws).
+  template <class Step>
+  void for_nodes(u32 n, const Step& step) {
+    for_shards(n, [&step](u32, u32 begin, u32 end) {
+      for (u32 v = begin; v < end; ++v) step(v);
+    });
+  }
 
   /// Shard-granular variant: `body(shard, begin, end)` runs once per
   /// contiguous shard (`shard` ascending with `begin`). Use when the step
   /// needs shard-local scratch; ranges are a static partition of [0, n)
   /// and do not depend on scheduling.
-  void for_shards(u32 n, const std::function<void(u32, u32, u32)>& body);
+  template <class Body>
+  void for_shards(u32 n, const Body& body) {
+    dispatch(n, &call_shard<Body>, &body);
+  }
 
   /// Deterministic reduction: sum of `term(v)` over v in [0, n).
-  /// Accumulated per shard, combined in shard order; u64 addition is
-  /// order-insensitive, so the result is thread-count-invariant.
-  u64 sum_nodes(u32 n, const std::function<u64(u32)>& term);
-
-  /// Deterministic reduction: max of `term(v)` over v in [0, n); 0 when
-  /// n == 0. Order-insensitive like sum_nodes, so thread-count-invariant.
-  u64 max_nodes(u32 n, const std::function<u64(u32)>& term);
+  /// Accumulated per shard into executor-owned slots, combined in shard
+  /// order; u64 addition is order-insensitive, so the result is
+  /// thread-count-invariant.
+  template <class Term>
+  u64 sum_nodes(u32 n, const Term& term) {
+    for_shards(n, [&](u32 shard, u32 begin, u32 end) {
+      u64 acc = 0;
+      for (u32 v = begin; v < end; ++v) acc += term(v);
+      partial_[shard] = acc;
+    });
+    // Empty shards sit at the tail and never ran; their slots are stale.
+    u64 total = 0;
+    for (u32 s = 0; s < shard_count(n) && shard_begin(n, s) < n; ++s)
+      total += partial_[s];
+    return total;
+  }
 
   /// True when `pred(v)` holds for at least one node (barrier included).
-  bool any_node(u32 n, const std::function<bool(u32)>& pred);
+  template <class Pred>
+  bool any_node(u32 n, const Pred& pred) {
+    const auto hit = [&pred](u32 v) -> u64 { return pred(v) ? 1 : 0; };
+    return sum_nodes(n, hit) != 0;
+  }
 
  private:
+  // The one type-erased call: a shard body behind a context pointer.
+  using shard_fn = void (*)(const void* body, u32 shard, u32 begin, u32 end);
+  template <class Body>
+  static void call_shard(const void* body, u32 shard, u32 begin, u32 end) {
+    (*static_cast<const Body*>(body))(shard, begin, end);
+  }
+
+  void dispatch(u32 n, shard_fn fn, const void* body);
   void spawn_workers();
   void worker_loop();
   void run_job(u64 my_generation);
 
   u32 threads_;
+  // True while a job runs, at every thread count; a dispatch that finds it
+  // set comes from inside a step and is rejected.
+  bool busy_ = false;
+  // sum_nodes' per-shard slots; grown to the largest shard count used.
+  std::vector<u64> partial_;
 
   // Pool state (untouched when threads_ == 1).
   std::vector<std::thread> workers_;
@@ -149,7 +186,8 @@ class round_executor {
   u64 generation_ = 0;
   bool stop_ = false;
   // Current job, valid while pending_shards_ > 0.
-  const std::function<void(u32, u32, u32)>* job_ = nullptr;
+  shard_fn job_fn_ = nullptr;
+  const void* job_body_ = nullptr;
   u32 job_n_ = 0;
   u32 job_shards_ = 0;
   u32 next_shard_ = 0;

@@ -250,14 +250,9 @@ class flat_mailbox {
       }
     }
 
-    // Pass 1 (parallel over source shards): count per destination. The
-    // dispatch lambdas capture `this` and at most the drawer by pointer, so
-    // the executor's std::function wrapper fits its 16-byte small-buffer
-    // slot: deliver() stays at ZERO heap allocations per steady-state round
-    // — gated by bench_scatter's zero_alloc_rounds field.
-    const Drawer* draw = &drawer;
-    exec.for_shards(n_, [this, draw](u32 s, u32 begin, u32 end) {
-      count_shard(s, begin, end, *draw);
+    // Pass 1 (parallel over source shards): count per destination.
+    exec.for_shards(n_, [&](u32 s, u32 begin, u32 end) {
+      count_shard(s, begin, end, drawer);
     });
 
     // Prefix (orchestrator, O(n·T) independent of message volume) as three

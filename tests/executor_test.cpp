@@ -1,12 +1,17 @@
 // Tests for the parallel round executor and its determinism contract
 // (docs/CONCURRENCY.md): sharding coverage, reductions, exception
-// propagation, thread-count-invariant simulation outputs, and a
-// TSAN-friendly stress of concurrent γ-budget accounting.
+// propagation, allocation-free dispatch, thread-count-invariant simulation
+// outputs, and a TSAN-friendly stress of concurrent γ-budget accounting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+
+// Counts every operator new of this binary (DispatchAllocatesNothing);
+// included here and nowhere else in the test suite.
+#include "alloc_counter.hpp"
 
 #include "core/apsp.hpp"
 #include "core/sssp.hpp"
@@ -25,13 +30,19 @@ TEST(ResolveThreads, ExplicitKnobWins) {
 }
 
 TEST(ResolveThreads, EnvOverrideWhenAuto) {
+  unsetenv("HYBRID_THREADS");
+  const u32 automatic = resolve_threads(sim_options{});
+  EXPECT_GE(automatic, 1u);
   setenv("HYBRID_THREADS", "5", 1);
   EXPECT_EQ(resolve_threads(sim_options{}), 5u);
   EXPECT_EQ(resolve_threads(sim_options{2}), 2u);  // explicit still wins
-  setenv("HYBRID_THREADS", "garbage", 1);
-  EXPECT_GE(resolve_threads(sim_options{}), 1u);  // falls through to auto
+  // Garbage, and values a u32 cannot hold (2^32 + 1 and 2^32 would wrap to
+  // 1 and 0), fall through to auto.
+  for (const char* bad : {"garbage", "4294967297", "4294967296"}) {
+    setenv("HYBRID_THREADS", bad, 1);
+    EXPECT_EQ(resolve_threads(sim_options{}), automatic) << bad;
+  }
   unsetenv("HYBRID_THREADS");
-  EXPECT_GE(resolve_threads(sim_options{}), 1u);
 }
 
 TEST(RoundExecutor, EveryNodeRunsExactlyOnce) {
@@ -60,12 +71,18 @@ TEST(RoundExecutor, ShardsPartitionTheRange) {
 }
 
 TEST(RoundExecutor, NestedDispatchIsRejected) {
-  round_executor exec(sim_options{4});
-  EXPECT_THROW(
-      exec.for_nodes(64, [&](u32) { exec.sum_nodes(4, [](u32) -> u64 { return 1; }); }),
-      std::invalid_argument);
-  // The pool recovers for subsequent (well-formed) jobs.
-  EXPECT_EQ(exec.sum_nodes(10, [](u32) -> u64 { return 1; }), 10u);
+  for (u32 threads : {1u, 4u}) {
+    round_executor exec(sim_options{threads});
+    EXPECT_THROW(exec.for_nodes(64,
+                                [&](u32) {
+                                  exec.sum_nodes(
+                                      4, [](u32) -> u64 { return 1; });
+                                }),
+                 std::invalid_argument)
+        << threads << " threads";
+    // The executor recovers for subsequent (well-formed) jobs.
+    EXPECT_EQ(exec.sum_nodes(10, [](u32) -> u64 { return 1; }), 10u);
+  }
 }
 
 TEST(RoundExecutor, SumMatchesSequential) {
@@ -76,17 +93,6 @@ TEST(RoundExecutor, SumMatchesSequential) {
     u64 want = 0;
     for (u64 v = 0; v < 1234; ++v) want += v * v;
     EXPECT_EQ(got, want) << threads << " threads";
-  }
-}
-
-TEST(RoundExecutor, MaxMatchesSequentialAndIsThreadInvariant) {
-  auto term = [](u32 v) -> u64 { return (u64{v} * 2654435761u) % 10007; };
-  u64 want = 0;
-  for (u32 v = 0; v < 1234; ++v) want = std::max(want, term(v));
-  for (u32 threads : {1u, 3u, 8u}) {
-    round_executor exec(sim_options{threads});
-    EXPECT_EQ(exec.max_nodes(1234, term), want) << threads << " threads";
-    EXPECT_EQ(exec.max_nodes(0, term), 0u);
   }
 }
 
@@ -130,6 +136,45 @@ TEST(RoundExecutor, ExceptionsPropagateThroughTheBarrier) {
                  std::runtime_error);
     // The pool survives a throwing job.
     EXPECT_EQ(exec.sum_nodes(10, [](u32) -> u64 { return 1; }), 10u);
+  }
+}
+
+// Steps are taken by reference and reductions go into executor-owned
+// slots, so once the pool is up and the slots are grown, no dispatch
+// allocates — not even for a closure far larger than std::function's
+// small buffer.
+TEST(RoundExecutor, DispatchAllocatesNothing) {
+  for (u32 threads : {1u, 4u}) {
+    round_executor exec(sim_options{threads});
+    const u32 n = 1000;
+    std::vector<u64> out(n, 0);
+    std::array<u64, 4> big{1, 2, 3, 4};
+    u64 a = 5, b = 6;
+    const auto step = [&out, big, &a, &b](u32 v) {
+      out[v] = big[v % 4] + a * v + b;
+    };
+    static_assert(sizeof(step) >= 40);
+    const auto body = [&out](u32, u32 begin, u32 end) {
+      for (u32 v = begin; v < end; ++v) ++out[v];
+    };
+    const auto term = [&out](u32 v) -> u64 { return out[v]; };
+    const auto pred = [&out](u32 v) { return out[v] == 0; };
+    // Warm-up: spawns the pool and grows the reduction slots.
+    exec.for_nodes(n, step);
+    exec.for_shards(n, body);
+    u64 sum = exec.sum_nodes(n, term);
+    bool any = exec.any_node(n, pred);
+
+    const unsigned long long before = benchalloc::allocations();
+    for (u32 i = 0; i < 20; ++i) {
+      exec.for_nodes(n, step);
+      exec.for_shards(n, body);
+      sum += exec.sum_nodes(n, term);
+      any |= exec.any_node(n, pred);
+    }
+    EXPECT_EQ(benchalloc::allocations() - before, 0u) << threads << " threads";
+    EXPECT_GT(sum, 0u);
+    EXPECT_FALSE(any);
   }
 }
 
